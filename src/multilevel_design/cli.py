@@ -29,7 +29,12 @@ from .closed_forms import (
     student_inflation_design2,
     teacher_inflation_design2,
 )
-from .designs import DegenerateContaminationError, DesignKind, expected_teacher_information
+from .designs import (
+    DesignKind,
+    check_identifiable,
+    expected_teacher_information,
+    validate_contamination,
+)
 from .model_core import (
     StudentVarianceComponents,
     StudyLayout,
@@ -257,8 +262,6 @@ def parse_config_data(data: dict) -> RunConfig:
         raise BadValueError("assignment", str(err)) from err
 
     q = _require_number(data.get("q", 0.0), "q")
-    if not 0.0 <= q <= 1.0:
-        raise BadValueError("q", f"must be in [0, 1], got {q}")
     replicates = _require_int(data.get("replicates", 10_000), "replicates", minimum=1)
     seed = _require_int(data["seed"], "seed", minimum=0)
     if seed >= 2**64:
@@ -518,50 +521,60 @@ def emit_density_svg(
 # --------------------------------------------------------------------------
 
 
-def _closed_form_rows(config: RunConfig):
-    layout = config.layout
+def _blame(field: str, check, *args):
+    """Run a library check, reporting its ValueError (LinAlgError, ParityError
+    and DegenerateContaminationError included) as a bad value of ``field``."""
     try:
-        m = layout.homogeneous_m()
+        return check(*args)
     except ValueError as err:
-        raise BadValueError("teachers_per_school", str(err)) from err
-    n_set = set(config.students_per_school)
-    if len(n_set) != 1:
-        raise BadValueError(
-            "students_per_school", "closed-form mode needs a homogeneous student count"
-        )
-    n = n_set.pop()
-    try:
-        spec = BalancedSpec(m=m, n=n, c=config.policy.c, a=config.schools)
-    except ValueError as err:
-        raise BadValueError("assignment.c", str(err)) from err
+        raise BadValueError(field, str(err)) from err
 
+
+def _check_plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
+    """Reject, before any output exists, every config the mode cannot run.
+
+    This is the one place library errors become ConfigErrors: each check
+    blames the config field it reads.  Returns what the mode runs on: the
+    balanced spec for closed-form, one SimulationConfig per design otherwise.
+    """
+    layout = config.layout
+    _blame("teacher_vc.sigma_eps2", config.teacher_vc.check_invertible)
+    _blame("student_vc.sigma_eta2", config.student_vc.check_invertible)
+    for design in config.designs:
+        _blame("designs", design.check_parity, layout.a, layout.m)
+        _blame("q", validate_contamination, design, config.q)
+        if design is not DesignKind.RANDOMIZE_SCHOOLS:
+            _blame("q", check_identifiable, config.q)
+    if config.mode == "closed-form":
+        m = _blame("teachers_per_school", layout.homogeneous_m)
+        if len(set(layout.n)) != 1:
+            raise BadValueError(
+                "students_per_school", "closed-form mode needs a homogeneous student count"
+            )
+        return _blame("assignment.c", BalancedSpec, m, layout.n[0], config.policy.c, layout.a)
+    for m_i, n_i in zip(layout.m, layout.n):
+        _blame("assignment", config.policy.check_school, m_i, n_i)
+    return [config.simulation_config(design) for design in config.designs]
+
+
+def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
     rows = []
     for design in config.designs:
         for level in LEVELS:
-            try:
-                if level == TEACHER:
-                    info = expected_teacher_information(design, layout, config.teacher_vc)
-                else:
-                    info = balanced_student_information(design, spec, config.student_vc)
-            except ValueError as err:
-                raise BadValueError("designs", str(err)) from err
+            if level == TEACHER:
+                info = expected_teacher_information(design, config.layout, config.teacher_vc)
+            else:
+                info = balanced_student_information(design, spec, config.student_vc)
             inflation: float | None
             if config.q == 0.0 or design is DesignKind.RANDOMIZE_SCHOOLS:
                 inflation = 1.0
             elif design is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-                try:
-                    if level == TEACHER:
-                        inflation = teacher_inflation_design2(
-                            config.q, m, config.teacher_vc
-                        )
-                    elif spec.c < spec.m:
-                        inflation = student_inflation_design2(
-                            config.q, spec, config.student_vc
-                        )
-                    else:
-                        inflation = None
-                except DegenerateContaminationError as err:
-                    raise BadValueError("q", str(err)) from err
+                if level == TEACHER:
+                    inflation = teacher_inflation_design2(config.q, spec.m, config.teacher_vc)
+                elif spec.c < spec.m:
+                    inflation = student_inflation_design2(config.q, spec, config.student_vc)
+                else:
+                    inflation = None
             else:
                 # contaminated crd has no closed form; simulate instead
                 inflation = None
@@ -572,11 +585,6 @@ def _closed_form_rows(config: RunConfig):
                 variance = None
                 se_diff = None
             rows.append((design.value, level, info, variance, se_diff, inflation))
-    return rows
-
-
-def _run_closed_form(config: RunConfig, out: Path) -> int:
-    rows = _closed_form_rows(config)
     _write_csv(
         out / "closed_forms.csv",
         ("design", "level", "expected_info", "anticipated_var", "se_diff", "inflation"),
@@ -585,14 +593,10 @@ def _run_closed_form(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_simulate(config: RunConfig, out: Path, max_workers: int) -> int:
-    results: dict[DesignKind, SimulationResult] = {}
-    for design in config.designs:
-        try:
-            sim_config = config.simulation_config(design)
-        except ValueError as err:
-            raise BadValueError("designs", str(err)) from err
-        results[design] = simulate_anticipated_variance(sim_config, max_workers=max_workers)
+def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
+    results: dict[DesignKind, SimulationResult] = {
+        sim.design: simulate_anticipated_variance(sim) for sim in sim_configs
+    }
 
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
@@ -653,15 +657,12 @@ def _run_simulate(config: RunConfig, out: Path, max_workers: int) -> int:
     return 0
 
 
-def _run_validate(config: RunConfig, out: Path) -> int:
+def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     rows = []
     failed = False
-    for design in config.designs:
-        try:
-            sim_config = config.simulation_config(design)
-        except ValueError as err:
-            raise BadValueError("designs", str(err)) from err
-        study = estimator_variance_study(sim_config)
+    for sim in sim_configs:
+        study = estimator_variance_study(sim)
+        design = sim.design
         for level in LEVELS:
             res = study[level]
             ok = (
@@ -687,20 +688,21 @@ def _run_validate(config: RunConfig, out: Path) -> int:
     return 2 if failed else 0
 
 
-def run(config: RunConfig, max_workers: int = 1) -> int:
+def run(config: RunConfig) -> int:
     """Execute one mode and write its artifacts under ``config.out_dir``."""
+    if config.mode not in MODES:
+        raise BadValueError("mode", f"must be one of {MODES}, got {config.mode!r}")
+    plan = _check_plan(config)
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise BadValueError("out_dir", str(err)) from err
     if config.mode == "closed-form":
-        return _run_closed_form(config, out)
-    if config.mode in ("simulate", "compare"):
-        return _run_simulate(config, out, max_workers)
+        return _run_closed_form(config, plan, out)
     if config.mode == "validate":
-        return _run_validate(config, out)
-    raise BadValueError("mode", f"must be one of {MODES}, got {config.mode!r}")
+        return _run_validate(plan, out)
+    return _run_simulate(plan, out)
 
 
 class _ArgumentError(ConfigError):
@@ -710,17 +712,6 @@ class _ArgumentError(ConfigError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ArgumentError("args", message)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MLD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as err:
-        raise BadValueError("MLD_THREADS", f"expected an integer, got {raw!r}") from err
-    return max(1, workers)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -740,7 +731,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = apply_overrides(
             config, mode=args.mode, seed=args.seed, replicates=args.reps, out_dir=args.out
         )
-        return run(config, max_workers=_worker_count())
+        return run(config)
     except ConfigError as err:
         print(f"multilevel-design: {err}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .designs import DegenerateContaminationError, DesignKind, ParityError
+from .designs import DesignKind, ParityError, check_identifiable, validate_contamination
 from .model_core import StudentVarianceComponents, TeacherVarianceComponents
 
 
@@ -74,12 +74,7 @@ def balanced_student_information(
     value is exactly 0 because D R_i vanishes for every balanced realization.
     """
     m, a = spec.m, spec.a
-    if kind is DesignKind.RANDOMIZE_SCHOOLS and a % 2 != 0:
-        raise ParityError(f"randomize_schools needs an even school count, got a={a}")
-    if kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS and m % 2 != 0:
-        raise ParityError(f"within_schools needs an even teacher count, got m={m}")
-    if kind is DesignKind.COMPLETELY_RANDOMIZED and (m * a) % 2 != 0:
-        raise ParityError(f"crd needs an even total teacher count, got {m * a}")
+    kind.check_parity(a, (m,) * a)
     trace_j, trace = balanced_traces(spec, vc)
     if kind is DesignKind.RANDOMIZE_SCHOOLS:
         return a * trace_j
@@ -102,15 +97,6 @@ def efficiency_condition(spec: BalancedSpec, vc: StudentVarianceComponents) -> b
     )
 
 
-def _check_q(q: float) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if q == 1.0:
-        raise DegenerateContaminationError(
-            "q = 1 makes the contamination column collinear with treatment"
-        )
-
-
 def teacher_inflation_design2(
     q: float, m: int, vc: TeacherVarianceComponents
 ) -> float:
@@ -118,7 +104,8 @@ def teacher_inflation_design2(
 
     1 + q/(2(1-q)) * (1 - sigma_v2/(sigma_eps2 + m*sigma_v2))^-1
     """
-    _check_q(q)
+    validate_contamination(DesignKind.RANDOMIZE_WITHIN_SCHOOLS, q)
+    check_identifiable(q)
     if m < 2:
         raise ParityError("within_schools needs at least 2 teachers per school")
     inner = 1.0 - vc.sigma_v2 / (vc.sigma_eps2 + m * vc.sigma_v2)
@@ -139,7 +126,8 @@ def student_inflation_design2(
 
     Rejected for c = m, where the uncontaminated information is already 0.
     """
-    _check_q(q)
+    validate_contamination(DesignKind.RANDOMIZE_WITHIN_SCHOOLS, q)
+    check_identifiable(q)
     if spec.c == spec.m:
         raise ValueError(
             "c = m gives zero within-school information, so an inflation factor "

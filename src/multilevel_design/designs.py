@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .model_core import (
     StudyLayout,
     TeacherVarianceComponents,
     TreatmentAssignment,
-    _assignment_blocks,
-    solve_student_system,
+    student_precision,
 )
 
 
@@ -43,34 +43,39 @@ class DesignKind(Enum):
     RANDOMIZE_WITHIN_SCHOOLS = "within_schools"
     COMPLETELY_RANDOMIZED = "crd"
 
-    def check_parity(self, layout: StudyLayout) -> None:
-        """Raise ParityError naming the violated evenness constraint."""
-        if self is DesignKind.RANDOMIZE_SCHOOLS and layout.a % 2 != 0:
-            raise ParityError(f"randomize_schools needs an even school count, got a={layout.a}")
+    def check_parity(self, a: int, m: Sequence[int]) -> None:
+        """Raise ParityError naming the violated evenness constraint for a
+        schools with per-school teacher counts ``m``."""
+        if self is DesignKind.RANDOMIZE_SCHOOLS and a % 2 != 0:
+            raise ParityError(f"randomize_schools needs an even school count, got a={a}")
         if self is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-            for i, m_i in enumerate(layout.m):
+            for i, m_i in enumerate(m):
                 if m_i % 2 != 0:
                     raise ParityError(
                         f"within_schools needs an even teacher count per school, "
                         f"school {i} has m={m_i}"
                     )
-        if self is DesignKind.COMPLETELY_RANDOMIZED and layout.total_teachers % 2 != 0:
-            raise ParityError(
-                f"crd needs an even total teacher count, got {layout.total_teachers}"
-            )
+        if self is DesignKind.COMPLETELY_RANDOMIZED and sum(m) % 2 != 0:
+            raise ParityError(f"crd needs an even total teacher count, got {sum(m)}")
 
 
-def contamination_bounds(kind: DesignKind) -> tuple[float, float]:
-    """Admissible [lo, hi] range of the contamination intensity q."""
-    if kind is DesignKind.COMPLETELY_RANDOMIZED:
-        return 0.0, 0.5
-    return 0.0, 1.0
+def validate_contamination(kind: DesignKind | None, q: float) -> None:
+    """Raise ValueError unless q lies in the admissible range of the design:
+    [0, 0.5] for crd, [0, 1] otherwise and when no design is given."""
+    hi = 0.5 if kind is DesignKind.COMPLETELY_RANDOMIZED else 1.0
+    if not 0.0 <= q <= hi:
+        name = kind.value if kind is not None else "any design"
+        raise ValueError(f"q={q} outside [0.0, {hi}] for {name}")
 
 
-def validate_contamination(kind: DesignKind, q: float) -> None:
-    lo, hi = contamination_bounds(kind)
-    if not lo <= q <= hi:
-        raise ValueError(f"q={q} outside [{lo}, {hi}] for design {kind.value}")
+def check_identifiable(q: float) -> None:
+    """Raise DegenerateContaminationError when q = 1: every control teacher
+    contaminates, so the contamination column is collinear with treatment."""
+    if q == 1.0:
+        raise DegenerateContaminationError(
+            "q = 1 contaminates every control teacher, so the contamination column "
+            "is collinear with the treatment column"
+        )
 
 
 @dataclass(frozen=True)
@@ -94,28 +99,11 @@ class ContaminationSpec:
         return self.q
 
 
-@dataclass(frozen=True, eq=False)
-class RandomizationMoments:
-    """First two moments of the per-school treatment vectors.
-
-    ``mean[i]`` is E[R_i] (always zero for the balanced designs) and
-    Cov(R_i) = coeff_identity[i]*I + coeff_ones[i]*J.
-    """
-
-    mean: tuple[np.ndarray, ...]
-    coeff_identity: tuple[float, ...]
-    coeff_ones: tuple[float, ...]
-
-    def cov(self, i: int) -> np.ndarray:
-        m = self.mean[i].size
-        return self.coeff_identity[i] * np.eye(m) + self.coeff_ones[i] * np.ones((m, m))
-
-
 def draw_randomization(
     kind: DesignKind, layout: StudyLayout, rng: np.random.Generator
 ) -> TreatmentAssignment:
     """Draw one equiprobable balanced realization of the design."""
-    kind.check_parity(layout)
+    kind.check_parity(layout.a, layout.m)
     if kind is DesignKind.RANDOMIZE_SCHOOLS:
         treated = np.zeros(layout.a, dtype=bool)
         treated[rng.permutation(layout.a)[: layout.a // 2]] = True
@@ -140,29 +128,6 @@ def draw_randomization(
     return TreatmentAssignment(r=r)
 
 
-def randomization_moments(kind: DesignKind, layout: StudyLayout) -> RandomizationMoments:
-    """Closed-form E[R_i] and Cov(R_i) coefficients for each school.
-
-    Designs 1 and 3 require a homogeneous teacher count; design 2 randomizes
-    school by school, so its coefficients are available per school.
-    """
-    kind.check_parity(layout)
-    mean = tuple(np.zeros(m_i) for m_i in layout.m)
-    if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        layout.homogeneous_m()
-        k_i = tuple(0.0 for _ in layout.m)
-        k_j = tuple(1.0 for _ in layout.m)
-    elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        k_i = tuple(m_i / (m_i - 1) for m_i in layout.m)
-        k_j = tuple(-1.0 / (m_i - 1) for m_i in layout.m)
-    else:
-        m = layout.homogeneous_m()
-        total = m * layout.a
-        k_i = tuple(total / (total - 1) for _ in layout.m)
-        k_j = tuple(-1.0 / (total - 1) for _ in layout.m)
-    return RandomizationMoments(mean=mean, coeff_identity=k_i, coeff_ones=k_j)
-
-
 def expected_teacher_information(
     kind: DesignKind, layout: StudyLayout, vc: TeacherVarianceComponents
 ) -> float:
@@ -173,11 +138,10 @@ def expected_teacher_information(
     crd:                the first value times
                         1 + (m-1)*m*a/(m*a-1) * sigma_v2/sigma_eps2
     """
-    kind.check_parity(layout)
+    kind.check_parity(layout.a, layout.m)
     m = layout.homogeneous_m()
     a = layout.a
-    if vc.sigma_eps2 <= 0.0:
-        raise np.linalg.LinAlgError("teacher covariance is singular when sigma_eps2 = 0")
+    vc.check_invertible()
     base = m * a / (vc.sigma_eps2 + vc.sigma_v2 * m)
     if kind is DesignKind.RANDOMIZE_SCHOOLS:
         return base
@@ -186,43 +150,30 @@ def expected_teacher_information(
     return base * (1.0 + (m - 1) * m * a / (m * a - 1) * vc.sigma_v2 / vc.sigma_eps2)
 
 
-def _school_traces(di: np.ndarray, vc: StudentVarianceComponents) -> tuple[float, float]:
-    """tr(D' Sigma^-1 D J) and tr(D' Sigma^-1 D) for one school block."""
-    u = di.sum(axis=1)
-    t_j = float(u @ solve_student_system(di, vc, u))
-    t_full = float(np.sum(di * solve_student_system(di, vc, di)))
-    return t_j, t_full
-
-
 def expected_student_information_given_D(
-    kind: DesignKind, d, vc: StudentVarianceComponents
+    kind: DesignKind, d: Sequence[np.ndarray], vc: StudentVarianceComponents
 ) -> float:
     """Expected treatment information of the student model for a fixed assignment.
 
-    Averaging X' D' Sigma^-1 D X over the randomization leaves the trace of
-    D' Sigma^-1 D against Cov(R):
+    Averaging X' G X over the randomization, with G_i = D_i' Sigma_i^-1 D_i,
+    leaves the trace of G against Cov(R):
 
-    randomize_schools:  sum_i tr(D_i' Sigma_i^-1 D_i J)
-    within_schools:     sum_i tr(D_i' Sigma_i^-1 D_i (m I - J)) / (m - 1)
-    crd:                sum_i tr(D_i' Sigma_i^-1 D_i (m a I - J)) / (m a - 1)
+    randomize_schools:  sum_i tr(G_i J)
+    within_schools:     sum_i tr(G_i (m I - J)) / (m - 1)
+    crd:                sum_i tr(G_i (m a I - J)) / (m a - 1)
     """
-    blocks = _assignment_blocks(d)
-    if not blocks:
+    gs = [student_precision(di, vc) for di in d]
+    if not gs:
         raise ValueError("need at least one school block")
-    widths = {b.shape[1] for b in blocks}
+    widths = {g.shape[0] for g in gs}
     if len(widths) != 1:
         raise ValueError(f"teacher counts differ across schools: {sorted(widths)}")
     m = widths.pop()
-    a = len(blocks)
-    if kind is DesignKind.RANDOMIZE_SCHOOLS and a % 2 != 0:
-        raise ParityError(f"randomize_schools needs an even school count, got a={a}")
-    if kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS and m % 2 != 0:
-        raise ParityError(f"within_schools needs an even teacher count, got m={m}")
-    if kind is DesignKind.COMPLETELY_RANDOMIZED and (m * a) % 2 != 0:
-        raise ParityError(f"crd needs an even total teacher count, got {m * a}")
+    a = len(gs)
+    kind.check_parity(a, (m,) * a)
     total = 0.0
-    for di in blocks:
-        t_j, t_full = _school_traces(di, vc)
+    for g in gs:
+        t_j, t_full = float(g.sum()), float(np.trace(g))
         if kind is DesignKind.RANDOMIZE_SCHOOLS:
             total += t_j
         elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
@@ -243,10 +194,7 @@ def draw_contamination(
     Within school i every control teacher independently contaminates with
     probability (1'R_i + m_i)*q/m_i.  Treated teachers never contaminate.
     """
-    if kind is not None:
-        validate_contamination(kind, q)
-    elif not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+    validate_contamination(kind, q)
     c = []
     for ri in assignment.r:
         m_i = ri.size
@@ -275,7 +223,7 @@ def expected_contamination(
     crd: (q/2) * a(m-1)/(ma-1) per teacher.
     """
     validate_contamination(kind, q)
-    kind.check_parity(layout)
+    kind.check_parity(layout.a, layout.m)
     m = layout.homogeneous_m()
     if kind is DesignKind.RANDOMIZE_SCHOOLS:
         level = 0.0
@@ -306,13 +254,8 @@ def contaminated_expected_moment_matrix(
     """
     if kind is not DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
         raise ValueError("the closed-form moment matrix is available for within_schools only")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if q == 1.0:
-        raise DegenerateContaminationError(
-            "q = 1 contaminates every control teacher, so the contamination column "
-            "is collinear with the treatment column"
-        )
+    validate_contamination(kind, q)
+    check_identifiable(q)
     g = np.asarray(g, dtype=float)
     m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != m:

@@ -26,10 +26,9 @@ CONTAMINATION = "contamination"
 
 #: relative tolerance for declaring an information matrix asymmetric
 SYMMETRY_RTOL = 1e-12
-#: eigenvalues below -PSD_RTOL * spectral norm fail the PSD check
-PSD_RTOL = 1e-10
-#: treatment pivots below PIVOT_RTOL * spectral norm are non-estimable
-PIVOT_RTOL = 1e-10
+#: eigenvalues below -SINGULAR_RTOL * spectral norm fail the PSD check, and
+#: treatment pivots below +SINGULAR_RTOL * spectral norm are non-estimable
+SINGULAR_RTOL = 1e-10
 
 
 class NonEstimableError(Exception):
@@ -52,7 +51,8 @@ class TeacherVarianceComponents:
     """Variance components of the teacher model: school effect and residual.
 
     sigma_eps2 = 0 is representable (response generation stays exact) but
-    every covariance inversion requires it to be positive.
+    every covariance inversion requires it to be positive; check_invertible
+    says so.
     """
 
     sigma_v2: float
@@ -63,6 +63,10 @@ class TeacherVarianceComponents:
             raise ValueError(f"sigma_v2 must be >= 0, got {self.sigma_v2}")
         if not (self.sigma_eps2 >= 0.0):
             raise ValueError(f"sigma_eps2 must be >= 0, got {self.sigma_eps2}")
+
+    def check_invertible(self) -> None:
+        if self.sigma_eps2 <= 0.0:
+            raise np.linalg.LinAlgError("teacher covariance is singular when sigma_eps2 = 0")
 
     @property
     def rho(self) -> float:
@@ -76,7 +80,7 @@ class StudentVarianceComponents:
     """Variance components of the student model: school, teacher, residual.
 
     sigma_eta2 = 0 is representable but makes the covariance a low-rank
-    matrix; the solve paths signal the singularity.
+    matrix; check_invertible signals the singularity.
     """
 
     sigma_s2: float
@@ -90,6 +94,10 @@ class StudentVarianceComponents:
             raise ValueError(f"sigma_t2 must be >= 0, got {self.sigma_t2}")
         if not (self.sigma_eta2 >= 0.0):
             raise ValueError(f"sigma_eta2 must be >= 0, got {self.sigma_eta2}")
+
+    def check_invertible(self) -> None:
+        if self.sigma_eta2 <= 0.0:
+            raise np.linalg.LinAlgError("student covariance is singular when sigma_eta2 = 0")
 
 
 def _as_count_tuple(value, a: int, name: str) -> tuple[int, ...]:
@@ -126,13 +134,9 @@ class StudyLayout:
     def total_teachers(self) -> int:
         return sum(self.m)
 
-    @property
-    def has_homogeneous_m(self) -> bool:
-        return len(set(self.m)) == 1
-
     def homogeneous_m(self) -> int:
         """The common teacher count, or ValueError when schools differ."""
-        if not self.has_homogeneous_m:
+        if len(set(self.m)) != 1:
             raise ValueError(f"teacher counts differ across schools: {self.m}")
         return self.m[0]
 
@@ -175,34 +179,6 @@ class TreatmentAssignment:
 
 
 @dataclass(frozen=True, eq=False)
-class AssignmentMatrix:
-    """Per-school n_i x m_i course-count matrices mapping students to teachers."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b) for b in self.blocks)
-        for b in blocks:
-            if b.ndim != 2:
-                raise ValueError("each school block must be a 2-D matrix")
-            if np.any(b < 0) or np.any(b != np.floor(b)):
-                raise ValueError("course counts must be nonnegative integers")
-        object.__setattr__(self, "blocks", tuple(b.astype(float) for b in blocks))
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-def _assignment_blocks(d) -> Sequence[np.ndarray]:
-    if isinstance(d, AssignmentMatrix):
-        return d.blocks
-    return [np.asarray(b, dtype=float) for b in d]
-
-
-@dataclass(frozen=True, eq=False)
 class InformationMatrix:
     """Symmetric PSD information matrix with named parameter columns."""
 
@@ -221,7 +197,7 @@ class InformationMatrix:
             raise ValueError(f"information matrix is asymmetric (max deviation {asym:g})")
         eigs = np.linalg.eigvalsh(entries)
         spectral = float(np.abs(eigs).max()) if eigs.size else 0.0
-        if eigs.size and eigs.min() < -PSD_RTOL * spectral:
+        if eigs.size and eigs.min() < -SINGULAR_RTOL * spectral:
             raise ValueError(f"information matrix is not PSD (min eigenvalue {eigs.min():g})")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -250,62 +226,17 @@ def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:
     return xs
 
 
-def teacher_covariance(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
-    """Compound-symmetry covariance sigma_v2*J + sigma_eps2*I for one school."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return vc.sigma_v2 * np.ones((m, m)) + vc.sigma_eps2 * np.eye(m)
-
-
 def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
-    """Closed-form inverse of the teacher covariance.
+    """Per-school teacher precision G_i, the closed-form inverse covariance.
 
     (sigma_v2*J + sigma_eps2*I)^-1
         = I/sigma_eps2 - sigma_v2 / (sigma_eps2*(sigma_eps2 + sigma_v2*m)) * J
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if vc.sigma_eps2 <= 0.0:
-        raise np.linalg.LinAlgError("teacher covariance is singular when sigma_eps2 = 0")
+    vc.check_invertible()
     shrink = vc.sigma_v2 / (vc.sigma_eps2 * (vc.sigma_eps2 + vc.sigma_v2 * m))
     return np.eye(m) / vc.sigma_eps2 - shrink * np.ones((m, m))
-
-
-def teacher_information(
-    xs: Sequence[np.ndarray], vc: TeacherVarianceComponents
-) -> InformationMatrix:
-    """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision.
-
-    Each X_i is the m_i x p fixed-effect matrix for one school
-    (intercept, treatment, optional contamination).
-    """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    if not xs:
-        raise ValueError("need at least one school")
-    if vc.sigma_eps2 <= 0.0:
-        raise np.linalg.LinAlgError("teacher covariance is singular when sigma_eps2 = 0")
-    p = xs[0].shape[1] if xs[0].ndim == 2 else 0
-    labels = _column_labels(p)
-    info = np.zeros((p, p))
-    for x in xs:
-        if x.ndim != 2 or x.shape[1] != p:
-            raise ValueError(f"school design matrix has shape {x.shape}, expected (m_i, {p})")
-        m_i = x.shape[0]
-        shrink = vc.sigma_v2 / (vc.sigma_eps2 * (vc.sigma_eps2 + vc.sigma_v2 * m_i))
-        s = x.sum(axis=0)
-        info += x.T @ x / vc.sigma_eps2 - shrink * np.outer(s, s)
-    return InformationMatrix(0.5 * (info + info.T), labels)
-
-
-def student_covariance(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
-    """Dense covariance sigma_s2*J + sigma_t2*D D' + sigma_eta2*I for one school."""
-    d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    return (
-        vc.sigma_s2 * np.ones((n, n))
-        + vc.sigma_t2 * d @ d.T
-        + vc.sigma_eta2 * np.eye(n)
-    )
 
 
 def solve_student_system(
@@ -321,8 +252,7 @@ def solve_student_system(
     """
     d = np.asarray(d, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if vc.sigma_eta2 <= 0.0:
-        raise np.linalg.LinAlgError("student covariance is singular when sigma_eta2 = 0")
+    vc.check_invertible()
     n = d.shape[0]
     if rhs.shape[0] != n:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
@@ -339,52 +269,61 @@ def solve_student_system(
     return (rhs - w @ cho_solve(factor, w.T @ rhs)) / vc.sigma_eta2
 
 
+def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
+    """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i)."""
+    d = np.asarray(d, dtype=float)
+    return d.T @ solve_student_system(d, vc, d)
+
+
+def _information(xs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> InformationMatrix:
+    """Sum of X_i' G_i X_i over schools, one m_i x m_i precision G_i each.
+
+    Each X_i is the m_i x p fixed-effect matrix for one school
+    (intercept, treatment, optional contamination).
+    """
+    if not xs:
+        raise ValueError("need at least one school")
+    if len(xs) != len(gs):
+        raise ValueError(f"{len(xs)} design matrices but {len(gs)} school precisions")
+    p = xs[0].shape[1] if xs[0].ndim == 2 else 0
+    labels = _column_labels(p)
+    info = np.zeros((p, p))
+    for x, g in zip(xs, gs):
+        if x.ndim != 2 or x.shape[1] != p:
+            raise ValueError(f"school design matrix has shape {x.shape}, expected (m_i, {p})")
+        if g.shape != (x.shape[0], x.shape[0]):
+            raise ValueError(
+                f"school precision is {g.shape} but design matrix has {x.shape[0]} rows"
+            )
+        info += x.T @ (g @ x)
+    return InformationMatrix(0.5 * (info + info.T), labels)
+
+
+def teacher_information(
+    xs: Sequence[np.ndarray], vc: TeacherVarianceComponents
+) -> InformationMatrix:
+    """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    return _information(xs, [teacher_precision(len(x), vc) for x in xs])
+
+
 def student_information(
     xs: Sequence[np.ndarray],
-    d,
+    d: Sequence[np.ndarray],
     vc: StudentVarianceComponents,
 ) -> InformationMatrix:
     """Sum of X_i' D_i' Sigma_i^-1 D_i X_i over schools."""
     xs = [np.asarray(x, dtype=float) for x in xs]
-    blocks = _assignment_blocks(d)
-    if len(xs) != len(blocks):
-        raise ValueError(f"{len(xs)} design matrices but {len(blocks)} assignment blocks")
-    if not xs:
-        raise ValueError("need at least one school")
-    p = xs[0].shape[1]
-    labels = _column_labels(p)
-    info = np.zeros((p, p))
-    for x, di in zip(xs, blocks):
-        if di.shape[1] != x.shape[0]:
-            raise ValueError(
-                f"assignment block is {di.shape} but design matrix has {x.shape[0]} rows"
-            )
-        m_mat = di @ x
-        info += m_mat.T @ solve_student_system(di, vc, m_mat)
-    return InformationMatrix(0.5 * (info + info.T), labels)
+    return _information(xs, [student_precision(di, vc) for di in d])
 
 
-def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
-    """Variance of the treatment coefficient implied by an information matrix.
+def _treatment_pivot(entries: np.ndarray, index: int) -> float:
+    """Schur-complement pivot of direction ``index`` after eliminating the others.
 
-    Returns the (index, index) entry of the inverse information, computed as
-    the reciprocal pivot of the treatment direction after eliminating the
-    other parameters.  ``index`` is 0-based and defaults to the column
-    labelled "treatment".  Raises NonEstimableError when the pivot falls
-    below ``PIVOT_RTOL`` times the spectral norm, which covers singular
-    information matrices and directions absorbed by collinear columns.
+    Raises NonEstimableError when the pivot falls below ``SINGULAR_RTOL``
+    times the spectral norm, which covers singular information matrices and
+    directions absorbed by collinear columns.
     """
-    if isinstance(info, InformationMatrix):
-        entries = info.entries
-        if index is None:
-            index = info.treatment_index
-    else:
-        entries = np.asarray(info, dtype=float)
-        if index is None:
-            raise ValueError("index is required for a plain matrix")
-        scale = float(np.abs(entries).max()) if entries.size else 0.0
-        if float(np.abs(entries - entries.T).max()) > SYMMETRY_RTOL * max(scale, 1.0):
-            raise ValueError("information matrix must be symmetric")
     p = entries.shape[0]
     if not 0 <= index < p:
         raise ValueError(f"index {index} out of range for {p} parameters")
@@ -398,16 +337,32 @@ def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
         pivot = float(entries[index, index] - b @ solved)
     else:
         pivot = float(entries[index, index])
-    if pivot <= PIVOT_RTOL * spectral:
+    if pivot <= SINGULAR_RTOL * spectral:
         raise NonEstimableError(
-            f"treatment pivot {pivot:g} below threshold {PIVOT_RTOL * spectral:g}"
+            f"treatment pivot {pivot:g} below threshold {SINGULAR_RTOL * spectral:g}"
         )
-    variance = 1.0 / pivot
+    return pivot
+
+
+def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
+    """Variance of the treatment coefficient implied by an information matrix.
+
+    Returns the (index, index) entry of the inverse information, computed as
+    the reciprocal pivot of the treatment direction after eliminating the
+    other parameters.  ``index`` is 0-based and defaults to the column
+    labelled "treatment".  Raises NonEstimableError when the treatment
+    direction is singular.
+    """
+    if isinstance(info, InformationMatrix):
+        entries = info.entries
+        if index is None:
+            index = info.treatment_index
+    else:
+        entries = np.asarray(info, dtype=float)
+        if index is None:
+            raise ValueError("index is required for a plain matrix")
+        scale = float(np.abs(entries).max()) if entries.size else 0.0
+        if float(np.abs(entries - entries.T).max()) > SYMMETRY_RTOL * max(scale, 1.0):
+            raise ValueError("information matrix must be symmetric")
+    variance = 1.0 / _treatment_pivot(entries, index)
     return TreatmentVariance(variance, 2.0 * np.sqrt(variance))
-
-
-def combined_information(alpha: float, teacher_info: float, student_info: float) -> float:
-    """Weighted average alpha*teacher + (1-alpha)*student of two informations."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * teacher_info + (1.0 - alpha) * student_info

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .designs import (
     ContaminationSpec,
     DesignKind,
+    check_identifiable,
     draw_contamination,
     draw_randomization,
     validate_contamination,
@@ -35,10 +35,13 @@ from .model_core import (
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    _information,
+    _treatment_pivot,
     design_matrices,
     solve_student_system,
     student_information,
     teacher_information,
+    teacher_precision,
     treatment_variance,
 )
 
@@ -144,7 +147,13 @@ def draw_assignment(
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything one run needs; immutable so replicates can share it."""
+    """Everything one run needs; immutable so replicates can share it.
+
+    Construction rejects any config whose replicates would all fail: a
+    singular covariance at either level, a design parity violation, a policy
+    that cannot fill the layout, q outside the design's range, or q = 1
+    under within-school randomization.
+    """
 
     layout: StudyLayout
     teacher_vc: TeacherVarianceComponents
@@ -170,9 +179,12 @@ class SimulationConfig:
         if self.density_grid < 2:
             raise ValueError("density_grid must be >= 2")
         validate_contamination(self.design, self.q)
-        self.design.check_parity(self.layout)
+        check_identifiable(self.effective_q)
+        self.design.check_parity(self.layout.a, self.layout.m)
         for m_i, n_i in zip(self.layout.m, self.layout.n):
             self.policy.check_school(m_i, n_i)
+        self.teacher_vc.check_invertible()
+        self.student_vc.check_invertible()
 
     @property
     def effective_q(self) -> float:
@@ -248,11 +260,11 @@ def empirical_power(
         raise ValueError("cannot average power over an empty sample")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     delta = abs(float(effect_size_diff))
     fill = np.inf if delta > 0.0 else 0.0
     ratio = np.divide(delta, se, out=np.full_like(se, fill), where=se > 0.0)
-    return float(np.mean(norm.cdf(ratio - z) + norm.cdf(-ratio - z)))
+    return float(np.mean(ndtr(ratio - z) + ndtr(-ratio - z)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,36 +361,17 @@ def _one_replicate(config: SimulationConfig, rep: int) -> tuple[float, float]:
     return t_var, s_var
 
 
-def simulate_anticipated_variance(
-    config: SimulationConfig, max_workers: int | None = None
-) -> SimulationResult:
+def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     """Distribution of the anticipated treatment variance at both levels.
 
     Deterministic given (seed, config): replicate i always consumes the same
-    random streams, and results are merged by replicate index, so the worker
-    count never changes the output.
+    random streams.
     """
     reps = config.replicates
     teacher_v = np.empty(reps)
     student_v = np.empty(reps)
-
-    def fill(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            teacher_v[rep], student_v[rep] = _one_replicate(config, rep)
-
-    workers = max(1, int(max_workers or 1))
-    if workers == 1 or reps < 2 * workers:
-        fill(0, reps)
-    else:
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for fut in futures:
-                fut.result()
-
+    for rep in range(reps):
+        teacher_v[rep], student_v[rep] = _one_replicate(config, rep)
     teacher = _summarize_level(
         teacher_v, config.effect_size_diff, config.alpha, config.density_grid
     )
@@ -436,43 +429,32 @@ def gls_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized least squares coefficients and their covariance.
 
-    Teacher level (``ds`` omitted): beta = (sum X'V^-1 X)^-1 sum X'V^-1 T.
-    Student level: the same with D_i X_i in place of X_i and the student
-    covariance solve.  Raises NonEstimableError on singular information.
+    beta = (sum X_i' G_i X_i)^-1 sum X_i' z_i.  At the teacher level (``ds``
+    omitted) G_i = V_i^-1 and z_i = G_i T_i; at the student level
+    G_i = D_i' Sigma_i^-1 D_i and z_i = D_i' Sigma_i^-1 Y_i, both from one
+    student-covariance solve per school.  Raises NonEstimableError when the
+    treatment direction is singular; a singular direction elsewhere (an
+    all-zero contamination column) gets the pseudo-inverse.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     responses = [np.asarray(y, dtype=float) for y in responses]
     if len(xs) != len(responses):
         raise ValueError("one response vector per school is required")
-    p = xs[0].shape[1]
-    info = np.zeros((p, p))
-    rhs = np.zeros(p)
     if ds is None:
-        if vc.sigma_eps2 <= 0.0:
-            raise np.linalg.LinAlgError(
-                "teacher covariance is singular when sigma_eps2 = 0"
-            )
-        for x, y in zip(xs, responses):
-            m_i = x.shape[0]
-            shrink = vc.sigma_v2 / (vc.sigma_eps2 * (vc.sigma_eps2 + vc.sigma_v2 * m_i))
-            vinv_x = x / vc.sigma_eps2 - shrink * np.outer(np.ones(m_i), x.sum(axis=0))
-            info += x.T @ vinv_x
-            rhs += vinv_x.T @ y
+        gs = [teacher_precision(len(x), vc) for x in xs]
+        zs = [g @ y for g, y in zip(gs, responses)]
     else:
-        for x, d, y in zip(xs, ds, responses):
+        gs, zs = [], []
+        for d, y in zip(ds, responses):
             d = np.asarray(d, dtype=float)
-            m_mat = d @ x
-            solved = solve_student_system(d, vc, np.column_stack([m_mat, y]))
-            info += m_mat.T @ solved[:, :p]
-            rhs += m_mat.T @ solved[:, p]
-    info = 0.5 * (info + info.T)
-    eigs = np.linalg.eigvalsh(info)
-    spectral = float(np.abs(eigs).max()) if eigs.size else 0.0
-    if eigs.size == 0 or eigs.min() <= 1e-10 * spectral:
-        raise NonEstimableError("information matrix is singular")
-    coef = np.linalg.solve(info, rhs)
-    cov = np.linalg.inv(info)
-    return coef, cov
+            g_z = d.T @ solve_student_system(d, vc, np.column_stack([d, y]))
+            gs.append(g_z[:, :-1])
+            zs.append(g_z[:, -1])
+    info = _information(xs, gs)
+    _treatment_pivot(info.entries, info.treatment_index)
+    cov = np.linalg.pinv(info.entries, hermitian=True)
+    rhs = sum(x.T @ z for x, z in zip(xs, zs))
+    return cov @ rhs, cov
 
 
 @dataclass(frozen=True)
@@ -505,17 +487,15 @@ def estimator_variance_study(
 
     Uses the same per-replicate (D, X) draws as the anticipated-variance
     path, so the Monte Carlo variance of the treatment coefficient can be
-    compared 1:1 with the mean anticipated variance.  Replicates whose
-    information is singular at a level are skipped for that level.
+    compared 1:1 with the mean anticipated variance, which is read from the
+    covariance of the same GLS fit.  Replicates whose treatment direction is
+    singular at a level are skipped for that level.
     """
     delta = config.effect_size_diff if config.effect_size_diff is not None else 1.0
     p = 3 if config.effective_q > 0.0 else 2
-    if beta is None:
-        beta = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
-    if theta is None:
-        theta = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
-    beta = np.asarray(beta, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    default = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
+    beta = default if beta is None else np.asarray(beta, dtype=float)
+    theta = default if theta is None else np.asarray(theta, dtype=float)
 
     coefs: dict[str, list[float]] = {TEACHER: [], STUDENT: []}
     anticipated: dict[str, list[float]] = {TEACHER: [], STUDENT: []}
@@ -527,26 +507,17 @@ def estimator_variance_study(
         s_resp = generate_student_responses(
             xs, ds, config.student_vc, theta, streams.responses
         )
-        try:
-            t_var = treatment_variance(
-                teacher_information(xs, config.teacher_vc)
-            ).variance
-            t_coef, _ = gls_estimate(t_resp, xs, config.teacher_vc)
-        except NonEstimableError:
-            pass
-        else:
-            anticipated[TEACHER].append(t_var)
-            coefs[TEACHER].append(float(t_coef[1]))
-        try:
-            s_var = treatment_variance(
-                student_information(xs, ds, config.student_vc)
-            ).variance
-            s_coef, _ = gls_estimate(s_resp, xs, config.student_vc, ds=ds)
-        except NonEstimableError:
-            pass
-        else:
-            anticipated[STUDENT].append(s_var)
-            coefs[STUDENT].append(float(s_coef[1]))
+        fits = {
+            TEACHER: (t_resp, config.teacher_vc, None),
+            STUDENT: (s_resp, config.student_vc, ds),
+        }
+        for level, (resp, vc, level_ds) in fits.items():
+            try:
+                coef, cov = gls_estimate(resp, xs, vc, ds=level_ds)
+            except NonEstimableError:
+                continue
+            anticipated[level].append(float(cov[1, 1]))
+            coefs[level].append(float(coef[1]))
 
     out = {}
     truths = {TEACHER: float(beta[1]), STUDENT: float(theta[1])}

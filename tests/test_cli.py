@@ -303,6 +303,41 @@ class TestMainEntry:
         assert len(lines) == 11
 
 
+class TestErrorContract:
+    ZERO_EPS = {"sigma_v2": 1.6, "sigma_eps2": 0.0}
+    ZERO_ETA = {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 0.0}
+
+    @pytest.mark.parametrize(
+        "mode,overrides,field",
+        [
+            ("simulate", {"teacher_vc": ZERO_EPS}, "teacher_vc.sigma_eps2"),
+            ("validate", {"teacher_vc": ZERO_EPS}, "teacher_vc.sigma_eps2"),
+            ("closed-form", {"teacher_vc": ZERO_EPS}, "teacher_vc.sigma_eps2"),
+            ("simulate", {"student_vc": ZERO_ETA}, "student_vc.sigma_eta2"),
+            ("validate", {"student_vc": ZERO_ETA}, "student_vc.sigma_eta2"),
+            ("simulate", {"designs": ["within_schools"], "q": 1.0}, "q"),
+            ("validate", {"q": 1.0}, "q"),
+        ],
+        ids=[
+            "simulate-sigma_eps2",
+            "validate-sigma_eps2",
+            "closed_form-sigma_eps2",
+            "simulate-sigma_eta2",
+            "validate-sigma_eta2",
+            "simulate-within_q1",
+            "validate-q1",
+        ],
+    )
+    def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, base_config(**overrides))
+        assert main([mode, "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"'{field}'" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestDensitySvg:
     def _grid(self, center):
         x = np.linspace(center - 1, center + 1, 50)

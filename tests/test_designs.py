@@ -19,7 +19,6 @@ from multilevel_design import (
     expected_contamination,
     expected_student_information_given_D,
     expected_teacher_information,
-    randomization_moments,
     student_information,
     teacher_information,
     teacher_precision,
@@ -29,6 +28,7 @@ from oracles import (
     contaminated_moment_matrix_numeric,
     contaminated_treatment_entry_numeric,
     dense_expected_student_info,
+    design_cov_r,
     enumerate_randomizations,
     student_cov,
     subset_uniform_assignment,
@@ -100,47 +100,12 @@ class TestDrawRandomization:
         mean = acc / draws
         cov = acc2 / draws - np.outer(mean, mean)
         assert np.abs(mean).max() <= 3.0 / np.sqrt(draws)
-        moments = randomization_moments(kind, layout)
-        expected_block = moments.cov(0)
+        expected_block = design_cov_r(kind.value, m, a)
         for i in range(a):
             block = cov[i * m : (i + 1) * m, i * m : (i + 1) * m]
             np.testing.assert_allclose(
                 block, expected_block, atol=0.02 * np.abs(expected_block).max()
             )
-
-
-class TestRandomizationMoments:
-    def test_design1_cov_is_ones(self):
-        moments = randomization_moments(D1, StudyLayout(a=2, m=8, n=1))
-        np.testing.assert_allclose(moments.cov(0), np.ones((8, 8)))
-        assert all(np.all(mu == 0.0) for mu in moments.mean)
-
-    def test_design2_coefficients(self):
-        moments = randomization_moments(D2, StudyLayout(a=2, m=4, n=1))
-        np.testing.assert_allclose(
-            moments.cov(0), (4 * np.eye(4) - np.ones((4, 4))) / 3.0
-        )
-
-    def test_design3_coefficients(self):
-        moments = randomization_moments(D3, StudyLayout(a=3, m=2, n=1))
-        np.testing.assert_allclose(
-            moments.cov(0), (6 * np.eye(2) - np.ones((2, 2))) / 5.0
-        )
-
-    def test_cov_is_psd(self):
-        for kind in DesignKind:
-            moments = randomization_moments(kind, StudyLayout(a=2, m=4, n=1))
-            eigs = np.linalg.eigvalsh(moments.cov(0))
-            assert eigs.min() >= -1e-12
-
-    def test_heterogeneous_design2_per_school(self):
-        moments = randomization_moments(D2, StudyLayout(a=2, m=(2, 4), n=1))
-        assert moments.coeff_identity == (2.0, 4.0 / 3.0)
-
-    @pytest.mark.parametrize("kind", [D1, D3])
-    def test_heterogeneous_unsupported(self, kind):
-        with pytest.raises(ValueError, match="differ across schools"):
-            randomization_moments(kind, StudyLayout(a=2, m=(2, 4), n=1))
 
 
 class TestExpectedTeacherInformation:

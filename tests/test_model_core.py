@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from multilevel_design import (
-    AssignmentMatrix,
     InformationMatrix,
     NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
     TreatmentAssignment,
-    combined_information,
     design_matrices,
+    gls_estimate,
     solve_student_system,
-    student_covariance,
     student_information,
-    teacher_covariance,
     teacher_information,
     teacher_precision,
     treatment_variance,
@@ -105,14 +102,6 @@ class TestDomainTypes:
         ok = TreatmentAssignment(r=(np.array([1.0, -1.0]),), c=(np.array([0.0, 1.0]),))
         assert ok.a == 1
 
-    def test_assignment_matrix_validation(self):
-        with pytest.raises(ValueError):
-            AssignmentMatrix(blocks=(np.array([[1.0, -1.0]]),))
-        with pytest.raises(ValueError):
-            AssignmentMatrix(blocks=(np.array([[0.5]]),))
-        ok = AssignmentMatrix(blocks=(np.array([[2, 0], [0, 1]]),))
-        assert len(ok) == 1
-
     def test_information_matrix_validation(self):
         with pytest.raises(ValueError):
             InformationMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]), ("intercept", "treatment"))
@@ -120,24 +109,6 @@ class TestDomainTypes:
             InformationMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]), ("intercept", "treatment"))
         ok = InformationMatrix(np.diag([2.0, 3.0]), ("intercept", "treatment"))
         assert ok.treatment_index == 1
-
-
-class TestTeacherCovariance:
-    def test_small_example(self):
-        np.testing.assert_allclose(
-            teacher_covariance(2, TeacherVarianceComponents(1.0, 2.0)),
-            [[3.0, 1.0], [1.0, 3.0]],
-        )
-
-    def test_zero_school_effect(self):
-        np.testing.assert_allclose(
-            teacher_covariance(3, TeacherVarianceComponents(0.0, 5.0)), 5.0 * np.eye(3)
-        )
-
-    def test_pilot_components(self):
-        v = teacher_covariance(8, PILOT_TEACHER)
-        assert v[0, 0] == pytest.approx(16.0)
-        assert v[0, 1] == pytest.approx(1.6)
 
 
 class TestTeacherPrecision:
@@ -166,7 +137,7 @@ class TestTeacherPrecision:
                 sigma_v2=float(rng.uniform(0.0, 20.0)),
                 sigma_eps2=float(rng.uniform(0.1, 20.0)),
             )
-            product = teacher_precision(m, vc) @ teacher_covariance(m, vc)
+            product = teacher_precision(m, vc) @ teacher_cov(m, vc.sigma_v2, vc.sigma_eps2)
             np.testing.assert_allclose(product, np.eye(m), rtol=1e-12, atol=1e-12)
 
 
@@ -200,27 +171,6 @@ class TestTeacherInformation:
         )
         info = teacher_information(design_matrices(assignment), PILOT_TEACHER)
         assert info.labels == ("intercept", "treatment", "contamination")
-
-
-class TestStudentCovariance:
-    def test_shared_teacher(self):
-        vc = StudentVarianceComponents(1.0, 1.0, 1.0)
-        np.testing.assert_allclose(
-            student_covariance(np.array([[1], [1]]), vc), [[3.0, 2.0], [2.0, 3.0]]
-        )
-
-    def test_zero_assignment(self):
-        vc = StudentVarianceComponents(0.7, 9.9, 1.3)
-        d = np.zeros((3, 2))
-        np.testing.assert_allclose(
-            student_covariance(d, vc), 0.7 * np.ones((3, 3)) + 1.3 * np.eye(3)
-        )
-
-    def test_repeated_course_counts(self):
-        vc = StudentVarianceComponents(1.0, 1.0, 1.0)
-        np.testing.assert_allclose(
-            student_covariance(np.array([[2], [0]]), vc), [[6.0, 1.0], [1.0, 2.0]]
-        )
 
 
 class TestSolveStudentSystem:
@@ -287,16 +237,47 @@ class TestStudentInformation:
         info = student_information(xs, ds, PILOT_STUDENT)
         assert info.entries[1, 1] == pytest.approx(7.2137, abs=1e-3)
 
-    def test_matches_dense_oracle(self):
+    @pytest.mark.parametrize(
+        "blocks,comps",
+        [
+            ("random", (0.9, 2.0, 1.1)),
+            ("idle_teacher", (0.9, 2.0, 1.1)),
+            ("c_equals_m", (0.9, 2.0, 1.1)),
+            ("n_equals_1", (0.9, 2.0, 1.1)),
+            ("random", (0.0, 2.0, 1.1)),
+            ("random", (0.9, 0.0, 1.1)),
+        ],
+        ids=["random", "idle_teacher", "c_equals_m", "n_equals_1", "sigma_s2_zero", "sigma_t2_zero"],
+    )
+    def test_matches_dense_oracle(self, blocks, comps):
         rng = np.random.default_rng(5)
         a, m, n = 3, 4, 6
         ds = [rng.integers(0, 2, size=(n, m)).astype(float) for _ in range(a)]
+        if blocks == "idle_teacher":
+            for d in ds:
+                d[:, 2] = 0.0  # teacher 2 has no students
+        elif blocks == "c_equals_m":
+            ds = [np.ones((n, m))] * a
+        elif blocks == "n_equals_1":
+            ds = [np.array([[1.0, 0, 0, 0]]), np.array([[0.0, 1, 1, 0]]), np.array([[1.0, 1, 1, 0]])]
         base = np.array([1.0, -1.0, 1.0, -1.0])
         xs = [np.column_stack([np.ones(m), base]) for _ in range(a)]
-        comps = (0.9, 2.0, 1.1)
-        info = student_information(xs, ds, StudentVarianceComponents(*comps))
-        dense = dense_student_info(xs, ds, [student_cov(d, *comps) for d in ds])
+        vc = StudentVarianceComponents(*comps)
+        info = student_information(xs, ds, vc)
+        covs = [student_cov(d, *comps) for d in ds]
+        dense = dense_student_info(xs, ds, covs)
         np.testing.assert_allclose(info.entries, dense, rtol=1e-9)
+
+        # the student GLS fit against dense solves of the same system
+        y = [rng.normal(size=len(d)) for d in ds]
+        if dense[1, 1] == 0.0:  # c = m: D R = 0 leaves treatment without information
+            with pytest.raises(NonEstimableError):
+                gls_estimate(y, xs, vc, ds=ds)
+            return
+        coef, cov = gls_estimate(y, xs, vc, ds=ds)
+        rhs = sum(x.T @ d.T @ np.linalg.solve(v, yi) for x, d, v, yi in zip(xs, ds, covs, y))
+        np.testing.assert_allclose(cov, np.linalg.inv(dense), rtol=1e-9)
+        np.testing.assert_allclose(coef, np.linalg.solve(dense, rhs), rtol=1e-9)
 
     def test_exhaustive_single_course_small(self):
         # a=2, m=2, n=2, c=1: averaging over within-school randomizations
@@ -357,23 +338,6 @@ class TestTreatmentVariance:
     def test_requires_index_for_plain_matrix(self):
         with pytest.raises(ValueError):
             treatment_variance(np.eye(2))
-
-
-class TestCombinedInformation:
-    @pytest.mark.parametrize(
-        "alpha,expected",
-        [(1.0, 4.70588), (0.0, 7.2137), (0.5, 5.95979)],
-    )
-    def test_weighted_average(self, alpha, expected):
-        assert combined_information(alpha, 4.70588, 7.2137) == pytest.approx(
-            expected, abs=1e-5
-        )
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            combined_information(1.5, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            combined_information(-0.1, 1.0, 2.0)
 
 
 class TestInformationProperties:

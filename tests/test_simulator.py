@@ -168,18 +168,6 @@ class TestSimulate:
         np.testing.assert_array_equal(r1.teacher.variances, r2.teacher.variances)
         np.testing.assert_array_equal(r1.student.variances, r2.student.variances)
 
-    def test_worker_count_does_not_change_results(self):
-        config = make_config(replicates=37, q=0.5)
-        base = simulate_anticipated_variance(config, max_workers=1)
-        for workers in (2, 5):
-            other = simulate_anticipated_variance(config, max_workers=workers)
-            np.testing.assert_array_equal(
-                base.teacher.variances, other.teacher.variances
-            )
-            np.testing.assert_array_equal(
-                base.student.variances, other.student.variances
-            )
-
     def test_oracle_closure_small_crd(self):
         # exhaustive enumeration of the C(4, 2) pooled randomizations gives
         # the full support of the anticipated-variance distribution
@@ -393,6 +381,25 @@ class TestEmpiricalPower:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             empirical_power(np.array([]), 1.0, 0.05)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # power needs only the normal CDF and quantile from scipy.special
+        import os
+        import subprocess
+        import sys
+
+        import multilevel_design
+
+        src = os.path.dirname(os.path.dirname(multilevel_design.__file__))
+        code = "import sys, multilevel_design; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestKdeDensity:

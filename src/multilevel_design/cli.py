@@ -554,6 +554,8 @@ def _check_plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
         return _blame("assignment.c", BalancedSpec, m, layout.n[0], config.policy.c, layout.a)
     for m_i, n_i in zip(layout.m, layout.n):
         _blame("assignment", config.policy.check_school, m_i, n_i)
+    for design in config.designs:
+        _blame("assignment.c", config.policy.check_student_estimable, design, layout.m)
     return [config.simulation_config(design) for design in config.designs]
 
 

@@ -9,7 +9,11 @@ response depends on the set of teachers each student takes courses from
 covariance sigma_s2*J + sigma_t2*D D' + sigma_eta2*I.
 
 All operations here are pure functions of their arguments; the values are
-immutable after construction and safe to share across workers.
+immutable after construction and safe to share across workers.  The linear
+algebra kernels (the student solve, the per-school precisions, the
+information sum and the treatment pivot) take stacked arrays, so one call
+covers every school of a shape or every replicate of a run; the public
+entry points call them with a batch of one.
 """
 
 from __future__ import annotations
@@ -18,17 +22,22 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 INTERCEPT = "intercept"
 TREATMENT = "treatment"
 CONTAMINATION = "contamination"
+#: column of the treatment indicator in every design matrix
+TREATMENT_COLUMN = 1
 
 #: relative tolerance for declaring an information matrix asymmetric
 SYMMETRY_RTOL = 1e-12
 #: eigenvalues below -SINGULAR_RTOL * spectral norm fail the PSD check, and
 #: treatment pivots below +SINGULAR_RTOL * spectral norm are non-estimable
 SINGULAR_RTOL = 1e-10
+#: a 2x2 block with determinant <= _RANK_RTOL * trace^2 counts as rank-deficient,
+#: about where least squares' default cutoff (eps times the size) drops a
+#: singular value
+_RANK_RTOL = 2.0 * np.finfo(float).eps
 
 
 class NonEstimableError(Exception):
@@ -178,6 +187,21 @@ class TreatmentAssignment:
         return len(self.r)
 
 
+def _spectral_norm(entries: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of symmetric matrices, after the PSD check.
+
+    Raises ValueError when any matrix has an eigenvalue below -SINGULAR_RTOL
+    times its spectral norm.
+    """
+    eigs = np.linalg.eigvalsh(entries)
+    spectral = np.abs(eigs).max(axis=-1, initial=0.0)
+    lowest = eigs.min(axis=-1, initial=0.0)
+    bad = lowest < -SINGULAR_RTOL * spectral
+    if np.any(bad):
+        raise ValueError(f"information matrix is not PSD (min eigenvalue {lowest[bad].min():g})")
+    return spectral
+
+
 @dataclass(frozen=True, eq=False)
 class InformationMatrix:
     """Symmetric PSD information matrix with named parameter columns."""
@@ -195,10 +219,7 @@ class InformationMatrix:
         asym = float(np.abs(entries - entries.T).max())
         if asym > SYMMETRY_RTOL * max(scale, 1.0):
             raise ValueError(f"information matrix is asymmetric (max deviation {asym:g})")
-        eigs = np.linalg.eigvalsh(entries)
-        spectral = float(np.abs(eigs).max()) if eigs.size else 0.0
-        if eigs.size and eigs.min() < -SINGULAR_RTOL * spectral:
-            raise ValueError(f"information matrix is not PSD (min eigenvalue {eigs.min():g})")
+        _spectral_norm(entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -249,54 +270,82 @@ def solve_student_system(
         Sigma^-1 rhs = (rhs - W K^-1 W' rhs) / sigma_eta2,
     where K = sigma_eta2*I + W'W is the (m+1)-dimensional capacitance
     system.  Cost is O(n*m^2) instead of the O(n^3) dense solve.
+
+    ``d`` is n x m and ``rhs`` n x k, or stacks of them, (..., n, m) and
+    (..., n, k): every stacked system, one school each, is solved by one
+    batched call.
     """
     d = np.asarray(d, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     vc.check_invertible()
-    n = d.shape[0]
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
+    n = d.shape[-2]
+    if rhs.ndim != d.ndim or rhs.shape[-2] != n:
+        raise ValueError(f"rhs has shape {rhs.shape}, expected (..., {n}, k) to match D {d.shape}")
     cols = []
     if vc.sigma_s2 > 0.0:
-        cols.append(np.full((n, 1), np.sqrt(vc.sigma_s2)))
+        cols.append(np.full(d.shape[:-1] + (1,), np.sqrt(vc.sigma_s2)))
     if vc.sigma_t2 > 0.0:
         cols.append(np.sqrt(vc.sigma_t2) * d)
     if not cols:
         return rhs / vc.sigma_eta2
-    w = np.hstack(cols)
-    k = vc.sigma_eta2 * np.eye(w.shape[1]) + w.T @ w
-    factor = cho_factor(k, lower=True)
-    return (rhs - w @ cho_solve(factor, w.T @ rhs)) / vc.sigma_eta2
+    w = np.concatenate(cols, axis=-1)
+    w_t = np.swapaxes(w, -1, -2)
+    k = vc.sigma_eta2 * np.eye(w.shape[-1]) + w_t @ w
+    return (rhs - w @ np.linalg.solve(k, w_t @ rhs)) / vc.sigma_eta2
 
 
 def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
-    """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i)."""
-    d = np.asarray(d, dtype=float)
-    return d.T @ solve_student_system(d, vc, d)
+    """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i).
 
-
-def _information(xs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> InformationMatrix:
-    """Sum of X_i' G_i X_i over schools, one m_i x m_i precision G_i each.
-
-    Each X_i is the m_i x p fixed-effect matrix for one school
-    (intercept, treatment, optional contamination).
+    A stack of D matrices (..., n, m) gives the stack of precisions.
     """
+    d = np.asarray(d, dtype=float)
+    return np.swapaxes(d, -1, -2) @ solve_student_system(d, vc, d)
+
+
+def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sum of X_i' G_i X_i over a stack of schools that share a shape.
+
+    ``x`` is (..., k, m, p), k schools' fixed-effect matrices (intercept,
+    treatment, optional contamination), and ``g`` their (..., k, m, m)
+    precisions or one m x m precision shared by all; returns the symmetric
+    (..., p, p) sum.
+    """
+    info = np.einsum("...kip,...kiq->...pq", x, g @ x)
+    return 0.5 * (info + np.swapaxes(info, -1, -2))
+
+
+def _group_schools(*per_school: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
+    """Stack the schools whose arrays share their shapes.
+
+    Takes parallel per-school sequences (for example X_i and D_i) and returns
+    one tuple of stacks per distinct combination of shapes, in order of first
+    appearance: a layout with one school shape gives one group.
+    """
+    groups: dict[tuple, list[tuple[np.ndarray, ...]]] = {}
+    for arrays in zip(*per_school):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(arrays)
+    return [tuple(np.stack(column) for column in zip(*members)) for members in groups.values()]
+
+
+def _check_schools(xs: Sequence[np.ndarray], ds: Sequence[np.ndarray] | None = None) -> int:
+    """Validate per-school design (and count) matrices; returns the column count p."""
     if not xs:
         raise ValueError("need at least one school")
-    if len(xs) != len(gs):
-        raise ValueError(f"{len(xs)} design matrices but {len(gs)} school precisions")
     p = xs[0].shape[1] if xs[0].ndim == 2 else 0
-    labels = _column_labels(p)
-    info = np.zeros((p, p))
-    for x, g in zip(xs, gs):
+    _column_labels(p)
+    for x in xs:
         if x.ndim != 2 or x.shape[1] != p:
             raise ValueError(f"school design matrix has shape {x.shape}, expected (m_i, {p})")
-        if g.shape != (x.shape[0], x.shape[0]):
-            raise ValueError(
-                f"school precision is {g.shape} but design matrix has {x.shape[0]} rows"
-            )
-        info += x.T @ (g @ x)
-    return InformationMatrix(0.5 * (info + info.T), labels)
+    if ds is not None:
+        if len(ds) != len(xs):
+            raise ValueError(f"{len(xs)} design matrices but {len(ds)} count matrices")
+        for x, d in zip(xs, ds):
+            if d.ndim != 2 or d.shape[1] != x.shape[0]:
+                raise ValueError(
+                    f"count matrix has shape {d.shape} but design matrix has {x.shape[0]} rows"
+                )
+    return p
 
 
 def teacher_information(
@@ -304,7 +353,9 @@ def teacher_information(
 ) -> InformationMatrix:
     """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision."""
     xs = [np.asarray(x, dtype=float) for x in xs]
-    return _information(xs, [teacher_precision(len(x), vc) for x in xs])
+    p = _check_schools(xs)
+    info = sum(_information(x, teacher_precision(x.shape[1], vc)) for (x,) in _group_schools(xs))
+    return InformationMatrix(info, _column_labels(p))
 
 
 def student_information(
@@ -314,34 +365,59 @@ def student_information(
 ) -> InformationMatrix:
     """Sum of X_i' D_i' Sigma_i^-1 D_i X_i over schools."""
     xs = [np.asarray(x, dtype=float) for x in xs]
-    return _information(xs, [student_precision(di, vc) for di in d])
+    ds = [np.asarray(di, dtype=float) for di in d]
+    p = _check_schools(xs, ds)
+    info = sum(_information(x, student_precision(dg, vc)) for x, dg in _group_schools(xs, ds))
+    return InformationMatrix(info, _column_labels(p))
 
 
-def _treatment_pivot(entries: np.ndarray, index: int) -> float:
+def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b' block^+ b for a stack of symmetric PSD blocks of size 0, 1 or 2.
+
+    The pseudo-inverse drops a direction that least squares would cut, so a
+    singular other direction (an all-zero contamination column) is fitted
+    the way lstsq fits it.
+    """
+    size = block.shape[-1]
+    if size == 0:
+        return np.zeros(block.shape[:-2])
+    if size == 1:
+        a, b0 = block[..., 0, 0], b[..., 0]
+        return b0 * np.divide(b0, a, out=np.zeros_like(a), where=a != 0.0)
+    a, c, e = block[..., 0, 0], block[..., 0, 1], block[..., 1, 1]
+    b0, b1 = b[..., 0], b[..., 1]
+    det = a * e - c * c
+    trace = a + e
+    full = det > _RANK_RTOL * trace * trace
+    solved0 = (e * b0 - c * b1) / np.where(full, det, 1.0)
+    solved1 = (a * b1 - c * b0) / np.where(full, det, 1.0)
+    # a rank-1 block is trace * v v', so its pseudo-inverse is block / trace^2
+    quad = b0 * (a * b0 + c * b1) + b1 * (c * b0 + e * b1)
+    rank1 = np.divide(quad, trace * trace, out=np.zeros_like(quad), where=trace > 0.0)
+    return np.where(full, b0 * solved0 + b1 * solved1, rank1)
+
+
+def _treatment_pivot(entries: np.ndarray, index: int) -> np.ndarray:
     """Schur-complement pivot of direction ``index`` after eliminating the others.
 
-    Raises NonEstimableError when the pivot falls below ``SINGULAR_RTOL``
-    times the spectral norm, which covers singular information matrices and
-    directions absorbed by collinear columns.
+    ``entries`` is one p x p information matrix or a stack (..., p, p) with
+    p <= 3; the others block is eliminated in closed form.  One eigvalsh per
+    matrix serves the PSD check (ValueError) and the threshold: a pivot at
+    or below ``SINGULAR_RTOL`` times the spectral norm, which covers singular
+    information matrices and directions absorbed by collinear columns, is
+    returned as NaN.
     """
-    p = entries.shape[0]
+    entries = np.asarray(entries, dtype=float)
+    p = entries.shape[-1]
     if not 0 <= index < p:
         raise ValueError(f"index {index} out of range for {p} parameters")
-    eigs = np.linalg.eigvalsh(entries)
-    spectral = float(np.abs(eigs).max()) if eigs.size else 0.0
+    if p > 3:
+        raise ValueError(f"the treatment pivot takes at most 3 parameters, got {p}")
+    spectral = _spectral_norm(entries)
     others = [j for j in range(p) if j != index]
-    if others:
-        block = entries[np.ix_(others, others)]
-        b = entries[others, index]
-        solved, *_ = np.linalg.lstsq(block, b, rcond=None)
-        pivot = float(entries[index, index] - b @ solved)
-    else:
-        pivot = float(entries[index, index])
-    if pivot <= SINGULAR_RTOL * spectral:
-        raise NonEstimableError(
-            f"treatment pivot {pivot:g} below threshold {SINGULAR_RTOL * spectral:g}"
-        )
-    return pivot
+    block = entries[..., others, :][..., others]
+    pivot = entries[..., index, index] - _explained(block, entries[..., others, index])
+    return np.where(pivot > SINGULAR_RTOL * spectral, pivot, np.nan)
 
 
 def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
@@ -364,5 +440,8 @@ def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
         scale = float(np.abs(entries).max()) if entries.size else 0.0
         if float(np.abs(entries - entries.T).max()) > SYMMETRY_RTOL * max(scale, 1.0):
             raise ValueError("information matrix must be symmetric")
-    variance = 1.0 / _treatment_pivot(entries, index)
+    pivot = float(_treatment_pivot(entries, index))
+    if np.isnan(pivot):
+        raise NonEstimableError("the treatment direction of the information matrix is singular")
+    variance = 1.0 / pivot
     return TreatmentVariance(variance, 2.0 * np.sqrt(variance))

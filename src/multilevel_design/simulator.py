@@ -2,9 +2,10 @@
 
 Each replicate draws a student-to-teacher assignment, a randomization of
 teachers to arms, and (when requested) contamination indicators, then records
-the treatment-coefficient variance implied by the realized information matrix
-at both response levels.  Replicates are keyed by (master seed, replicate
-index, purpose), so results are identical however the work is scheduled.
+the realized information matrix at both response levels; one batched pivot
+per run turns them into treatment-coefficient variances.  Replicates are
+keyed by (master seed, replicate index, purpose), so results do not depend
+on how the linear algebra is batched.
 
 A second path generates synthetic responses and GLS-estimates them, which
 validates the analytic anticipated variances against the Monte Carlo variance
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .designs import (
     ContaminationSpec,
@@ -31,18 +32,19 @@ from .designs import (
     validate_contamination,
 )
 from .model_core import (
+    TREATMENT_COLUMN,
     NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    _check_schools,
+    _group_schools,
     _information,
     _treatment_pivot,
     design_matrices,
     solve_student_system,
-    student_information,
-    teacher_information,
+    student_precision,
     teacher_precision,
-    treatment_variance,
 )
 
 TEACHER = "teacher"
@@ -94,6 +96,23 @@ class AssignmentPolicy:
         elif self.kind is PolicyKind.SINGLE_COURSE and n % m != 0:
             raise ValueError(f"single_course needs n divisible by m, got n={n}, m={m}")
 
+    def check_student_estimable(self, design: DesignKind, m: Sequence[int]) -> None:
+        """Raise when no replicate can carry student-level treatment information.
+
+        Balanced c = m gives every student every teacher, so D_i = J and
+        D_i r_i = (1'r_i) 1, which within-school randomization makes 0 in
+        every school.
+        """
+        if (
+            self.kind is PolicyKind.BALANCED
+            and design is DesignKind.RANDOMIZE_WITHIN_SCHOOLS
+            and all(m_i == self.c for m_i in m)
+        ):
+            raise ValueError(
+                f"balanced c = m = {self.c} under within_schools gives every student "
+                "every teacher, so the student level is never estimable"
+            )
+
 
 def draw_assignment(
     policy: AssignmentPolicy, m: int, n: int, rng: np.random.Generator
@@ -115,33 +134,26 @@ def draw_assignment(
     policy.check_school(m, n)
     c = policy.c
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        out = np.zeros((n, m))
         picks = rng.integers(0, m, size=(n, c))
-        for j in range(c):
-            np.add.at(out, (np.arange(n), picks[:, j]), 1.0)
-        return out
+        cells = (np.arange(n)[:, None] * m + picks).ravel()
+        return np.bincount(cells, minlength=n * m).reshape(n, m).astype(float)
     if policy.kind is PolicyKind.SINGLE_COURSE:
         teachers = np.repeat(np.arange(m), n // m)
         rng.shuffle(teachers)
         out = np.zeros((n, m))
         out[np.arange(n), teachers] = 1.0
         return out
-    n_subsets = math.comb(m, c)
-    full, rest = divmod(n, n_subsets)
-    rows: list[tuple[int, ...]] = []
+    full, rest = divmod(n, math.comb(m, c))
+    rows = []
     if full:
-        subsets = list(itertools.combinations(range(m), c))
-        for _ in range(full):
-            rows.extend(subsets)
+        rows.append(np.tile(np.array(list(itertools.combinations(range(m), c))), (full, 1)))
     if rest:
         offset = int(rng.integers(m))
-        for i in range(rest):
-            rows.append(tuple((offset + i * c + j) % m for j in range(c)))
+        rows.append((offset + c * np.arange(rest)[:, None] + np.arange(c)) % m)
     relabel = rng.permutation(m)
     order = rng.permutation(n)
     out = np.zeros((n, m))
-    for pos, row_idx in enumerate(order):
-        out[pos, relabel[list(rows[row_idx])]] = 1.0
+    out[np.arange(n)[:, None], relabel[np.concatenate(rows)[order]]] = 1.0
     return out
 
 
@@ -151,8 +163,9 @@ class SimulationConfig:
 
     Construction rejects any config whose replicates would all fail: a
     singular covariance at either level, a design parity violation, a policy
-    that cannot fill the layout, q outside the design's range, or q = 1
-    under within-school randomization.
+    that cannot fill the layout, q outside the design's range, q = 1 under
+    within-school randomization, or balanced c = m under within-school
+    randomization.
     """
 
     layout: StudyLayout
@@ -183,6 +196,7 @@ class SimulationConfig:
         self.design.check_parity(self.layout.a, self.layout.m)
         for m_i, n_i in zip(self.layout.m, self.layout.n):
             self.policy.check_school(m_i, n_i)
+        self.policy.check_student_estimable(self.design, self.layout.m)
         self.teacher_vc.check_invertible()
         self.student_vc.check_invertible()
 
@@ -260,11 +274,17 @@ def empirical_power(
         raise ValueError("cannot average power over an empty sample")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = ndtri(1.0 - alpha / 2.0)
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     delta = abs(float(effect_size_diff))
     fill = np.inf if delta > 0.0 else 0.0
     ratio = np.divide(delta, se, out=np.full_like(se, fill), where=se > 0.0)
-    return float(np.mean(ndtr(ratio - z) + ndtr(-ratio - z)))
+    return float(np.mean(_normal_cdf(ratio - z) + _normal_cdf(-ratio - z)))
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-D array, 0.5 * erfc(-x / sqrt(2)) elementwise."""
+    root2 = math.sqrt(2.0)
+    return np.array([0.5 * math.erfc(-v / root2) for v in x])
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,32 +366,25 @@ def _replicate_draws(config: SimulationConfig, rep: int):
     return ds, design_matrices(assignment), streams
 
 
-def _one_replicate(config: SimulationConfig, rep: int) -> tuple[float, float]:
-    ds, xs, _ = _replicate_draws(config, rep)
-    try:
-        t_var = treatment_variance(teacher_information(xs, config.teacher_vc)).variance
-    except NonEstimableError:
-        t_var = float("nan")
-    try:
-        s_var = treatment_variance(
-            student_information(xs, ds, config.student_vc)
-        ).variance
-    except NonEstimableError:
-        s_var = float("nan")
-    return t_var, s_var
-
-
 def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     """Distribution of the anticipated treatment variance at both levels.
 
     Deterministic given (seed, config): replicate i always consumes the same
-    random streams.
+    random streams.  The replicate loop only draws and accumulates each
+    level's information, with one batched student solve per group of
+    same-shaped schools; one batched pivot then gives every variance, NaN
+    for a replicate whose treatment direction is singular.
     """
     reps = config.replicates
-    teacher_v = np.empty(reps)
-    student_v = np.empty(reps)
+    p = 3 if config.effective_q > 0.0 else 2
+    teacher_gs = {m: teacher_precision(m, config.teacher_vc) for m in set(config.layout.m)}
+    infos = np.zeros((len(LEVELS), reps, p, p))
     for rep in range(reps):
-        teacher_v[rep], student_v[rep] = _one_replicate(config, rep)
+        ds, xs, _ = _replicate_draws(config, rep)
+        for x, d in _group_schools(xs, ds):
+            infos[0, rep] += _information(x, teacher_gs[x.shape[1]])
+            infos[1, rep] += _information(x, student_precision(d, config.student_vc))
+    teacher_v, student_v = 1.0 / _treatment_pivot(infos, TREATMENT_COLUMN)
     teacher = _summarize_level(
         teacher_v, config.effect_size_diff, config.alpha, config.density_grid
     )
@@ -432,7 +445,7 @@ def gls_estimate(
     beta = (sum X_i' G_i X_i)^-1 sum X_i' z_i.  At the teacher level (``ds``
     omitted) G_i = V_i^-1 and z_i = G_i T_i; at the student level
     G_i = D_i' Sigma_i^-1 D_i and z_i = D_i' Sigma_i^-1 Y_i, both from one
-    student-covariance solve per school.  Raises NonEstimableError when the
+    batched student-covariance solve per group of same-shaped schools.  Raises NonEstimableError when the
     treatment direction is singular; a singular direction elsewhere (an
     all-zero contamination column) gets the pseudo-inverse.
     """
@@ -440,20 +453,24 @@ def gls_estimate(
     responses = [np.asarray(y, dtype=float) for y in responses]
     if len(xs) != len(responses):
         raise ValueError("one response vector per school is required")
+    info, rhs = 0.0, 0.0
     if ds is None:
-        gs = [teacher_precision(len(x), vc) for x in xs]
-        zs = [g @ y for g, y in zip(gs, responses)]
+        _check_schools(xs)
+        for x, y in _group_schools(xs, responses):
+            g = teacher_precision(x.shape[1], vc)
+            info += _information(x, g)
+            rhs += np.einsum("kip,ki->p", x, y @ g)
     else:
-        gs, zs = [], []
-        for d, y in zip(ds, responses):
-            d = np.asarray(d, dtype=float)
-            g_z = d.T @ solve_student_system(d, vc, np.column_stack([d, y]))
-            gs.append(g_z[:, :-1])
-            zs.append(g_z[:, -1])
-    info = _information(xs, gs)
-    _treatment_pivot(info.entries, info.treatment_index)
-    cov = np.linalg.pinv(info.entries, hermitian=True)
-    rhs = sum(x.T @ z for x, z in zip(xs, zs))
+        ds = [np.asarray(d, dtype=float) for d in ds]
+        _check_schools(xs, ds)
+        for x, d, y in _group_schools(xs, ds, responses):
+            d_t = np.swapaxes(d, -1, -2)
+            g_z = d_t @ solve_student_system(d, vc, np.concatenate([d, y[..., None]], axis=-1))
+            info += _information(x, g_z[..., :-1])
+            rhs += np.einsum("kip,ki->p", x, g_z[..., -1])
+    if np.isnan(_treatment_pivot(info, TREATMENT_COLUMN)):
+        raise NonEstimableError("the treatment direction of the GLS information is singular")
+    cov = np.linalg.pinv(info, hermitian=True)
     return cov @ rhs, cov
 
 

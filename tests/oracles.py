@@ -132,3 +132,35 @@ def contaminated_treatment_entry_numeric(g, q):
     if q == 0.0:
         return 1.0 / e[1, 1]
     return float(np.linalg.inv(e)[1, 1])
+
+
+def balanced_assignment_loop(m, n, c, rng):
+    """Balanced n x m assignment dealt one student at a time: full passes
+    over the c-subsets, a cyclic remainder, then random teacher relabeling
+    and student order.  Draws from ``rng`` in the library's order."""
+    n_subsets = math.comb(m, c)
+    full, rest = divmod(n, n_subsets)
+    rows = []
+    if full:
+        subsets = list(itertools.combinations(range(m), c))
+        for _ in range(full):
+            rows.extend(subsets)
+    if rest:
+        offset = int(rng.integers(m))
+        for i in range(rest):
+            rows.append(tuple((offset + i * c + j) % m for j in range(c)))
+    relabel = rng.permutation(m)
+    order = rng.permutation(n)
+    out = np.zeros((n, m))
+    for pos, row_idx in enumerate(order):
+        out[pos, relabel[list(rows[row_idx])]] = 1.0
+    return out
+
+
+def with_replacement_assignment_loop(m, n, c, rng):
+    """n x m counts of c uniform picks per student, added one pick at a time."""
+    out = np.zeros((n, m))
+    picks = rng.integers(0, m, size=(n, c))
+    for j in range(c):
+        np.add.at(out, (np.arange(n), picks[:, j]), 1.0)
+    return out

@@ -306,6 +306,7 @@ class TestMainEntry:
 class TestErrorContract:
     ZERO_EPS = {"sigma_v2": 1.6, "sigma_eps2": 0.0}
     ZERO_ETA = {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 0.0}
+    BALANCED_C_EQUALS_M = {"policy": "balanced", "c": 4}
 
     @pytest.mark.parametrize(
         "mode,overrides,field",
@@ -317,6 +318,8 @@ class TestErrorContract:
             ("validate", {"student_vc": ZERO_ETA}, "student_vc.sigma_eta2"),
             ("simulate", {"designs": ["within_schools"], "q": 1.0}, "q"),
             ("validate", {"q": 1.0}, "q"),
+            ("simulate", {"assignment": BALANCED_C_EQUALS_M}, "assignment.c"),
+            ("validate", {"assignment": BALANCED_C_EQUALS_M}, "assignment.c"),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -326,6 +329,8 @@ class TestErrorContract:
             "validate-sigma_eta2",
             "simulate-within_q1",
             "validate-q1",
+            "simulate-balanced_c_equals_m",
+            "validate-balanced_c_equals_m",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):

@@ -14,6 +14,7 @@ from multilevel_design import (
     gls_estimate,
     solve_student_system,
     student_information,
+    student_precision,
     teacher_information,
     teacher_precision,
     treatment_variance,
@@ -218,6 +219,27 @@ class TestSolveStudentSystem:
             )
 
 
+    def test_stacked_matches_per_school(self):
+        rng = np.random.default_rng(13)
+        ds = rng.integers(0, 3, size=(5, 9, 4)).astype(float)
+        rhs = rng.normal(size=(5, 9, 2))
+        for comps in ((0.7, 1.9, 0.4), (0.0, 1.9, 0.4), (0.7, 0.0, 0.4), (0.0, 0.0, 0.4)):
+            vc = StudentVarianceComponents(*comps)
+            stacked = solve_student_system(ds, vc, rhs)
+            precisions = student_precision(ds, vc)
+            for i in range(len(ds)):
+                np.testing.assert_allclose(
+                    stacked[i], solve_student_system(ds[i], vc, rhs[i]), rtol=1e-12, atol=0.0
+                )
+                np.testing.assert_allclose(
+                    precisions[i], student_precision(ds[i], vc), rtol=1e-12, atol=0.0
+                )
+
+    def test_rhs_shape_checked(self):
+        with pytest.raises(ValueError):
+            solve_student_system(np.ones((3, 2)), PILOT_STUDENT, np.ones((4, 1)))
+
+
 class TestStudentInformation:
     def test_c_equals_m_is_exactly_zero(self):
         # every student takes every teacher, so D R = 0 for balanced R
@@ -327,6 +349,18 @@ class TestTreatmentVariance:
         info = teacher_information([x, x], PILOT_TEACHER)
         with pytest.raises(NonEstimableError):
             treatment_variance(info)
+
+    def test_all_zero_contamination_column_keeps_two_column_answer(self):
+        # nobody contaminated: the pseudo-inverse drops the empty third
+        # direction, for the pivot and for the GLS covariance alike
+        r = np.array([1.0, 1.0, 1.0, -1.0])
+        x2 = np.column_stack([np.ones(4), r])
+        x3 = np.column_stack([x2, np.zeros(4)])
+        expected = np.linalg.inv(teacher_information([x2, x2], PILOT_TEACHER).entries)[1, 1]
+        info3 = teacher_information([x3, x3], PILOT_TEACHER)
+        assert treatment_variance(info3).variance == pytest.approx(expected, rel=1e-12)
+        _, cov = gls_estimate([r, -r], [x3, x3], PILOT_TEACHER)
+        assert cov[1, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_dense_inverse_when_nonsingular(self):
         rng = np.random.default_rng(3)

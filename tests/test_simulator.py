@@ -7,6 +7,7 @@ from multilevel_design import (
     AssignmentPolicy,
     DesignKind,
     NonEstimableError,
+    PolicyKind,
     SimulationConfig,
     StudentVarianceComponents,
     StudyLayout,
@@ -22,9 +23,17 @@ from multilevel_design import (
     kde_density,
     replicate_streams,
     simulate_anticipated_variance,
+    student_information,
+    teacher_information,
+    treatment_variance,
 )
+from multilevel_design.simulator import _replicate_draws
 
-from oracles import teacher_cov
+from oracles import (
+    balanced_assignment_loop,
+    teacher_cov,
+    with_replacement_assignment_loop,
+)
 
 PILOT_TEACHER = TeacherVarianceComponents(1.6, 14.4)
 PILOT_STUDENT = StudentVarianceComponents(1.6, 14.4, 14.4)
@@ -110,6 +119,24 @@ class TestDrawAssignment:
         np.testing.assert_array_equal(d.sum(axis=0), [2, 2])
         np.testing.assert_array_equal(d.sum(axis=1), 1)
 
+    @pytest.mark.parametrize(
+        "m,n,c", [(8, 196, 2), (4, 6, 2), (6, 10, 3), (8, 8, 1), (4, 8, 4), (5, 15, 2)]
+    )
+    def test_balanced_matches_per_student_loop(self, m, n, c):
+        # same generator calls in the same order, so the same matrix bit for bit
+        for seed in range(20):
+            got = draw_assignment(AssignmentPolicy.balanced(c), m, n, np.random.default_rng(seed))
+            expected = balanced_assignment_loop(m, n, c, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, expected)
+
+    def test_with_replacement_matches_per_pick_loop(self):
+        for seed in range(20):
+            for m, n, c in ((8, 200, 2), (4, 9, 3), (3, 5, 1)):
+                policy = AssignmentPolicy.with_replacement(c)
+                got = draw_assignment(policy, m, n, np.random.default_rng(seed))
+                expected = with_replacement_assignment_loop(m, n, c, np.random.default_rng(seed))
+                np.testing.assert_array_equal(got, expected)
+
 
 class TestReplicateStreams:
     def test_deterministic_per_replicate(self):
@@ -136,19 +163,18 @@ class TestSimulate:
         assert result.teacher.non_estimable == 0
         assert result.teacher.density.is_point_mass
 
-    def test_design2_c_equals_m_student_never_estimable(self):
-        config = make_config(
-            design=D2,
-            policy=AssignmentPolicy.balanced(4),
-            layout=StudyLayout(a=4, m=4, n=8),
-            replicates=30,
-        )
-        result = simulate_anticipated_variance(config)
-        assert result.student.non_estimable == 30
-        assert result.student.samples.size == 0
-        assert result.student.density is None
-        # the teacher level is unaffected
-        assert result.teacher.non_estimable == 0
+    def test_design2_c_equals_m_rejected(self):
+        # every student takes every teacher, so D r = 0 in every school and
+        # no within-school replicate could reach the student level
+        with pytest.raises(ValueError, match="never estimable"):
+            make_config(design=D2, policy=AssignmentPolicy.balanced(4))
+        # the other designs keep treatment information between schools
+        for design in (D1, D3):
+            result = simulate_anticipated_variance(
+                make_config(design=design, policy=AssignmentPolicy.balanced(4), replicates=30)
+            )
+            assert result.teacher.non_estimable == 0
+            assert result.student.non_estimable < 30
 
     def test_design3_teacher_mean_information(self):
         config = make_config(
@@ -226,6 +252,63 @@ class TestSimulate:
         result = simulate_anticipated_variance(config)
         assert 0.0 < result.teacher.power < 1.0
         assert 0.0 < result.student.power < 1.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(design=D1),
+            dict(design=D1, q=0.5),
+            dict(design=D2),
+            dict(design=D2, q=0.5),
+            dict(design=D3),
+            dict(design=D3, q=0.5),
+            dict(design=D3, layout=StudyLayout(a=4, m=(4, 6, 4, 6), n=(30, 41, 30, 41)), q=0.5),
+            dict(design=D2, layout=StudyLayout(a=4, m=(4, 6, 4, 6), n=(30, 41, 30, 41))),
+            dict(policy=AssignmentPolicy.with_replacement(1), layout=StudyLayout(a=4, m=4, n=2)),
+            dict(student_vc=StudentVarianceComponents(0.0, 14.4, 14.4)),
+            dict(student_vc=StudentVarianceComponents(1.6, 0.0, 14.4)),
+            dict(design=D3, policy=AssignmentPolicy.balanced(2), layout=StudyLayout(a=2, m=2, n=4)),
+        ],
+        ids=[
+            "schools",
+            "schools-q0.5",
+            "within",
+            "within-q0.5",
+            "crd",
+            "crd-q0.5",
+            "heterogeneous-crd-q0.5",
+            "heterogeneous-within",
+            "idle_teacher",
+            "sigma_s2_zero",
+            "sigma_t2_zero",
+            "some_non_estimable",
+        ],
+    )
+    def test_engine_matches_public_path(self, overrides):
+        # the batched engine against teacher/student_information plus
+        # treatment_variance on the same draws, one replicate at a time
+        config = make_config(**{"replicates": 20, **overrides})
+        result = simulate_anticipated_variance(config)
+        expected = {"teacher": [], "student": []}
+        for rep in range(config.replicates):
+            ds, xs, _ = _replicate_draws(config, rep)
+            infos = {
+                "teacher": teacher_information(xs, config.teacher_vc),
+                "student": student_information(xs, ds, config.student_vc),
+            }
+            for level, info in infos.items():
+                try:
+                    expected[level].append(treatment_variance(info).variance)
+                except NonEstimableError:
+                    expected[level].append(np.nan)
+        for level in ("teacher", "student"):
+            np.testing.assert_allclose(
+                result.level(level).variances, expected[level], rtol=1e-12
+            )
+        if config.policy.kind is PolicyKind.BALANCED:
+            # crd with c = m = 2 in two schools: D r = 0 exactly when each
+            # school has one treated teacher
+            assert 0 < result.student.non_estimable < config.replicates
 
     def test_invalid_configs_rejected_before_running(self):
         with pytest.raises(ValueError):
@@ -382,8 +465,8 @@ class TestEmpiricalPower:
         with pytest.raises(ValueError):
             empirical_power(np.array([]), 1.0, 0.05)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # power needs only the normal CDF and quantile from scipy.special
+    def test_import_leaves_scipy_unloaded(self):
+        # power needs only the normal CDF and quantile from the standard library
         import os
         import subprocess
         import sys
@@ -391,7 +474,10 @@ class TestEmpiricalPower:
         import multilevel_design
 
         src = os.path.dirname(os.path.dirname(multilevel_design.__file__))
-        code = "import sys, multilevel_design; print('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, multilevel_design; "
+            "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 configuration error, 2 validation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,16 +22,11 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .closed_forms import (
-    BalancedSpec,
-    balanced_student_information,
-    student_inflation_design2,
-    teacher_inflation_design2,
-)
+from .closed_forms import BalancedSpec, _balanced_school_traces
 from .designs import (
     DesignKind,
+    _teacher_traces,
     check_identifiable,
-    expected_teacher_information,
     validate_contamination,
 )
 from .model_core import (
@@ -42,6 +36,7 @@ from .model_core import (
 )
 from .simulator import (
     LEVELS,
+    STUDENT,
     TEACHER,
     AssignmentPolicy,
     DensityEstimate,
@@ -343,25 +338,11 @@ def apply_overrides(
     replicates: int | None = None,
     out_dir: str | None = None,
 ) -> RunConfig:
-    """Command-line overrides beat config-file values."""
-    changes = {}
-    if mode is not None:
-        if mode not in MODES:
-            raise BadValueError("mode", f"must be one of {MODES}, got {mode!r}")
-        changes["mode"] = mode
-    if seed is not None:
-        if seed < 0 or seed >= 2**64:
-            raise BadValueError("seed", "must fit in 64 bits")
-        changes["seed"] = seed
-    if replicates is not None:
-        if replicates < 1:
-            raise BadValueError("replicates", f"must be >= 1, got {replicates}")
-        changes["replicates"] = replicates
-    if out_dir is not None:
-        if not out_dir:
-            raise BadValueError("out_dir", "expected a non-empty string")
-        changes["out_dir"] = out_dir
-    return dataclasses.replace(config, **changes) if changes else config
+    """Command-line overrides beat config-file values; the result is parsed
+    like a config file, so the same checks apply."""
+    overrides = {"mode": mode, "seed": seed, "replicates": replicates, "out_dir": out_dir}
+    changes = {key: value for key, value in overrides.items() if value is not None}
+    return parse_config_data({**serialize_config(config), **changes})
 
 
 # --------------------------------------------------------------------------
@@ -543,8 +524,7 @@ def _check_plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
     for design in config.designs:
         _blame("designs", design.check_parity, layout.a, layout.m)
         _blame("q", validate_contamination, design, config.q)
-        if design is not DesignKind.RANDOMIZE_SCHOOLS:
-            _blame("q", check_identifiable, config.q)
+        _blame("q", check_identifiable, design.effective_q(config.q))
     if config.mode == "closed-form":
         m = _blame("teachers_per_school", layout.homogeneous_m)
         if len(set(layout.n)) != 1:
@@ -560,26 +540,16 @@ def _check_plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
 
 
 def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
+    traces = {
+        TEACHER: _teacher_traces(spec.m, config.teacher_vc),
+        STUDENT: _balanced_school_traces(spec, config.student_vc),
+    }
     rows = []
     for design in config.designs:
         for level in LEVELS:
-            if level == TEACHER:
-                info = expected_teacher_information(design, config.layout, config.teacher_vc)
-            else:
-                info = balanced_student_information(design, spec, config.student_vc)
-            inflation: float | None
-            if config.q == 0.0 or design is DesignKind.RANDOMIZE_SCHOOLS:
-                inflation = 1.0
-            elif design is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-                if level == TEACHER:
-                    inflation = teacher_inflation_design2(config.q, spec.m, config.teacher_vc)
-                elif spec.c < spec.m:
-                    inflation = student_inflation_design2(config.q, spec, config.student_vc)
-                else:
-                    inflation = None
-            else:
-                # contaminated crd has no closed form; simulate instead
-                inflation = None
+            t_j, w = traces[level]
+            info = spec.a * design.information(spec.m, spec.a, t_j, w)
+            inflation = design.inflation(config.q, spec.m, t_j, w)
             if info > 0.0 and inflation is not None:
                 variance = inflation / info
                 se_diff = 2.0 * float(np.sqrt(variance))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .designs import DesignKind, ParityError, check_identifiable, validate_contamination
+from .designs import DesignKind, _teacher_traces, _within_school_inflation
 from .model_core import StudentVarianceComponents, TeacherVarianceComponents
 
 
@@ -40,15 +40,13 @@ class BalancedSpec:
             )
 
 
-def balanced_traces(
+def _balanced_school_traces(
     spec: BalancedSpec, vc: StudentVarianceComponents
 ) -> tuple[float, float]:
-    """Per-school traces (tr(D' Sigma^-1 D J), tr(D' Sigma^-1 D)) in closed form.
+    """(t_J, w) = (tr(G J), tr(G (m I - J))) of a balanced G = D' Sigma^-1 D:
 
-    tr(D' Sigma^-1 D J) = m n c^2 / (m n sigma_s2 + n c^2 sigma_t2 + m sigma_eta2)
-
-    m tr(D' Sigma^-1 D) adds m(m-1)nc(m-c) / (m(m-1) sigma_eta2 + nc(m-c) sigma_t2)
-    to the first trace.
+    t_J = m n c^2 / (m n sigma_s2 + n c^2 sigma_t2 + m sigma_eta2)
+    w   = m(m-1)nc(m-c) / (m(m-1) sigma_eta2 + nc(m-c) sigma_t2), exactly 0 at c = m
     """
     m, n, c = spec.m, spec.n, spec.c
     denom = m * n * vc.sigma_s2 + n * c**2 * vc.sigma_t2 + m * vc.sigma_eta2
@@ -56,31 +54,32 @@ def balanced_traces(
         raise ValueError("at least one variance component must be positive")
     trace_j = m * n * c**2 / denom
     if c == m:
-        second = 0.0
-    else:
-        second = (
-            m * (m - 1) * n * c * (m - c)
-            / (m * (m - 1) * vc.sigma_eta2 + n * c * (m - c) * vc.sigma_t2)
-        )
-    return trace_j, (trace_j + second) / m
+        return trace_j, 0.0
+    w = (
+        m * (m - 1) * n * c * (m - c)
+        / (m * (m - 1) * vc.sigma_eta2 + n * c * (m - c) * vc.sigma_t2)
+    )
+    return trace_j, w
+
+
+def balanced_traces(
+    spec: BalancedSpec, vc: StudentVarianceComponents
+) -> tuple[float, float]:
+    """Per-school traces (tr(D' Sigma^-1 D J), tr(D' Sigma^-1 D)) in closed form,
+    that is (t_J, (t_J + w)/m)."""
+    trace_j, w = _balanced_school_traces(spec, vc)
+    return trace_j, (trace_j + w) / spec.m
 
 
 def balanced_student_information(
     kind: DesignKind, spec: BalancedSpec, vc: StudentVarianceComponents
 ) -> float:
-    """Expected treatment information of the student model for a balanced layout.
-
-    Combines the two balanced traces per design; with c = m the within-school
-    value is exactly 0 because D R_i vanishes for every balanced realization.
+    """Expected treatment information of the student model for a balanced layout,
+    a * (alpha t_J + beta w); with c = m the within-school value is exactly 0
+    because D R_i vanishes for every balanced realization.
     """
-    m, a = spec.m, spec.a
-    kind.check_parity(a, (m,) * a)
-    trace_j, trace = balanced_traces(spec, vc)
-    if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        return a * trace_j
-    if kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        return a * (m * trace - trace_j) / (m - 1)
-    return a * (m * a * trace - trace_j) / (m * a - 1)
+    kind.check_parity(spec.a, (spec.m,) * spec.a)
+    return spec.a * kind.information(spec.m, spec.a, *_balanced_school_traces(spec, vc))
 
 
 def efficiency_condition(spec: BalancedSpec, vc: StudentVarianceComponents) -> bool:
@@ -104,12 +103,7 @@ def teacher_inflation_design2(
 
     1 + q/(2(1-q)) * (1 - sigma_v2/(sigma_eps2 + m*sigma_v2))^-1
     """
-    validate_contamination(DesignKind.RANDOMIZE_WITHIN_SCHOOLS, q)
-    check_identifiable(q)
-    if m < 2:
-        raise ParityError("within_schools needs at least 2 teachers per school")
-    inner = 1.0 - vc.sigma_v2 / (vc.sigma_eps2 + m * vc.sigma_v2)
-    return 1.0 + q / (2.0 * (1.0 - q)) / inner
+    return _within_school_inflation(q, m, *_teacher_traces(m, vc))
 
 
 def student_inflation_design2(
@@ -126,14 +120,9 @@ def student_inflation_design2(
 
     Rejected for c = m, where the uncontaminated information is already 0.
     """
-    validate_contamination(DesignKind.RANDOMIZE_WITHIN_SCHOOLS, q)
-    check_identifiable(q)
     if spec.c == spec.m:
         raise ValueError(
             "c = m gives zero within-school information, so an inflation factor "
             "is meaningless"
         )
-    m = spec.m
-    trace_j, trace = balanced_traces(spec, vc)
-    t_c = (m * trace - trace_j) / (m - 1)
-    return 1.0 + q / (2.0 * (1.0 - q)) * t_c / trace
+    return _within_school_inflation(q, spec.m, *_balanced_school_traces(spec, vc))

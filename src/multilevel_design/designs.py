@@ -4,7 +4,16 @@ Design 1 assigns half of the schools (with all their teachers) to treatment,
 design 2 assigns half of the teachers within every school, and design 3
 assigns half of the pooled teacher list regardless of school.  All three are
 balanced, so E[R_i] = 0 and the per-school covariance of the +-1 vector R_i
-is k_I*I + k_J*J with design-specific coefficients.
+is Cov(R_i) = alpha*J + beta*(m I - J) with
+
+    randomize_schools:  (alpha, beta) = (1, 0)
+    within_schools:     (0, 1/(m-1))
+    crd:                ((a-1)/(m a-1), a/(m a-1))
+
+Every closed form follows from that one rule.  With G_i the per-school
+precision of either response level, the expected treatment information is
+E[R_i' G_i R_i] = tr(G_i Cov(R_i)) = alpha*t_J + beta*w, where t_J = tr(G_i J)
+and w = tr(G_i (m I - J)) are the only two traces any closed form needs.
 
 Contamination marks control teachers that adopt the treatment anyway: within
 school i each control teacher independently flips its indicator to 1 with
@@ -14,7 +23,6 @@ never contaminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -58,6 +66,39 @@ class DesignKind(Enum):
         if self is DesignKind.COMPLETELY_RANDOMIZED and sum(m) % 2 != 0:
             raise ParityError(f"crd needs an even total teacher count, got {sum(m)}")
 
+    def moments(self, m: int, a: int) -> tuple[float, float]:
+        """(alpha, beta) with Cov(R_i) = alpha*J + beta*(m I - J) for a schools
+        of m teachers each."""
+        if self is DesignKind.RANDOMIZE_SCHOOLS:
+            return 1.0, 0.0
+        if self is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
+            return 0.0, 1.0 / (m - 1)
+        return (a - 1) / (m * a - 1), a / (m * a - 1)
+
+    def information(self, m: int, a: int, t_j: float, w: float) -> float:
+        """tr(G Cov(R_i)) = alpha*t_J + beta*w from the traces t_J = tr(G J) and
+        w = tr(G (m I - J)) of one school, or from traces summed over schools."""
+        alpha, beta = self.moments(m, a)
+        return alpha * t_j + beta * w
+
+    def effective_q(self, q: float) -> float:
+        """The contamination intensity the design admits: randomizing by school
+        leaves no control teacher beside a treated one, so it is 0 there."""
+        return 0.0 if self is DesignKind.RANDOMIZE_SCHOOLS else q
+
+    def inflation(self, q: float, m: int, t_j: float, w: float) -> float | None:
+        """Variance inflation from contamination q given one school's traces.
+
+        1 without contamination; the within-school closed form when that
+        design carries information (w > 0); None where no closed form exists
+        (contaminated crd) or there is no information to inflate.
+        """
+        if self.effective_q(q) == 0.0:
+            return 1.0
+        if self is not DesignKind.RANDOMIZE_WITHIN_SCHOOLS or w == 0.0:
+            return None
+        return _within_school_inflation(q, m, t_j, w)
+
 
 def validate_contamination(kind: DesignKind | None, q: float) -> None:
     """Raise ValueError unless q lies in the admissible range of the design:
@@ -76,27 +117,6 @@ def check_identifiable(q: float) -> None:
             "q = 1 contaminates every control teacher, so the contamination column "
             "is collinear with the treatment column"
         )
-
-
-@dataclass(frozen=True)
-class ContaminationSpec:
-    """Contamination intensity attached to a design.
-
-    Randomizing by school makes contamination impossible, so the effective
-    intensity for that design is pinned to zero whatever q was requested.
-    """
-
-    kind: DesignKind
-    q: float
-
-    def __post_init__(self):
-        validate_contamination(self.kind, self.q)
-
-    @property
-    def effective_q(self) -> float:
-        if self.kind is DesignKind.RANDOMIZE_SCHOOLS:
-            return 0.0
-        return self.q
 
 
 def draw_randomization(
@@ -128,10 +148,18 @@ def draw_randomization(
     return TreatmentAssignment(r=r)
 
 
+def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
+    """(t_J, w) of the teacher precision (sigma_v2 J + sigma_eps2 I)^-1 of m teachers:
+    m/(sigma_eps2 + m sigma_v2) and m(m-1)/sigma_eps2."""
+    vc.check_invertible()
+    return m / (vc.sigma_eps2 + m * vc.sigma_v2), m * (m - 1) / vc.sigma_eps2
+
+
 def expected_teacher_information(
     kind: DesignKind, layout: StudyLayout, vc: TeacherVarianceComponents
 ) -> float:
-    """Expected treatment-entry information of the teacher model.
+    """Expected treatment-entry information of the teacher model,
+    a * (alpha t_J + beta w) with the closed-form teacher traces:
 
     randomize_schools:  m*a / (sigma_eps2 + sigma_v2*m)
     within_schools:     m*a / sigma_eps2
@@ -140,14 +168,7 @@ def expected_teacher_information(
     """
     kind.check_parity(layout.a, layout.m)
     m = layout.homogeneous_m()
-    a = layout.a
-    vc.check_invertible()
-    base = m * a / (vc.sigma_eps2 + vc.sigma_v2 * m)
-    if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        return base
-    if kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        return m * a / vc.sigma_eps2
-    return base * (1.0 + (m - 1) * m * a / (m * a - 1) * vc.sigma_v2 / vc.sigma_eps2)
+    return layout.a * kind.information(m, layout.a, *_teacher_traces(m, vc))
 
 
 def expected_student_information_given_D(
@@ -156,11 +177,7 @@ def expected_student_information_given_D(
     """Expected treatment information of the student model for a fixed assignment.
 
     Averaging X' G X over the randomization, with G_i = D_i' Sigma_i^-1 D_i,
-    leaves the trace of G against Cov(R):
-
-    randomize_schools:  sum_i tr(G_i J)
-    within_schools:     sum_i tr(G_i (m I - J)) / (m - 1)
-    crd:                sum_i tr(G_i (m a I - J)) / (m a - 1)
+    leaves sum_i tr(G_i Cov(R_i)) = alpha sum_i t_J + beta sum_i w.
     """
     gs = [student_precision(di, vc) for di in d]
     if not gs:
@@ -171,16 +188,9 @@ def expected_student_information_given_D(
     m = widths.pop()
     a = len(gs)
     kind.check_parity(a, (m,) * a)
-    total = 0.0
-    for g in gs:
-        t_j, t_full = float(g.sum()), float(np.trace(g))
-        if kind is DesignKind.RANDOMIZE_SCHOOLS:
-            total += t_j
-        elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-            total += (m * t_full - t_j) / (m - 1)
-        else:
-            total += (m * a * t_full - t_j) / (m * a - 1)
-    return total
+    t_js = [float(g.sum()) for g in gs]
+    w = sum(m * float(np.trace(g)) - t_j for g, t_j in zip(gs, t_js))
+    return kind.information(m, a, sum(t_js), w)
 
 
 def draw_contamination(
@@ -217,7 +227,7 @@ def draw_contamination(
 def expected_contamination(
     kind: DesignKind, layout: StudyLayout, q: float
 ) -> tuple[np.ndarray, ...]:
-    """Per-school mean contamination E[C_i] = (q/2m)(m*1 - Cov(R_i)*1).
+    """Per-school mean contamination E[C_i] = (q/2m)(m*1 - Cov(R_i)*1) = (q/2)(1 - alpha)*1.
 
     randomize_schools: 0; within_schools: q/2 per teacher;
     crd: (q/2) * a(m-1)/(ma-1) per teacher.
@@ -225,14 +235,26 @@ def expected_contamination(
     validate_contamination(kind, q)
     kind.check_parity(layout.a, layout.m)
     m = layout.homogeneous_m()
-    if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        level = 0.0
-    elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        level = q / 2.0
-    else:
-        a = layout.a
-        level = q / 2.0 * a * (m - 1) / (m * a - 1)
-    return tuple(np.full(m, level) for _ in range(layout.a))
+    alpha, _ = kind.moments(m, layout.a)
+    return tuple(np.full(m, q / 2.0 * (1.0 - alpha)) for _ in range(layout.a))
+
+
+def _within_school_inflation(q: float, m: int, t_j: float, w: float) -> float:
+    """1 + q/(2(1-q)) * t_C/t_G under within-school randomization, where
+    t_C = tr(G Cov(R)) = w/(m-1) and t_G = tr(G) = (t_J + w)/m.
+
+    The one inflation rule behind the teacher factor, the student factor and
+    the treatment entry of the contaminated moment matrix.
+    """
+    validate_contamination(DesignKind.RANDOMIZE_WITHIN_SCHOOLS, q)
+    check_identifiable(q)
+    if m < 2:
+        raise ParityError("within_schools needs at least 2 teachers per school")
+    if w <= 0.0:
+        raise NonEstimableError("tr(G Cov(R)) is zero; treatment carries no information")
+    t_c = w / (m - 1)
+    t_g = (t_j + w) / m
+    return 1.0 + q / (2.0 * (1.0 - q)) * t_c / t_g
 
 
 def contaminated_expected_moment_matrix(
@@ -254,19 +276,19 @@ def contaminated_expected_moment_matrix(
     """
     if kind is not DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
         raise ValueError("the closed-form moment matrix is available for within_schools only")
-    validate_contamination(kind, q)
-    check_identifiable(q)
     g = np.asarray(g, dtype=float)
     m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != m:
         raise ValueError(f"G must be square, got {g.shape}")
+    # looser than SYMMETRY_RTOL: a Woodbury student_precision G is symmetric
+    # only to ~6e-13 relative (with_replacement D, n=200, m=8)
     if float(np.abs(g - g.T).max()) > 1e-10 * max(float(np.abs(g).max()), 1.0):
         raise ValueError("G must be symmetric")
-    if m < 2:
-        raise ParityError("within_schools needs at least 2 teachers per school")
     t_j = float(g.sum())
     t_g = float(np.trace(g))
-    t_c = (m * t_g - t_j) / (m - 1)
+    w = m * t_g - t_j
+    inflation = _within_school_inflation(q, m, t_j, w)
+    t_c = w / (m - 1)
     e = np.array(
         [
             [t_j, 0.0, q / 2.0 * t_j],
@@ -278,7 +300,4 @@ def contaminated_expected_moment_matrix(
             ],
         ]
     )
-    if t_c <= 0.0:
-        raise NonEstimableError("tr(G Cov(R)) is zero; treatment carries no information")
-    entry = (1.0 / t_c) * (1.0 + q / (2.0 * (1.0 - q)) * t_c / t_g)
-    return e, entry
+    return e, inflation / t_c

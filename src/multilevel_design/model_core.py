@@ -187,6 +187,14 @@ class TreatmentAssignment:
         return len(self.r)
 
 
+def _check_symmetric(entries: np.ndarray) -> None:
+    """Raise ValueError when a matrix is asymmetric beyond SYMMETRY_RTOL."""
+    scale = float(np.abs(entries).max()) if entries.size else 0.0
+    asym = float(np.abs(entries - entries.T).max())
+    if asym > SYMMETRY_RTOL * max(scale, 1.0):
+        raise ValueError(f"information matrix is asymmetric (max deviation {asym:g})")
+
+
 def _spectral_norm(entries: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of symmetric matrices, after the PSD check.
 
@@ -215,10 +223,7 @@ class InformationMatrix:
             raise ValueError(f"information matrix must be square, got {entries.shape}")
         if len(self.labels) != entries.shape[0]:
             raise ValueError("one label per parameter is required")
-        scale = float(np.abs(entries).max()) if entries.size else 0.0
-        asym = float(np.abs(entries - entries.T).max())
-        if asym > SYMMETRY_RTOL * max(scale, 1.0):
-            raise ValueError(f"information matrix is asymmetric (max deviation {asym:g})")
+        _check_symmetric(entries)
         _spectral_norm(entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -437,9 +442,7 @@ def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
         entries = np.asarray(info, dtype=float)
         if index is None:
             raise ValueError("index is required for a plain matrix")
-        scale = float(np.abs(entries).max()) if entries.size else 0.0
-        if float(np.abs(entries - entries.T).max()) > SYMMETRY_RTOL * max(scale, 1.0):
-            raise ValueError("information matrix must be symmetric")
+        _check_symmetric(entries)
     pivot = float(_treatment_pivot(entries, index))
     if np.isnan(pivot):
         raise NonEstimableError("the treatment direction of the information matrix is singular")

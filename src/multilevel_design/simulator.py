@@ -24,7 +24,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .designs import (
-    ContaminationSpec,
     DesignKind,
     check_identifiable,
     draw_contamination,
@@ -202,7 +201,7 @@ class SimulationConfig:
 
     @property
     def effective_q(self) -> float:
-        return ContaminationSpec(self.design, self.q).effective_q
+        return self.design.effective_q(self.q)
 
 
 class ReplicateStreams(NamedTuple):

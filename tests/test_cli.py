@@ -19,6 +19,14 @@ from multilevel_design.cli import (
     serialize_config,
 )
 
+from oracles import (
+    dense_expected_student_info,
+    design_cov_r,
+    student_cov,
+    subset_uniform_assignment,
+    teacher_cov,
+)
+
 
 def base_config(**overrides):
     data = {
@@ -168,6 +176,33 @@ class TestClosedFormMode:
         assert d1.split(",")[-1] == "1.0"
         crd = [l for l in lines if l.startswith("crd,teacher")][0]
         assert crd.split(",")[-1] == ""  # no closed form under contamination
+
+    def test_expected_info_matches_dense_oracles(self, tmp_path):
+        # C(4, 2) = 6 divides n = 12, so the subset-uniform D is exactly balanced
+        a, m, n, c = 4, 4, 12, 2
+        data = base_config(
+            schools=a,
+            teachers_per_school=m,
+            students_per_school=n,
+            assignment={"policy": "balanced", "c": c},
+            q=0.0,
+            mode="closed-form",
+            out_dir=str(tmp_path / "out"),
+        )
+        config = parse_config(write_config(tmp_path, data))
+        assert run(config) == 0
+        lines = (tmp_path / "out" / "closed_forms.csv").read_text().splitlines()[1:]
+        assert len(lines) == 6
+        d = subset_uniform_assignment(m, c, n)
+        s_cov = student_cov(d, 1.6, 14.4, 14.4)
+        g_teacher = np.linalg.inv(teacher_cov(m, 1.6, 14.4))
+        for line in lines:
+            design, level, info = line.split(",")[:3]
+            if level == "teacher":
+                expected = a * np.trace(g_teacher @ design_cov_r(design, m, a))
+            else:
+                expected = dense_expected_student_info(design, [d] * a, [s_cov] * a)
+            assert float(info) == pytest.approx(expected, rel=1e-9)
 
     def test_heterogeneous_layout_rejected(self, tmp_path):
         data = base_config(

@@ -1,10 +1,12 @@
 """Tests for randomization draws, moments, expected information, contamination."""
 
+import math
+
 import numpy as np
 import pytest
 
 from multilevel_design import (
-    ContaminationSpec,
+    BalancedSpec,
     DegenerateContaminationError,
     DesignKind,
     NonEstimableError,
@@ -19,10 +21,14 @@ from multilevel_design import (
     expected_contamination,
     expected_student_information_given_D,
     expected_teacher_information,
+    student_inflation_design2,
     student_information,
+    student_precision,
+    teacher_inflation_design2,
     teacher_information,
     teacher_precision,
 )
+from multilevel_design.designs import validate_contamination
 
 from oracles import (
     contaminated_moment_matrix_numeric,
@@ -242,18 +248,60 @@ class TestExpectedStudentInformationGivenD:
         )
 
 
-class TestContaminationSpec:
+class TestContaminationRule:
     def test_design3_upper_bound(self):
-        ContaminationSpec(D3, 0.5)
+        validate_contamination(D3, 0.5)
         with pytest.raises(ValueError, match="outside"):
-            ContaminationSpec(D3, 0.6)
+            validate_contamination(D3, 0.6)
 
     def test_design2_full_range(self):
-        ContaminationSpec(D2, 1.0)
+        validate_contamination(D2, 1.0)
 
     def test_design1_effective_zero(self):
-        assert ContaminationSpec(D1, 0.7).effective_q == 0.0
-        assert ContaminationSpec(D2, 0.7).effective_q == 0.7
+        assert D1.effective_q(0.7) == 0.0
+        assert D2.effective_q(0.7) == 0.7
+        assert D3.effective_q(0.4) == 0.4
+
+
+def _traces(g):
+    """(t_J, w) = (tr(G J), tr(G (m I - J))) of one precision."""
+    t_j = float(g.sum())
+    return t_j, g.shape[0] * float(np.trace(g)) - t_j
+
+
+class TestMomentRule:
+    """Every closed form comes from Cov(R_i) = alpha J + beta (m I - J)."""
+
+    @pytest.mark.parametrize("m,a", [(2, 2), (4, 2), (4, 4), (6, 2), (8, 16)])
+    def test_moments_match_dense_covariance(self, m, a):
+        eye, ones = np.eye(m), np.ones((m, m))
+        for kind in DesignKind:
+            alpha, beta = kind.moments(m, a)
+            np.testing.assert_allclose(
+                alpha * ones + beta * (m * eye - ones),
+                design_cov_r(kind.value, m, a),
+                rtol=1e-14,
+                atol=1e-15,
+            )
+            q = 0.4
+            expected = q / (2 * m) * (m * np.ones(m) - design_cov_r(kind.value, m, a).sum(axis=1))
+            for mu in expected_contamination(kind, StudyLayout(a=a, m=m, n=1), q):
+                np.testing.assert_allclose(mu, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("m,a", [(2, 2), (4, 2), (4, 4), (6, 2), (8, 16)])
+    def test_shared_inflation_matches_both_levels(self, m, a):
+        t_j, w = _traces(teacher_precision(m, PILOT_TEACHER))
+        c = 1 if m == 2 else 2
+        n = 2 * math.comb(m, c)
+        d = subset_uniform_assignment(m, c, n)
+        s_j, s_w = _traces(student_precision(d, PILOT_STUDENT))
+        for q in (0.1, 0.5, 0.9):
+            assert D2.inflation(q, m, t_j, w) == pytest.approx(
+                teacher_inflation_design2(q, m, PILOT_TEACHER), rel=1e-12
+            )
+            assert D2.inflation(q, m, s_j, s_w) == pytest.approx(
+                student_inflation_design2(q, BalancedSpec(m, n, c, a), PILOT_STUDENT), rel=1e-12
+            )
 
 
 class TestDrawContamination:

@@ -30,6 +30,7 @@ from .designs import (
     validate_contamination,
 )
 from .model_core import (
+    NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
@@ -519,6 +520,8 @@ def _check_plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
     balanced spec for closed-form, one SimulationConfig per design otherwise.
     """
     layout = config.layout
+    if config.mode == "validate" and config.replicates < 2:
+        raise BadValueError("replicates", "validate needs at least 2 replicates")
     _blame("teacher_vc.sigma_eps2", config.teacher_vc.check_invertible)
     _blame("student_vc.sigma_eta2", config.student_vc.check_invertible)
     for design in config.designs:
@@ -633,8 +636,14 @@ def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     rows = []
     failed = False
     for sim in sim_configs:
-        study = estimator_variance_study(sim)
         design = sim.design
+        try:
+            study = estimator_variance_study(sim)
+        except NonEstimableError:
+            # too few estimable replicates to estimate a variance: a failure
+            failed = True
+            rows.extend((design.value, level, None, None, None, 0) for level in LEVELS)
+            continue
         for level in LEVELS:
             res = study[level]
             ok = (

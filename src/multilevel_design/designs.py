@@ -34,6 +34,7 @@ from .model_core import (
     StudyLayout,
     TeacherVarianceComponents,
     TreatmentAssignment,
+    _check_symmetric,
     student_precision,
 )
 
@@ -280,10 +281,7 @@ def contaminated_expected_moment_matrix(
     m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != m:
         raise ValueError(f"G must be square, got {g.shape}")
-    # looser than SYMMETRY_RTOL: a Woodbury student_precision G is symmetric
-    # only to ~6e-13 relative (with_replacement D, n=200, m=8)
-    if float(np.abs(g - g.T).max()) > 1e-10 * max(float(np.abs(g).max()), 1.0):
-        raise ValueError("G must be symmetric")
+    _check_symmetric(g)
     t_j = float(g.sum())
     t_g = float(np.trace(g))
     w = m * t_g - t_j

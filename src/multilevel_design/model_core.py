@@ -29,7 +29,7 @@ CONTAMINATION = "contamination"
 #: column of the treatment indicator in every design matrix
 TREATMENT_COLUMN = 1
 
-#: relative tolerance for declaring an information matrix asymmetric
+#: relative tolerance for declaring a matrix asymmetric
 SYMMETRY_RTOL = 1e-12
 #: eigenvalues below -SINGULAR_RTOL * spectral norm fail the PSD check, and
 #: treatment pivots below +SINGULAR_RTOL * spectral norm are non-estimable
@@ -192,7 +192,7 @@ def _check_symmetric(entries: np.ndarray) -> None:
     scale = float(np.abs(entries).max()) if entries.size else 0.0
     asym = float(np.abs(entries - entries.T).max())
     if asym > SYMMETRY_RTOL * max(scale, 1.0):
-        raise ValueError(f"information matrix is asymmetric (max deviation {asym:g})")
+        raise ValueError(f"matrix is asymmetric (max deviation {asym:g})")
 
 
 def _spectral_norm(entries: np.ndarray) -> np.ndarray:
@@ -268,44 +268,42 @@ def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
 def solve_student_system(
     d: np.ndarray, vc: StudentVarianceComponents, rhs: np.ndarray
 ) -> np.ndarray:
-    """Apply the inverse student covariance to ``rhs`` without forming it.
+    """D' Sigma^-1 rhs: the inverse student covariance applied to ``rhs``
+    and projected onto the teachers, computed in teacher space.
 
-    The covariance is sigma_eta2*I plus a rank-(m+1) term W W' with
-    W = [sqrt(sigma_s2)*1, sqrt(sigma_t2)*D], so
-        Sigma^-1 rhs = (rhs - W K^-1 W' rhs) / sigma_eta2,
-    where K = sigma_eta2*I + W'W is the (m+1)-dimensional capacitance
-    system.  Cost is O(n*m^2) instead of the O(n^3) dense solve.
+    Sigma = sigma_eta2*I + W W' with W = A S, A = [1 D] and
+    S = diag(sqrt(sigma_s2), sqrt(sigma_t2), ...), so by Woodbury
+        D' Sigma^-1 rhs = (D'rhs - (W'D)' K^-1 W'rhs) / sigma_eta2,
+    K = sigma_eta2*I + W'W.  Every n-space term is a block of the one
+    product A'[A rhs], scaled by S; a zero component zeroes a row of it and
+    leaves K positive definite.  Cost is O(n*m*(m+k)), not O(n^3).
 
     ``d`` is n x m and ``rhs`` n x k, or stacks of them, (..., n, m) and
-    (..., n, k): every stacked system, one school each, is solved by one
-    batched call.
+    (..., n, k), solved by one batched call; returns (..., m, k).
     """
     d = np.asarray(d, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     vc.check_invertible()
-    n = d.shape[-2]
+    n, m = d.shape[-2:]
     if rhs.ndim != d.ndim or rhs.shape[-2] != n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected (..., {n}, k) to match D {d.shape}")
-    cols = []
-    if vc.sigma_s2 > 0.0:
-        cols.append(np.full(d.shape[:-1] + (1,), np.sqrt(vc.sigma_s2)))
-    if vc.sigma_t2 > 0.0:
-        cols.append(np.sqrt(vc.sigma_t2) * d)
-    if not cols:
-        return rhs / vc.sigma_eta2
-    w = np.concatenate(cols, axis=-1)
-    w_t = np.swapaxes(w, -1, -2)
-    k = vc.sigma_eta2 * np.eye(w.shape[-1]) + w_t @ w
-    return (rhs - w @ np.linalg.solve(k, w_t @ rhs)) / vc.sigma_eta2
+    a_rhs = np.concatenate([np.ones(d.shape[:-1] + (1,)), d, rhs], axis=-1)
+    gram = np.swapaxes(a_rhs[..., : m + 1], -1, -2) @ a_rhs
+    scale = np.sqrt([vc.sigma_s2] + [vc.sigma_t2] * m)
+    w_t = scale[:, None] * gram
+    k = vc.sigma_eta2 * np.eye(m + 1) + w_t[..., : m + 1] * scale
+    w_d = np.swapaxes(w_t[..., 1 : m + 1], -1, -2)
+    return (gram[..., 1:, m + 1 :] - w_d @ np.linalg.solve(k, w_t[..., m + 1 :])) / vc.sigma_eta2
 
 
 def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
     """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i).
 
-    A stack of D matrices (..., n, m) gives the stack of precisions.
+    A stack of D matrices (..., n, m) gives the stack of precisions,
+    symmetrized: the solve leaves G asymmetric in its last digits.
     """
-    d = np.asarray(d, dtype=float)
-    return np.swapaxes(d, -1, -2) @ solve_student_system(d, vc, d)
+    g = solve_student_system(d, vc, d)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:

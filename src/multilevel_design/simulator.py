@@ -177,7 +177,6 @@ class SimulationConfig:
     q: float = 0.0
     effect_size_diff: float | None = None
     alpha: float = 0.05
-    density_grid: int = 256
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -188,8 +187,6 @@ class SimulationConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.effect_size_diff is not None and not np.isfinite(self.effect_size_diff):
             raise ValueError("effect_size_diff must be finite")
-        if self.density_grid < 2:
-            raise ValueError("density_grid must be >= 2")
         validate_contamination(self.design, self.q)
         check_identifiable(self.effective_q)
         self.design.check_parity(self.layout.a, self.layout.m)
@@ -321,7 +318,6 @@ def _summarize_level(
     variances: np.ndarray,
     effect_size_diff: float | None,
     alpha: float,
-    grid_size: int,
 ) -> LevelResult:
     mask = np.isfinite(variances)
     samples = variances[mask]
@@ -329,7 +325,7 @@ def _summarize_level(
     if samples.size:
         mean = float(samples.mean())
         sd = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
-        density = kde_density(samples, grid_size)
+        density = kde_density(samples)
         power = None
         if effect_size_diff is not None:
             power = empirical_power(2.0 * np.sqrt(samples), effect_size_diff, alpha)
@@ -384,12 +380,8 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
             infos[0, rep] += _information(x, teacher_gs[x.shape[1]])
             infos[1, rep] += _information(x, student_precision(d, config.student_vc))
     teacher_v, student_v = 1.0 / _treatment_pivot(infos, TREATMENT_COLUMN)
-    teacher = _summarize_level(
-        teacher_v, config.effect_size_diff, config.alpha, config.density_grid
-    )
-    student = _summarize_level(
-        student_v, config.effect_size_diff, config.alpha, config.density_grid
-    )
+    teacher = _summarize_level(teacher_v, config.effect_size_diff, config.alpha)
+    student = _summarize_level(student_v, config.effect_size_diff, config.alpha)
     return SimulationResult(config=config, teacher=teacher, student=student)
 
 
@@ -463,8 +455,7 @@ def gls_estimate(
         ds = [np.asarray(d, dtype=float) for d in ds]
         _check_schools(xs, ds)
         for x, d, y in _group_schools(xs, ds, responses):
-            d_t = np.swapaxes(d, -1, -2)
-            g_z = d_t @ solve_student_system(d, vc, np.concatenate([d, y[..., None]], axis=-1))
+            g_z = solve_student_system(d, vc, np.concatenate([d, y[..., None]], axis=-1))
             info += _information(x, g_z[..., :-1])
             rhs += np.einsum("kip,ki->p", x, g_z[..., -1])
     if np.isnan(_treatment_pivot(info, TREATMENT_COLUMN)):

@@ -312,6 +312,25 @@ class TestValidateMode:
         lines = (out / "validate.csv").read_text().splitlines()
         assert any(line.endswith(",0") for line in lines[1:])
 
+    def test_too_few_estimable_replicates_fail(self, tmp_path):
+        # balanced c = m gives D = J, so crd's student level is estimable only
+        # when a school's arms are unequal; 3 replicates leave fewer than 2
+        out = tmp_path / "out"
+        data = base_config(
+            schools=2,
+            teachers_per_school=2,
+            students_per_school=4,
+            designs=["crd"],
+            assignment={"policy": "balanced", "c": 2},
+            replicates=3,
+            seed=1,
+            mode="validate",
+        )
+        config_path = write_config(tmp_path, data)
+        assert main(["validate", "--config", str(config_path), "--out", str(out)]) == 2
+        lines = (out / "validate.csv").read_text().splitlines()
+        assert lines[1:] == ["crd,teacher,,,,0", "crd,student,,,,0"]
+
 
 class TestMainEntry:
     def test_bad_replicates_exit_code(self, tmp_path, capsys):
@@ -355,6 +374,7 @@ class TestErrorContract:
             ("validate", {"q": 1.0}, "q"),
             ("simulate", {"assignment": BALANCED_C_EQUALS_M}, "assignment.c"),
             ("validate", {"assignment": BALANCED_C_EQUALS_M}, "assignment.c"),
+            ("validate", {"replicates": 1}, "replicates"),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -366,6 +386,7 @@ class TestErrorContract:
             "validate-q1",
             "simulate-balanced_c_equals_m",
             "validate-balanced_c_equals_m",
+            "validate-one_replicate",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multilevel_design import (
+    AssignmentPolicy,
     BalancedSpec,
     DegenerateContaminationError,
     DesignKind,
@@ -16,6 +17,7 @@ from multilevel_design import (
     TeacherVarianceComponents,
     contaminated_expected_moment_matrix,
     design_matrices,
+    draw_assignment,
     draw_contamination,
     draw_randomization,
     expected_contamination,
@@ -412,6 +414,18 @@ class TestContaminatedMomentMatrix:
         # G = J has tr(G Cov(R)) = 0
         with pytest.raises(NonEstimableError):
             contaminated_expected_moment_matrix(np.ones((4, 4)), D2, 0.5)
+
+    def test_student_precision_accepted_asymmetric_rejected(self):
+        # a small sigma_eta2 leaves the solved G asymmetric by ~1e-9 before
+        # student_precision symmetrizes it
+        rng = np.random.default_rng(1)
+        d = draw_assignment(AssignmentPolicy.with_replacement(2), 8, 200, rng)
+        g = student_precision(d, StudentVarianceComponents(1.6, 14.4, 1e-5))
+        _, entry = contaminated_expected_moment_matrix(g, D2, 0.5)
+        assert np.isfinite(entry)
+        g[0, 1] += 1e-6 * np.abs(g).max()
+        with pytest.raises(ValueError, match="asymmetric"):
+            contaminated_expected_moment_matrix(g, D2, 0.5)
 
     def test_monte_carlo_moments(self):
         # empirical average of X'GX over design-2 draws with contamination

@@ -181,7 +181,7 @@ class TestSolveStudentSystem:
         vc = StudentVarianceComponents(0.5, 2.0, 1.5)
         m = rng.normal(size=(6, 4))
         rhs = student_cov(d, 0.5, 2.0, 1.5) @ m
-        np.testing.assert_allclose(solve_student_system(d, vc, rhs), m, atol=1e-10)
+        np.testing.assert_allclose(solve_student_system(d, vc, rhs), d.T @ m, atol=1e-10)
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(12)
@@ -189,15 +189,16 @@ class TestSolveStudentSystem:
         comps = (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)), float(rng.uniform(0.5, 3)))
         vc = StudentVarianceComponents(*comps)
         rhs = rng.normal(size=(6, 3))
-        expected = np.linalg.solve(student_cov(d, *comps), rhs)
+        expected = d.T @ np.linalg.solve(student_cov(d, *comps), rhs)
         np.testing.assert_allclose(
             solve_student_system(d, vc, rhs), expected, rtol=1e-10, atol=1e-12
         )
 
     def test_pure_residual(self):
         vc = StudentVarianceComponents(0.0, 0.0, 2.0)
+        d = np.ones((4, 2))
         rhs = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_allclose(solve_student_system(np.ones((4, 2)), vc, rhs), rhs / 2.0)
+        np.testing.assert_allclose(solve_student_system(d, vc, rhs), d.T @ rhs / 2.0)
 
     def test_dense_agreement_randomized(self):
         rng = np.random.default_rng(99)
@@ -212,7 +213,7 @@ class TestSolveStudentSystem:
             )
             vc = StudentVarianceComponents(*comps)
             rhs = rng.normal(size=(n, 2))
-            expected = np.linalg.solve(student_cov(d, *comps), rhs)
+            expected = d.T @ np.linalg.solve(student_cov(d, *comps), rhs)
             scale = np.abs(expected).max()
             np.testing.assert_allclose(
                 solve_student_system(d, vc, rhs), expected, atol=1e-10 * max(scale, 1.0)

@@ -35,6 +35,7 @@ from .model_core import (
     TeacherVarianceComponents,
     TreatmentAssignment,
     _check_symmetric,
+    _padded,
     student_precision,
 )
 
@@ -125,28 +126,27 @@ def draw_randomization(
 ) -> TreatmentAssignment:
     """Draw one equiprobable balanced realization of the design."""
     kind.check_parity(layout.a, layout.m)
+    signs = _randomization_signs(kind, layout.m, rng)
+    return TreatmentAssignment(r=tuple(row[:m_i] for row, m_i in zip(signs, layout.m)))
+
+
+def _randomization_signs(kind: DesignKind, m: Sequence[int], rng: np.random.Generator):
+    """One realization as an (a, max m) array of +-1 signs, 0 beyond each
+    school's m_i; the generator calls of ``draw_randomization``."""
+    real = np.arange(max(m)) < np.array(m)[:, None]
+    signs = np.where(real, -1.0, 0.0)
     if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        treated = np.zeros(layout.a, dtype=bool)
-        treated[rng.permutation(layout.a)[: layout.a // 2]] = True
-        r = tuple(
-            np.full(m_i, 1.0 if treated[i] else -1.0) for i, m_i in enumerate(layout.m)
-        )
+        treated = rng.permutation(len(m))[: len(m) // 2]
+        signs[treated] = real[treated]
     elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        r = []
-        for m_i in layout.m:
-            ri = -np.ones(m_i)
-            ri[rng.permutation(m_i)[: m_i // 2]] = 1.0
-            r.append(ri)
-        r = tuple(r)
+        for i, m_i in enumerate(m):
+            signs[i, rng.permutation(m_i)[: m_i // 2]] = 1.0
     else:
-        total = layout.total_teachers
+        total = sum(m)
         pooled = -np.ones(total)
         pooled[rng.permutation(total)[: total // 2]] = 1.0
-        r = tuple(
-            pooled[offset : offset + m_i]
-            for offset, m_i in zip(np.cumsum((0,) + layout.m[:-1]), layout.m)
-        )
-    return TreatmentAssignment(r=r)
+        signs[real] = pooled
+    return signs
 
 
 def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
@@ -206,23 +206,26 @@ def draw_contamination(
     probability (1'R_i + m_i)*q/m_i.  Treated teachers never contaminate.
     """
     validate_contamination(kind, q)
-    c = []
-    for ri in assignment.r:
-        m_i = ri.size
-        controls = ri == -1.0
-        if not controls.any():
-            # an all-treated school has nobody to contaminate
-            c.append(np.zeros(m_i))
-            continue
-        prob = (ri.sum() + m_i) * q / m_i
-        if prob > 1.0 + 1e-12:
-            raise ValueError(
-                f"q={q} gives contamination probability {prob:g} > 1 for a school "
-                f"with {int((ri.sum() + m_i) / 2)} treated of {m_i} teachers"
-            )
-        z = rng.random(m_i) < min(prob, 1.0)
-        c.append(controls * z)
-    return TreatmentAssignment(r=assignment.r, c=tuple(c))
+    r = assignment.r
+    flags = _contamination_flags(_padded(r, (max(ri.size for ri in r),)), q, rng)
+    return TreatmentAssignment(r=r, c=tuple(f[: ri.size] for f, ri in zip(flags, r)))
+
+
+def _contamination_flags(signs: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
+    """0/1 contamination flags for an (a, max m) sign array (0 marks a padded
+    slot); the generator calls of ``draw_contamination``: one uniform per
+    teacher of every school that has a control teacher, school by school."""
+    real = signs != 0.0
+    controls = signs == -1.0
+    m = real.sum(axis=1)
+    prob = (signs.sum(axis=1) + m) * q / m
+    drawn = controls.any(axis=1)
+    if np.any(prob[drawn] > 1.0 + 1e-12):
+        raise ValueError(f"q={q} gives a contamination probability of {prob[drawn].max():g} > 1")
+    u = np.ones(signs.shape)
+    u[drawn[:, None] & real] = rng.random(int(m[drawn].sum()))
+    # an all-treated school has nobody to contaminate and draws nothing
+    return (controls & (u < np.minimum(prob, 1.0)[:, None])).astype(float)
 
 
 def expected_contamination(

@@ -10,10 +10,10 @@ covariance sigma_s2*J + sigma_t2*D D' + sigma_eta2*I.
 
 All operations here are pure functions of their arguments; the values are
 immutable after construction and safe to share across workers.  The linear
-algebra kernels (the student solve, the per-school precisions, the
+algebra kernels (the student precision from a school's Gram, the
 information sum and the treatment pivot) take stacked arrays, so one call
-covers every school of a shape or every replicate of a run; the public
-entry points call them with a batch of one.
+covers every school of a chunk of replicates; a school with fewer teachers
+is padded with idle teachers whose design and precision rows are zero.
 """
 
 from __future__ import annotations
@@ -234,11 +234,9 @@ class InformationMatrix:
 
 
 def _column_labels(p: int) -> tuple[str, ...]:
-    if p == 2:
-        return (INTERCEPT, TREATMENT)
-    if p == 3:
-        return (INTERCEPT, TREATMENT, CONTAMINATION)
-    raise ValueError(f"design matrices must have 2 or 3 columns, got {p}")
+    if p not in (2, 3):
+        raise ValueError(f"design matrices must have 2 or 3 columns, got {p}")
+    return (INTERCEPT, TREATMENT, CONTAMINATION)[:p]
 
 
 def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:
@@ -265,21 +263,43 @@ def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
     return np.eye(m) / vc.sigma_eps2 - shrink * np.ones((m, m))
 
 
+def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
+    """D' Sigma^-1 [D rhs], (..., m, m+k), from the Gram A'[A rhs] of A = [1 D].
+
+    Sigma = sigma_eta2*I + W W' with W = A S, S = diag(sqrt(sigma_s2),
+    sqrt(sigma_t2), ...), so by Woodbury D' Sigma^-1 [D rhs] =
+    (D'[D rhs] - (W'D)' K^-1 W'[D rhs]) / sigma_eta2, K = sigma_eta2*I + W'W:
+    blocks of the Gram scaled by S.  A zero component zeroes a row and
+    leaves K positive definite; an idle teacher gets an exactly zero row.
+    The first m columns are G, not yet symmetrized.
+    """
+    vc.check_invertible()
+    m = gram.shape[-2] - 1
+    scale = np.sqrt([vc.sigma_s2] + [vc.sigma_t2] * m)
+    w_t = scale[:, None] * gram
+    k = vc.sigma_eta2 * np.eye(m + 1) + w_t[..., : m + 1] * scale
+    w_d = np.swapaxes(w_t[..., 1 : m + 1], -1, -2)
+    return (gram[..., 1:, 1:] - w_d @ np.linalg.solve(k, w_t[..., 1:])) / vc.sigma_eta2
+
+
+def _symmetric(g: np.ndarray) -> np.ndarray:
+    """0.5 * (G + G'): the solve leaves G asymmetric in its last digits."""
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def _gram(d: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """A'[A rhs] with A = [1 D] for one school or a stack, (..., m+1, m+1+k)."""
+    a = np.concatenate([np.ones(d.shape[:-1] + (1,)), d], axis=-1)
+    return np.swapaxes(a, -1, -2) @ (a if rhs is None else np.concatenate([a, rhs], axis=-1))
+
+
 def solve_student_system(
     d: np.ndarray, vc: StudentVarianceComponents, rhs: np.ndarray
 ) -> np.ndarray:
     """D' Sigma^-1 rhs: the inverse student covariance applied to ``rhs``
-    and projected onto the teachers, computed in teacher space.
-
-    Sigma = sigma_eta2*I + W W' with W = A S, A = [1 D] and
-    S = diag(sqrt(sigma_s2), sqrt(sigma_t2), ...), so by Woodbury
-        D' Sigma^-1 rhs = (D'rhs - (W'D)' K^-1 W'rhs) / sigma_eta2,
-    K = sigma_eta2*I + W'W.  Every n-space term is a block of the one
-    product A'[A rhs], scaled by S; a zero component zeroes a row of it and
-    leaves K positive definite.  Cost is O(n*m*(m+k)), not O(n^3).
-
-    ``d`` is n x m and ``rhs`` n x k, or stacks of them, (..., n, m) and
-    (..., n, k), solved by one batched call; returns (..., m, k).
+    and projected onto the teachers, in teacher space from the Gram of
+    [1 D rhs] at O(n*m*(m+k)).  ``d`` is n x m and ``rhs`` n x k, or stacks
+    (..., n, m) and (..., n, k), solved by one batched call; returns (..., m, k).
     """
     d = np.asarray(d, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -287,52 +307,47 @@ def solve_student_system(
     n, m = d.shape[-2:]
     if rhs.ndim != d.ndim or rhs.shape[-2] != n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected (..., {n}, k) to match D {d.shape}")
-    a_rhs = np.concatenate([np.ones(d.shape[:-1] + (1,)), d, rhs], axis=-1)
-    gram = np.swapaxes(a_rhs[..., : m + 1], -1, -2) @ a_rhs
-    scale = np.sqrt([vc.sigma_s2] + [vc.sigma_t2] * m)
-    w_t = scale[:, None] * gram
-    k = vc.sigma_eta2 * np.eye(m + 1) + w_t[..., : m + 1] * scale
-    w_d = np.swapaxes(w_t[..., 1 : m + 1], -1, -2)
-    return (gram[..., 1:, m + 1 :] - w_d @ np.linalg.solve(k, w_t[..., m + 1 :])) / vc.sigma_eta2
+    return _gram_precision(_gram(d, rhs), vc)[..., m:]
 
 
 def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
-    """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i).
+    """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i), from
+    the Gram of [1 D], symmetrized; a stack of D (..., n, m) gives a stack."""
+    return _symmetric(_gram_precision(_gram(np.asarray(d, dtype=float)), vc))
 
-    A stack of D matrices (..., n, m) gives the stack of precisions,
-    symmetrized: the solve leaves G asymmetric in its last digits.
-    """
-    g = solve_student_system(d, vc, d)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+def _teacher_precisions(m: Sequence[int], vc: TeacherVarianceComponents) -> np.ndarray:
+    """The per-school teacher precisions of a layout padded into one
+    (a, max m, max m) stack; rows and columns beyond m_i are zero."""
+    gs = {m_i: teacher_precision(m_i, vc) for m_i in set(m)}
+    return _padded([gs[m_i] for m_i in m], (max(m),) * 2)
+
+
+def _padded(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Per-school arrays stacked top-left into zeros of one common shape."""
+    out = np.zeros((len(arrays),) + tuple(shape))
+    for k, arr in enumerate(arrays):
+        out[(k,) + tuple(slice(0, s) for s in arr.shape)] = arr
+    return out
 
 
 def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum of X_i' G_i X_i over a stack of schools that share a shape.
+    """Sum of X_i' G_i X_i over a stack of schools.
 
     ``x`` is (..., k, m, p), k schools' fixed-effect matrices (intercept,
-    treatment, optional contamination), and ``g`` their (..., k, m, m)
-    precisions or one m x m precision shared by all; returns the symmetric
-    (..., p, p) sum.
+    treatment, optional contamination) with zero rows for idle padded
+    teachers, and ``g`` their (..., k, m, m) precisions; returns the
+    symmetric (..., p, p) sum.
     """
-    info = np.einsum("...kip,...kiq->...pq", x, g @ x)
-    return 0.5 * (info + np.swapaxes(info, -1, -2))
+    return _symmetric(np.einsum("...kip,...kiq->...pq", x, g @ x))
 
 
-def _group_schools(*per_school: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
-    """Stack the schools whose arrays share their shapes.
-
-    Takes parallel per-school sequences (for example X_i and D_i) and returns
-    one tuple of stacks per distinct combination of shapes, in order of first
-    appearance: a layout with one school shape gives one group.
-    """
-    groups: dict[tuple, list[tuple[np.ndarray, ...]]] = {}
-    for arrays in zip(*per_school):
-        groups.setdefault(tuple(a.shape for a in arrays), []).append(arrays)
-    return [tuple(np.stack(column) for column in zip(*members)) for members in groups.values()]
-
-
-def _check_schools(xs: Sequence[np.ndarray], ds: Sequence[np.ndarray] | None = None) -> int:
-    """Validate per-school design (and count) matrices; returns the column count p."""
+def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
+    """Every school's X_i, precision G_i and, given responses, z_i (G_i T_i
+    or D_i' Sigma_i^-1 Y_i), validated and padded to the largest school:
+    (x, g, z, p).  The student terms come from the Gram of [1 D y]."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    ds = None if ds is None else [np.asarray(d, dtype=float) for d in ds]
     if not xs:
         raise ValueError("need at least one school")
     p = xs[0].shape[1] if xs[0].ndim == 2 else 0
@@ -340,25 +355,30 @@ def _check_schools(xs: Sequence[np.ndarray], ds: Sequence[np.ndarray] | None = N
     for x in xs:
         if x.ndim != 2 or x.shape[1] != p:
             raise ValueError(f"school design matrix has shape {x.shape}, expected (m_i, {p})")
-    if ds is not None:
-        if len(ds) != len(xs):
-            raise ValueError(f"{len(xs)} design matrices but {len(ds)} count matrices")
-        for x, d in zip(xs, ds):
-            if d.ndim != 2 or d.shape[1] != x.shape[0]:
-                raise ValueError(
-                    f"count matrix has shape {d.shape} but design matrix has {x.shape[0]} rows"
-                )
-    return p
+    if ds is not None and len(ds) != len(xs):
+        raise ValueError(f"{len(xs)} design matrices but {len(ds)} count matrices")
+    for x, d in zip(xs, ds or ()):
+        if d.ndim != 2 or d.shape[1] != x.shape[0]:
+            raise ValueError(f"count matrix has shape {d.shape}; design matrix has {len(x)} rows")
+    if ys is not None and [np.shape(y) for y in ys] != [(len(b),) for b in ds or xs]:
+        raise ValueError("one response per teacher (or per student) of every school is required")
+    m, n = max(len(x) for x in xs), max(len(b) for b in ds or xs)
+    x, y = _padded(xs, (m, p)), None if ys is None else _padded(ys, (n,))
+    if ds is None:
+        g = _teacher_precisions([len(x_i) for x_i in xs], vc)
+        return x, g, None if y is None else np.einsum("kij,kj->ki", g, y), p
+    gram = _gram(_padded(ds, (n, m)), None if y is None else y[..., None])
+    gram[:, 0, 0] = [len(d) for d in ds]  # padded rows of D are no students
+    g_z = _gram_precision(gram, vc)
+    return x, _symmetric(g_z[..., :m]), None if y is None else g_z[..., m], p
 
 
 def teacher_information(
     xs: Sequence[np.ndarray], vc: TeacherVarianceComponents
 ) -> InformationMatrix:
     """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    p = _check_schools(xs)
-    info = sum(_information(x, teacher_precision(x.shape[1], vc)) for (x,) in _group_schools(xs))
-    return InformationMatrix(info, _column_labels(p))
+    x, g, _, p = _school_stack(xs, vc)
+    return InformationMatrix(_information(x, g), _column_labels(p))
 
 
 def student_information(
@@ -367,11 +387,8 @@ def student_information(
     vc: StudentVarianceComponents,
 ) -> InformationMatrix:
     """Sum of X_i' D_i' Sigma_i^-1 D_i X_i over schools."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    ds = [np.asarray(di, dtype=float) for di in d]
-    p = _check_schools(xs, ds)
-    info = sum(_information(x, student_precision(dg, vc)) for x, dg in _group_schools(xs, ds))
-    return InformationMatrix(info, _column_labels(p))
+    x, g, _, p = _school_stack(xs, vc, d)
+    return InformationMatrix(_information(x, g), _column_labels(p))
 
 
 def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:

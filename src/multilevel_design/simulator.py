@@ -1,19 +1,21 @@
 """Monte Carlo engine for the anticipated-variance distribution.
 
-Each replicate draws a student-to-teacher assignment, a randomization of
-teachers to arms, and (when requested) contamination indicators, then records
-the realized information matrix at both response levels; one batched pivot
-per run turns them into treatment-coefficient variances.  Replicates are
-keyed by (master seed, replicate index, purpose), so results do not depend
-on how the linear algebra is batched.
+Replicates run in chunks under a memory cap.  A replicate only draws, into
+arrays: each student's teacher picks and each teacher's +-1 randomization
+and contamination, schools padded to the largest.  Per chunk, bincounts over
+the picks give each school's Gram [1 D]'[1 D] (no n x m D is formed), one
+kernel call the student precisions and one contraction per level the
+information; one pivot per run gives the variances.  Replicates are keyed by
+(master seed, replicate index, purpose), so chunking changes no result.
 
-A second path generates synthetic responses and GLS-estimates them, which
-validates the analytic anticipated variances against the Monte Carlo variance
-of an actual estimator.
+A second path generates synthetic responses on the same draws and
+GLS-estimates them per chunk, which validates the analytic anticipated
+variances against the Monte Carlo variance of an actual estimator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -25,9 +27,9 @@ import numpy as np
 
 from .designs import (
     DesignKind,
+    _contamination_flags,
+    _randomization_signs,
     check_identifiable,
-    draw_contamination,
-    draw_randomization,
     validate_contamination,
 )
 from .model_core import (
@@ -36,14 +38,12 @@ from .model_core import (
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
-    _check_schools,
-    _group_schools,
+    _gram_precision,
     _information,
+    _school_stack,
+    _symmetric,
+    _teacher_precisions,
     _treatment_pivot,
-    design_matrices,
-    solve_student_system,
-    student_precision,
-    teacher_precision,
 )
 
 TEACHER = "teacher"
@@ -131,29 +131,35 @@ def draw_assignment(
     exactly n/m students.
     """
     policy.check_school(m, n)
+    cells = (np.arange(n)[:, None] * m + _picks(policy, m, n, rng)).ravel()
+    return np.bincount(cells, minlength=n * m).reshape(n, m).astype(float)
+
+
+def _picks(policy: AssignmentPolicy, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, c) teacher indices ("picks") of one school's students; row s
+    of D counts the picks in row s."""
     c = policy.c
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        picks = rng.integers(0, m, size=(n, c))
-        cells = (np.arange(n)[:, None] * m + picks).ravel()
-        return np.bincount(cells, minlength=n * m).reshape(n, m).astype(float)
+        return rng.integers(0, m, size=(n, c))
     if policy.kind is PolicyKind.SINGLE_COURSE:
         teachers = np.repeat(np.arange(m), n // m)
         rng.shuffle(teachers)
-        out = np.zeros((n, m))
-        out[np.arange(n), teachers] = 1.0
-        return out
+        return teachers[:, None]
     full, rest = divmod(n, math.comb(m, c))
     rows = []
     if full:
-        rows.append(np.tile(np.array(list(itertools.combinations(range(m), c))), (full, 1)))
+        rows.append(np.tile(_subsets(m, c), (full, 1)))
     if rest:
         offset = int(rng.integers(m))
         rows.append((offset + c * np.arange(rest)[:, None] + np.arange(c)) % m)
     relabel = rng.permutation(m)
     order = rng.permutation(n)
-    out = np.zeros((n, m))
-    out[np.arange(n)[:, None], relabel[np.concatenate(rows)[order]]] = 1.0
-    return out
+    return relabel[np.concatenate(rows)[order]]
+
+
+@functools.cache
+def _subsets(m: int, c: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(m), c)))
 
 
 @dataclass(frozen=True)
@@ -209,9 +215,10 @@ class ReplicateStreams(NamedTuple):
 
 
 def replicate_streams(seed: int, replicate: int) -> ReplicateStreams:
-    """Independent per-purpose generators keyed by (seed, replicate)."""
+    """Independent per-purpose generators keyed by (seed, replicate); each is
+    ``default_rng`` of a spawned seed, built without its per-call wrapper."""
     root = np.random.SeedSequence([seed, replicate])
-    return ReplicateStreams(*(np.random.default_rng(s) for s in root.spawn(4)))
+    return ReplicateStreams(*(np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,82 +314,106 @@ class SimulationResult:
         return self.config.replicates
 
     def level(self, name: str) -> LevelResult:
-        if name == TEACHER:
-            return self.teacher
-        if name == STUDENT:
-            return self.student
-        raise KeyError(name)
+        return {TEACHER: self.teacher, STUDENT: self.student}[name]
 
 
-def _summarize_level(
-    variances: np.ndarray,
-    effect_size_diff: float | None,
-    alpha: float,
-) -> LevelResult:
-    mask = np.isfinite(variances)
-    samples = variances[mask]
-    non_estimable = int(variances.size - samples.size)
+def _summarize_level(variances: np.ndarray, effect_size_diff: float | None, alpha: float):
+    samples = variances[np.isfinite(variances)]
+    mean = sd = float("nan")
+    density = power = None
     if samples.size:
         mean = float(samples.mean())
         sd = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
         density = kde_density(samples)
-        power = None
         if effect_size_diff is not None:
             power = empirical_power(2.0 * np.sqrt(samples), effect_size_diff, alpha)
-    else:
-        mean = float("nan")
-        sd = float("nan")
-        density = None
-        power = None
-    return LevelResult(
-        variances=variances,
-        samples=samples,
-        non_estimable=non_estimable,
-        mean=mean,
-        sd=sd,
-        density=density,
-        power=power,
-    )
+    non_estimable = int(variances.size - samples.size)
+    return LevelResult(variances, samples, non_estimable, mean, sd, density, power)
 
 
-def _replicate_draws(config: SimulationConfig, rep: int):
-    """The (D, X) realization for one replicate, shared by both paths."""
-    streams = replicate_streams(config.seed, rep)
-    ds = [
-        draw_assignment(config.policy, m_i, n_i, streams.assignment)
-        for m_i, n_i in zip(config.layout.m, config.layout.n)
-    ]
-    assignment = draw_randomization(config.design, config.layout, streams.randomization)
-    q_eff = config.effective_q
-    if q_eff > 0.0:
-        assignment = draw_contamination(
-            assignment, q_eff, streams.contamination, kind=config.design
-        )
-    return ds, design_matrices(assignment), streams
+#: cap on the bytes of the teacher picks and pick-pair codes of a chunk of replicates
+_CHUNK_BYTES = 2**19
+
+
+def _chunks(config: SimulationConfig) -> list[range]:
+    """Replicate ranges whose picks and codes (2c + c(c-1)/2 per student) fit the cap."""
+    c, reps = config.policy.c, config.replicates
+    size = max(1, _CHUNK_BYTES // (8 * sum(config.layout.n) * (2 * c + math.comb(c, 2))))
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
+def _draw_chunk(config: SimulationConfig, reps: range, normals: int = 0) -> tuple[np.ndarray, ...]:
+    """Replicates ``reps`` drawn with the public draws' generator calls: picks
+    (R, c, sum n), design matrices (R, a, max m, p) with zero rows for padded
+    teachers, and ``normals`` response normals each.  One call draws every
+    school's picks when all share m (the generator keeps its spare 32 bits)."""
+    layout, policy, q = config.layout, config.policy, config.effective_q
+    one_call = policy.kind is PolicyKind.WITH_REPLACEMENT and len(set(layout.m)) == 1
+    picks = np.empty((len(reps), policy.c, sum(layout.n)), dtype=np.intp)
+    x = np.zeros((len(reps), layout.a, max(layout.m), 3 if q > 0.0 else 2))
+    x[..., 0] = np.arange(max(layout.m)) < np.array(layout.m)[:, None]
+    z = np.empty((len(reps), normals))
+    for j, rep in enumerate(reps):
+        streams = replicate_streams(config.seed, rep)
+        rng = streams.assignment
+        if one_call:
+            picks[j] = rng.integers(0, layout.m[0], size=(sum(layout.n), policy.c)).T
+        else:
+            schools = zip(layout.m, layout.n)
+            picks[j] = np.concatenate([_picks(policy, m_i, n_i, rng) for m_i, n_i in schools]).T
+        x[j, ..., 1] = _randomization_signs(config.design, layout.m, streams.randomization)
+        if q > 0.0:
+            x[j, ..., 2] = _contamination_flags(x[j, ..., 1], q, streams.contamination)
+        if normals:
+            z[j] = streams.responses.standard_normal(normals)
+    return picks, x, z
+
+
+def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = None) -> np.ndarray:
+    """Every school's Gram [1 D]'[1 D (y)], (R, a, m+1, m+1[+1]), by bincount
+    over picks (R, c, sum n): D'D = P + P' + diag(1'D), 1'D counting each
+    teacher's picks and P each student's pick pairs (j < k); D'y and 1'y are
+    y-weighted counts.  A padded teacher is never picked: a zero row."""
+    reps, c, _ = picks.shape
+    a, m = layout.a, max(layout.m)
+    school = np.arange(reps)[:, None] * a + np.repeat(np.arange(a), layout.n)
+    teacher = school[:, None] * m + picks
+    col = np.bincount(teacher.ravel(), minlength=reps * a * m).reshape(reps, a, m)
+    pairs = np.zeros((reps, a, m, m))
+    for j, k in itertools.combinations(range(c), 2):
+        codes = (teacher[:, j] * m + picks[:, k]).ravel()
+        pairs += np.bincount(codes, minlength=reps * a * m * m).reshape(reps, a, m, m)
+    gram = np.zeros((reps, a, m + 1, m + 1 + (y is not None)))
+    gram[..., 1 : m + 1, 1 : m + 1] = pairs + np.swapaxes(pairs, -1, -2)
+    gram[..., range(1, m + 1), range(1, m + 1)] += col
+    gram[..., 0, 0] = layout.n
+    gram[..., 0, 1 : m + 1] = gram[..., 1 : m + 1, 0] = col
+    if y is not None:
+        gram[..., 0, -1] = np.bincount(school.ravel(), y.ravel(), reps * a).reshape(reps, a)
+        weights = np.broadcast_to(y[:, None], teacher.shape).ravel()
+        gram[..., 1:, -1] = np.bincount(teacher.ravel(), weights, reps * a * m).reshape(reps, a, m)
+    return gram
+
+
+def _replicate_information(config: SimulationConfig, reps: range) -> np.ndarray:
+    """Both levels' p x p information of replicates ``reps``, (2, R, p, p)."""
+    picks, x, _ = _draw_chunk(config, reps)
+    g_s = _symmetric(_gram_precision(_pick_gram(picks, config.layout), config.student_vc))
+    g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
+    return np.stack([_information(x, g_t), _information(x, g_s)])
 
 
 def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     """Distribution of the anticipated treatment variance at both levels.
 
     Deterministic given (seed, config): replicate i always consumes the same
-    random streams.  The replicate loop only draws and accumulates each
-    level's information, with one batched student solve per group of
-    same-shaped schools; one batched pivot then gives every variance, NaN
-    for a replicate whose treatment direction is singular.
+    random streams.  One pivot per run gives every variance, NaN for a
+    replicate whose treatment direction is singular.
     """
-    reps = config.replicates
-    p = 3 if config.effective_q > 0.0 else 2
-    teacher_gs = {m: teacher_precision(m, config.teacher_vc) for m in set(config.layout.m)}
-    infos = np.zeros((len(LEVELS), reps, p, p))
-    for rep in range(reps):
-        ds, xs, _ = _replicate_draws(config, rep)
-        for x, d in _group_schools(xs, ds):
-            infos[0, rep] += _information(x, teacher_gs[x.shape[1]])
-            infos[1, rep] += _information(x, student_precision(d, config.student_vc))
-    teacher_v, student_v = 1.0 / _treatment_pivot(infos, TREATMENT_COLUMN)
-    teacher = _summarize_level(teacher_v, config.effect_size_diff, config.alpha)
-    student = _summarize_level(student_v, config.effect_size_diff, config.alpha)
-    return SimulationResult(config=config, teacher=teacher, student=student)
+    infos = np.concatenate([_replicate_information(config, r) for r in _chunks(config)], axis=1)
+    variances = 1.0 / _treatment_pivot(infos, TREATMENT_COLUMN)
+    levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
+    return SimulationResult(config, *levels)
 
 
 def generate_teacher_responses(
@@ -394,12 +425,9 @@ def generate_teacher_responses(
     """Draw T_i = X_i beta + 1 v_i + eps_i per school."""
     beta = np.asarray(beta, dtype=float)
     out = []
-    for x in xs:
-        x = np.asarray(x, dtype=float)
-        m_i = x.shape[0]
+    for x in (np.asarray(x, dtype=float) for x in xs):
         v_i = rng.normal(0.0, np.sqrt(vc.sigma_v2))
-        eps = rng.normal(0.0, np.sqrt(vc.sigma_eps2), m_i)
-        out.append(x @ beta + v_i + eps)
+        out.append(x @ beta + v_i + rng.normal(0.0, np.sqrt(vc.sigma_eps2), len(x)))
     return out
 
 
@@ -414,14 +442,10 @@ def generate_student_responses(
     theta = np.asarray(theta, dtype=float)
     out = []
     for x, d in zip(xs, ds):
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        m_i = x.shape[0]
-        n_i = d.shape[0]
-        t_i = rng.normal(0.0, np.sqrt(vc.sigma_t2), m_i)
+        x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+        t_i = rng.normal(0.0, np.sqrt(vc.sigma_t2), len(x))
         s_i = rng.normal(0.0, np.sqrt(vc.sigma_s2))
-        eta = rng.normal(0.0, np.sqrt(vc.sigma_eta2), n_i)
-        out.append(d @ (x @ theta + t_i) + s_i + eta)
+        out.append(d @ (x @ theta + t_i) + s_i + rng.normal(0.0, np.sqrt(vc.sigma_eta2), len(d)))
     return out
 
 
@@ -433,35 +457,58 @@ def gls_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized least squares coefficients and their covariance.
 
-    beta = (sum X_i' G_i X_i)^-1 sum X_i' z_i.  At the teacher level (``ds``
-    omitted) G_i = V_i^-1 and z_i = G_i T_i; at the student level
-    G_i = D_i' Sigma_i^-1 D_i and z_i = D_i' Sigma_i^-1 Y_i, both from one
-    batched student-covariance solve per group of same-shaped schools.  Raises NonEstimableError when the
-    treatment direction is singular; a singular direction elsewhere (an
-    all-zero contamination column) gets the pseudo-inverse.
+    beta = (sum X_i' G_i X_i)^-1 sum X_i' z_i: at the teacher level (``ds``
+    omitted) G_i = V_i^-1 and z_i = G_i T_i, at the student level G_i and
+    z_i = D_i' Sigma_i^-1 [D_i Y_i] from the Gram of [1 D_i Y_i].  Raises
+    NonEstimableError when the treatment direction is singular; a singular
+    other direction (an all-zero contamination column) gets the pseudo-inverse.
     """
-    xs = [np.asarray(x, dtype=float) for x in xs]
     responses = [np.asarray(y, dtype=float) for y in responses]
-    if len(xs) != len(responses):
-        raise ValueError("one response vector per school is required")
-    info, rhs = 0.0, 0.0
-    if ds is None:
-        _check_schools(xs)
-        for x, y in _group_schools(xs, responses):
-            g = teacher_precision(x.shape[1], vc)
-            info += _information(x, g)
-            rhs += np.einsum("kip,ki->p", x, y @ g)
-    else:
-        ds = [np.asarray(d, dtype=float) for d in ds]
-        _check_schools(xs, ds)
-        for x, d, y in _group_schools(xs, ds, responses):
-            g_z = solve_student_system(d, vc, np.concatenate([d, y[..., None]], axis=-1))
-            info += _information(x, g_z[..., :-1])
-            rhs += np.einsum("kip,ki->p", x, g_z[..., -1])
-    if np.isnan(_treatment_pivot(info, TREATMENT_COLUMN)):
+    x, g, z, _ = _school_stack(xs, vc, ds, responses)
+    coef, cov = _gls_fit(x, g, z)
+    if np.isnan(coef[TREATMENT_COLUMN]):
         raise NonEstimableError("the treatment direction of the GLS information is singular")
-    cov = np.linalg.pinv(info, hermitian=True)
-    return cov @ rhs, cov
+    return coef, cov
+
+
+def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GLS coefficients and covariance from stacked X_i, G_i and z_i, for one
+    fit or a stack of replicates; NaN where treatment is singular."""
+    info = _information(x, g)
+    cov = np.full(info.shape, np.nan)
+    ok = ~np.isnan(_treatment_pivot(info, TREATMENT_COLUMN))
+    cov[ok] = np.linalg.pinv(info[ok], hermitian=True)
+    return (cov @ np.einsum("...kip,...ki->...p", x, z)[..., None])[..., 0], cov
+
+
+def _study_chunk(config: SimulationConfig, reps: range, beta: np.ndarray, theta: np.ndarray):
+    """Per level, the treatment coefficients and anticipated variances (2, 2, R)
+    of GLS fits to the response generators' T = X beta + v + eps and
+    Y = D(X theta + t) + s + eta on replicates ``reps``, D(.) a sum over the
+    picks; NaN where not estimable."""
+    tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
+    # slots among a replicate's normals, in the generators' order: per school
+    # v_i and eps_i, then per school a block of t_i, s_i and eta_i; padded
+    # teachers read slot 0
+    m, n = np.array(layout.m), np.array(layout.n)
+    v = np.cumsum(1 + m) - (1 + m)
+    block = (1 + m).sum() + np.cumsum(m + 1 + n) - (m + 1 + n)
+    eta = np.repeat(block + m + 1 - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    real = np.arange(m.max()) < m[:, None]
+    eps, t = (np.where(real, start[:, None] + np.arange(m.max()), 0) for start in (v + 1, block))
+    picks, x, z = _draw_chunk(config, reps, int(block[-1] + m[-1] + 1 + n[-1]))
+    t_resp = x @ beta + np.sqrt(tvc.sigma_v2) * z[:, v, None] + np.sqrt(tvc.sigma_eps2) * z[:, eps]
+    u = x @ theta + np.sqrt(svc.sigma_t2) * z[:, t]
+    school = np.repeat(np.arange(layout.a), layout.n)
+    y = u[np.arange(len(reps))[:, None, None], school, picks].sum(axis=1)
+    y = y + np.sqrt(svc.sigma_s2) * z[:, block + m][:, school] + np.sqrt(svc.sigma_eta2) * z[:, eta]
+    g_t = _teacher_precisions(layout.m, tvc)
+    g_z = _gram_precision(_pick_gram(picks, layout, y), svc)
+    fits = [
+        _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, t_resp)),
+        _gls_fit(x, g_z[..., :-1], g_z[..., -1]),
+    ]
+    return np.array([(coef[:, TREATMENT_COLUMN], cov[:, 1, 1]) for coef, cov in fits])
 
 
 @dataclass(frozen=True)
@@ -492,11 +539,10 @@ def estimator_variance_study(
 ) -> dict[str, EstimatorLevelStudy]:
     """Generate synthetic responses per replicate and GLS-estimate them.
 
-    Uses the same per-replicate (D, X) draws as the anticipated-variance
-    path, so the Monte Carlo variance of the treatment coefficient can be
-    compared 1:1 with the mean anticipated variance, which is read from the
-    covariance of the same GLS fit.  Replicates whose treatment direction is
-    singular at a level are skipped for that level.
+    Uses the draws of the anticipated-variance path, so the Monte Carlo
+    variance of the treatment coefficient compares 1:1 with the mean
+    anticipated variance, read from the covariance of the same GLS fit.
+    Replicates whose treatment direction is singular at a level are skipped.
     """
     delta = config.effect_size_diff if config.effect_size_diff is not None else 1.0
     p = 3 if config.effective_q > 0.0 else 2
@@ -504,41 +550,17 @@ def estimator_variance_study(
     beta = default if beta is None else np.asarray(beta, dtype=float)
     theta = default if theta is None else np.asarray(theta, dtype=float)
 
-    coefs: dict[str, list[float]] = {TEACHER: [], STUDENT: []}
-    anticipated: dict[str, list[float]] = {TEACHER: [], STUDENT: []}
-    for rep in range(config.replicates):
-        ds, xs, streams = _replicate_draws(config, rep)
-        t_resp = generate_teacher_responses(
-            xs, config.teacher_vc, beta, streams.responses
-        )
-        s_resp = generate_student_responses(
-            xs, ds, config.student_vc, theta, streams.responses
-        )
-        fits = {
-            TEACHER: (t_resp, config.teacher_vc, None),
-            STUDENT: (s_resp, config.student_vc, ds),
-        }
-        for level, (resp, vc, level_ds) in fits.items():
-            try:
-                coef, cov = gls_estimate(resp, xs, vc, ds=level_ds)
-            except NonEstimableError:
-                continue
-            anticipated[level].append(float(cov[1, 1]))
-            coefs[level].append(float(coef[1]))
-
+    fits = np.concatenate([_study_chunk(config, r, beta, theta) for r in _chunks(config)], axis=-1)
     out = {}
-    truths = {TEACHER: float(beta[1]), STUDENT: float(theta[1])}
-    for level in LEVELS:
-        values = np.asarray(coefs[level])
-        if values.size < 2:
-            raise NonEstimableError(
-                f"not enough estimable replicates at the {level} level"
-            )
+    for level, truth, (coefs, anticipated) in zip(LEVELS, (beta[1], theta[1]), fits):
+        used = ~np.isnan(coefs)
+        if used.sum() < 2:
+            raise NonEstimableError(f"not enough estimable replicates at the {level} level")
         out[level] = EstimatorLevelStudy(
-            truth=truths[level],
-            coef_mean=float(values.mean()),
-            coef_variance=float(values.var(ddof=1)),
-            anticipated_mean=float(np.mean(anticipated[level])),
-            n_used=int(values.size),
+            truth=float(truth),
+            coef_mean=float(coefs[used].mean()),
+            coef_variance=float(coefs[used].var(ddof=1)),
+            anticipated_mean=float(anticipated[used].mean()),
+            n_used=int(used.sum()),
         )
     return out

@@ -30,7 +30,11 @@ from multilevel_design import (
     teacher_information,
     teacher_precision,
 )
-from multilevel_design.designs import validate_contamination
+from multilevel_design.designs import (
+    _contamination_flags,
+    _randomization_signs,
+    validate_contamination,
+)
 
 from oracles import (
     contaminated_moment_matrix_numeric,
@@ -95,16 +99,13 @@ class TestDrawRandomization:
     def test_empirical_moments(self, kind, m, a):
         # mean within 3 standard errors of 0, covariance coefficients
         # within 2 percent of their closed forms
+        # the array draw behind draw_randomization: the same generator calls;
+        # the +-1 sums are integers, so summing them at once changes nothing
         rng = np.random.default_rng(20090101)
-        layout = StudyLayout(a=a, m=m, n=1)
         draws = 100_000
-        total = m * a
-        acc = np.zeros(total)
-        acc2 = np.zeros((total, total))
-        for _ in range(draws):
-            pooled = np.concatenate(draw_randomization(kind, layout, rng).r)
-            acc += pooled
-            acc2 += np.outer(pooled, pooled)
+        pooled = np.array([_randomization_signs(kind, (m,) * a, rng).ravel() for _ in range(draws)])
+        acc = pooled.sum(axis=0)
+        acc2 = pooled.T @ pooled
         mean = acc / draws
         cov = acc2 / draws - np.outer(mean, mean)
         assert np.abs(mean).max() <= 3.0 / np.sqrt(draws)
@@ -372,14 +373,13 @@ class TestExpectedContamination:
                 np.testing.assert_allclose(mu, 0.0)
 
     def test_design3_monte_carlo(self):
+        # the array draws behind draw_randomization and draw_contamination
         rng = np.random.default_rng(20090202)
-        layout = StudyLayout(a=16, m=8, n=1)
         draws = 20_000
         acc = np.zeros(8)
         for _ in range(draws):
-            draw = draw_randomization(D3, layout, rng)
-            out = draw_contamination(draw, 0.5, rng, kind=D3)
-            acc += out.c[0]
+            signs = _randomization_signs(D3, (8,) * 16, rng)
+            acc += _contamination_flags(signs, 0.5, rng)[0]
         np.testing.assert_allclose(acc / draws, 0.2204724409448819, rtol=0.01 * 3)
 
 
@@ -433,13 +433,13 @@ class TestContaminatedMomentMatrix:
         m, q = 4, 0.5
         g = np.linalg.inv(teacher_cov(m, 0.9, 1.7))
         e, _ = contaminated_expected_moment_matrix(g, D2, q)
-        layout = StudyLayout(a=2, m=m, n=1)
         acc = np.zeros((3, 3))
         draws = 40_000
         for _ in range(draws):
-            draw = draw_randomization(D2, layout, rng)
-            draw = draw_contamination(draw, q, rng, kind=D2)
-            x = design_matrices(draw)[0]
+            # the array draws behind draw_randomization and draw_contamination
+            signs = _randomization_signs(D2, (m, m), rng)
+            flags = _contamination_flags(signs, q, rng)
+            x = np.column_stack([np.ones(m), signs[0], flags[0]])
             acc += x.T @ g @ x
         np.testing.assert_allclose(acc / draws, e, atol=0.02 * np.abs(e).max())
 

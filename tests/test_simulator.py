@@ -1,5 +1,7 @@
 """Tests for assignment draws, the Monte Carlo engine, GLS validation, KDE."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from multilevel_design import (
     TeacherVarianceComponents,
     design_matrices,
     draw_assignment,
+    draw_contamination,
     draw_randomization,
     empirical_power,
     estimator_variance_study,
@@ -27,10 +30,14 @@ from multilevel_design import (
     teacher_information,
     treatment_variance,
 )
-from multilevel_design.simulator import _replicate_draws
+from multilevel_design import simulator
+from multilevel_design.model_core import _gram_precision
 
 from oracles import (
     balanced_assignment_loop,
+    dense_info,
+    dense_student_info,
+    student_cov,
     teacher_cov,
     with_replacement_assignment_loop,
 )
@@ -55,6 +62,21 @@ def make_config(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+def public_draws(config, rep):
+    """Replicate ``rep``'s (D, X) through the public one-school draw functions."""
+    streams = replicate_streams(config.seed, rep)
+    ds = [
+        draw_assignment(config.policy, m_i, n_i, streams.assignment)
+        for m_i, n_i in zip(config.layout.m, config.layout.n)
+    ]
+    assignment = draw_randomization(config.design, config.layout, streams.randomization)
+    if config.effective_q > 0.0:
+        assignment = draw_contamination(
+            assignment, config.effective_q, streams.contamination, kind=config.design
+        )
+    return ds, design_matrices(assignment)
 
 
 class TestAssignmentPolicy:
@@ -291,7 +313,7 @@ class TestSimulate:
         result = simulate_anticipated_variance(config)
         expected = {"teacher": [], "student": []}
         for rep in range(config.replicates):
-            ds, xs, _ = _replicate_draws(config, rep)
+            ds, xs = public_draws(config, rep)
             infos = {
                 "teacher": teacher_information(xs, config.teacher_vc),
                 "student": student_information(xs, ds, config.student_vc),
@@ -319,6 +341,78 @@ class TestSimulate:
             make_config(design=D3, q=0.9)
         with pytest.raises(ValueError, match="even teacher count"):
             make_config(layout=StudyLayout(a=4, m=3, n=6))
+
+
+class TestChunkedEngine:
+    CONFIGS = {
+        "with_replacement": dict(design=D3),
+        "balanced_contaminated": dict(design=D2, policy=AssignmentPolicy.balanced(2), q=0.5),
+        "single_course": dict(design=D1, policy=AssignmentPolicy.single_course()),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_chunking_changes_no_result(self, name, monkeypatch):
+        # replicate r draws from its own streams, so the chunk size and the
+        # run length change no variance and no GLS fit, bit for bit
+        config = make_config(replicates=23, effect_size_diff=1.0, **self.CONFIGS[name])
+        c = config.policy.c
+        per_replicate = 8 * sum(config.layout.n) * (2 * c + math.comb(c, 2))
+        runs, studies = [], []
+        for chunk in (1, 7, config.replicates):
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", chunk * per_replicate)
+            assert len(simulator._chunks(config)[0]) == chunk
+            runs.append(simulate_anticipated_variance(config))
+            studies.append(estimator_variance_study(config))
+        monkeypatch.undo()
+        short = simulate_anticipated_variance(make_config(replicates=9, **self.CONFIGS[name]))
+        for level in ("teacher", "student"):
+            full = runs[0].level(level).variances
+            for run in runs[1:]:
+                np.testing.assert_array_equal(run.level(level).variances, full)
+            np.testing.assert_array_equal(short.level(level).variances, full[:9])
+        assert studies[1] == studies[0] and studies[2] == studies[0]
+
+
+class TestHeterogeneousLayouts:
+    def test_padded_engine_matches_public_path(self):
+        # per-school m in {2, 4, 6, 8} and varied n: the engine pads schools
+        # with idle teachers, the public path takes one D per school
+        rng = np.random.default_rng(20240601)
+        for trial in range(12):
+            a = int(rng.integers(2, 6))
+            m = tuple(int(v) for v in rng.choice([2, 4, 6, 8], size=a))
+            n = tuple(int(v) for v in rng.integers(1, 40, size=a))
+            config = make_config(
+                layout=StudyLayout(a=a, m=m, n=n),
+                design=(D1, D2, D3)[trial % 3] if a % 2 == 0 else (D2, D3)[trial % 2],
+                q=0.3 if trial % 4 == 0 else 0.0,
+                replicates=6,
+                seed=trial,
+            )
+            reps = range(config.replicates)
+            infos = simulator._replicate_information(config, reps)
+            for rep in reps:
+                ds, xs = public_draws(config, rep)
+                expected = (
+                    teacher_information(xs, config.teacher_vc).entries,
+                    student_information(xs, ds, config.student_vc).entries,
+                )
+                for got, want in zip(infos[:, rep], expected):
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+            # and the first replicate against dense inverses of each school's covariance
+            ds, xs = public_draws(config, 0)
+            t_covs = [teacher_cov(m_i, 1.6, 14.4) for m_i in m]
+            s_covs = [student_cov(d, 1.6, 14.4, 14.4) for d in ds]
+            for got, want in zip(infos[:, 0], (dense_info(xs, t_covs), dense_student_info(xs, ds, s_covs))):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+            # a padded teacher has no design row and an exactly zero precision row
+            picks, x, _ = simulator._draw_chunk(config, reps)
+            g = _gram_precision(simulator._pick_gram(picks, config.layout), config.student_vc)
+            for i, m_i in enumerate(m):
+                assert np.all(x[:, i, m_i:] == 0.0)
+                assert np.all(g[:, i, m_i:] == 0.0) and np.all(g[:, i, :, m_i:] == 0.0)
 
 
 class TestResponseGenerators:
@@ -445,6 +539,37 @@ class TestEstimatorVarianceStudy:
             assert res.truth == 0.5
             assert abs(res.variance_ratio - 1.0) < 0.25
             assert res.mean_error_z < 4.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(design=D2, q=0.5),
+            dict(design=D3, layout=StudyLayout(a=4, m=(4, 6, 4, 6), n=(30, 41, 30, 41))),
+            dict(design=D3, policy=AssignmentPolicy.balanced(2), layout=StudyLayout(a=2, m=2, n=4)),
+        ],
+        ids=["within-q0.5", "heterogeneous-crd", "some_non_estimable"],
+    )
+    def test_chunk_matches_public_path(self, overrides):
+        # the chunked fits against generate_*_responses and gls_estimate on
+        # the same draws and response stream, one replicate at a time
+        config = make_config(**{"replicates": 12, "effect_size_diff": 1.0, **overrides})
+        beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
+        got = simulator._study_chunk(config, range(config.replicates), beta, 2.0 * beta)
+        for rep in range(config.replicates):
+            ds, xs = public_draws(config, rep)
+            rng = replicate_streams(config.seed, rep).responses
+            t_resp = generate_teacher_responses(xs, config.teacher_vc, beta, rng)
+            s_resp = generate_student_responses(xs, ds, config.student_vc, 2.0 * beta, rng)
+            fits = [(t_resp, config.teacher_vc, None), (s_resp, config.student_vc, ds)]
+            for level, (resp, vc, level_ds) in enumerate(fits):
+                try:
+                    coef, cov = gls_estimate(resp, xs, vc, ds=level_ds)
+                    want = (coef[1], cov[1, 1])
+                except NonEstimableError:
+                    want = (np.nan, np.nan)
+                np.testing.assert_allclose(got[level, :, rep], want, rtol=1e-12)
+        if config.policy.kind is PolicyKind.BALANCED:
+            assert np.isnan(got[1, 0]).any() and not np.isnan(got[1, 0]).all()
 
 
 class TestEmpiricalPower:

@@ -43,6 +43,7 @@ from .simulator import (
     DensityEstimate,
     PolicyKind,
     SimulationConfig,
+    SimulationResult,
     estimator_variance_study,
     simulate_anticipated_variance,
 )
@@ -568,33 +569,59 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
 
 
 def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
-    """Write every design and level's samples and density, the summary and
-    the plot; _fmt leaves NaN cells (non-estimable values) empty."""
-    results = {sim.design.value: simulate_anticipated_variance(sim) for sim in sim_configs}
+    results: dict[DesignKind, SimulationResult] = {
+        sim.design: simulate_anticipated_variance(sim) for sim in sim_configs
+    }
+
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
     for design, result in results.items():
         for level in LEVELS:
-            res, name = result.level(level), f"{design}_{level}.csv"
-            variances = res.variances.tolist()
+            res = result.level(level)
+            sample_rows = []
+            for rep, variance in enumerate(res.variances):
+                estimable = np.isfinite(variance)
+                sample_rows.append(
+                    (
+                        rep,
+                        level,
+                        design.value,
+                        float(variance) if estimable else None,
+                        1 if estimable else 0,
+                    )
+                )
             _write_csv(
-                out / f"samples_{name}",
+                out / f"samples_{design.value}_{level}.csv",
                 ("replicate", "level", "design", "variance", "estimable"),
-                [(k, level, design, v, int(np.isfinite(v))) for k, v in enumerate(variances)],
+                sample_rows,
             )
             density_rows = []
             if res.density is not None:
-                series[f"{design} {level}"] = dens = res.density
-                points = [(dens.point_mass, None)]
-                if not dens.is_point_mass:
-                    points = zip(dens.grid.tolist(), dens.density.tolist())
-                density_rows = [(level, design, x, y) for x, y in points]
+                if res.density.is_point_mass:
+                    density_rows.append((level, design.value, res.density.point_mass, None))
+                else:
+                    for x, y in zip(res.density.grid, res.density.density):
+                        density_rows.append((level, design.value, float(x), float(y)))
+                series[f"{design.value} {level}"] = res.density
             _write_csv(
-                out / f"density_{name}", ("level", "design", "variance", "density"), density_rows
+                out / f"density_{design.value}_{level}.csv",
+                ("level", "design", "variance", "density"),
+                density_rows,
             )
-            se_diff = 2.0 * float(np.sqrt(res.mean))
-            frac = res.non_estimable / result.replicates
-            summary_rows.append((design, level, res.mean, res.sd, se_diff, res.power, frac))
+            se_diff = (
+                2.0 * float(np.sqrt(res.mean)) if np.isfinite(res.mean) else None
+            )
+            summary_rows.append(
+                (
+                    design.value,
+                    level,
+                    res.mean if np.isfinite(res.mean) else None,
+                    res.sd if np.isfinite(res.sd) else None,
+                    se_diff,
+                    res.power,
+                    res.non_estimable / result.replicates,
+                )
+            )
     _write_csv(
         out / "summary.csv",
         ("design", "level", "mean_var", "sd_var", "se_diff", "power", "non_estimable_frac"),
@@ -609,21 +636,36 @@ def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     rows = []
     failed = False
     for sim in sim_configs:
+        design = sim.design
         try:
             study = estimator_variance_study(sim)
         except NonEstimableError:
             # too few estimable replicates to estimate a variance: a failure
             failed = True
-            rows.extend((sim.design.value, level, None, None, None, 0) for level in LEVELS)
+            rows.extend((design.value, level, None, None, None, 0) for level in LEVELS)
             continue
         for level in LEVELS:
             res = study[level]
-            ok = abs(res.variance_ratio - 1.0) <= VALIDATION_TOLERANCE and res.mean_error_z <= 3.0
+            ok = (
+                abs(res.variance_ratio - 1.0) <= VALIDATION_TOLERANCE
+                and res.mean_error_z <= 3.0
+            )
             failed = failed or not ok
-            values = (res.anticipated_mean, res.coef_variance, res.variance_ratio)
-            rows.append((sim.design.value, level, *values, int(ok)))
-    header = ("design", "level", "analytic_var", "empirical_var", "ratio", "pass")
-    _write_csv(out / "validate.csv", header, rows)
+            rows.append(
+                (
+                    design.value,
+                    level,
+                    res.anticipated_mean,
+                    res.coef_variance,
+                    res.variance_ratio,
+                    1 if ok else 0,
+                )
+            )
+    _write_csv(
+        out / "validate.csv",
+        ("design", "level", "analytic_var", "empirical_var", "ratio", "pass"),
+        rows,
+    )
     return 2 if failed else 0
 
 

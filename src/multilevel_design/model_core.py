@@ -234,9 +234,11 @@ class InformationMatrix:
 
 
 def _column_labels(p: int) -> tuple[str, ...]:
-    if p not in (2, 3):
-        raise ValueError(f"design matrices must have 2 or 3 columns, got {p}")
-    return (INTERCEPT, TREATMENT, CONTAMINATION)[:p]
+    if p == 2:
+        return (INTERCEPT, TREATMENT)
+    if p == 3:
+        return (INTERCEPT, TREATMENT, CONTAMINATION)
+    raise ValueError(f"design matrices must have 2 or 3 columns, got {p}")
 
 
 def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:

@@ -314,39 +314,71 @@ class SimulationResult:
         return self.config.replicates
 
     def level(self, name: str) -> LevelResult:
-        return {TEACHER: self.teacher, STUDENT: self.student}[name]
+        if name == TEACHER:
+            return self.teacher
+        if name == STUDENT:
+            return self.student
+        raise KeyError(name)
 
 
-def _summarize_level(variances: np.ndarray, effect_size_diff: float | None, alpha: float):
-    samples = variances[np.isfinite(variances)]
-    mean = sd = float("nan")
-    density = power = None
+def _summarize_level(
+    variances: np.ndarray,
+    effect_size_diff: float | None,
+    alpha: float,
+) -> LevelResult:
+    mask = np.isfinite(variances)
+    samples = variances[mask]
+    non_estimable = int(variances.size - samples.size)
     if samples.size:
         mean = float(samples.mean())
         sd = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
         density = kde_density(samples)
+        power = None
         if effect_size_diff is not None:
             power = empirical_power(2.0 * np.sqrt(samples), effect_size_diff, alpha)
-    non_estimable = int(variances.size - samples.size)
-    return LevelResult(variances, samples, non_estimable, mean, sd, density, power)
+    else:
+        mean = float("nan")
+        sd = float("nan")
+        density = None
+        power = None
+    return LevelResult(
+        variances=variances,
+        samples=samples,
+        non_estimable=non_estimable,
+        mean=mean,
+        sd=sd,
+        density=density,
+        power=power,
+    )
 
 
-#: cap on the bytes of the teacher picks and pick-pair codes of a chunk of replicates
-_CHUNK_BYTES = 2**19
+#: cap on the bytes of a chunk of replicates' largest arrays (see _replicate_bytes)
+_CHUNK_BYTES = 2**21
+
+
+def _replicate_bytes(config: SimulationConfig) -> int:
+    """Bytes one replicate adds to a chunk's largest arrays: the picks and
+    pick-pair codes (2c + c(c-1)/2 integers a student) and about eight
+    arrays the size of every school's Gram (pair counts, Gram, its scaled
+    copies, the solve and G, each at most (max m + 2)^2 per school)."""
+    layout, c = config.layout, config.policy.c
+    picks = sum(layout.n) * (2 * c + math.comb(c, 2))
+    return 8 * (picks + 8 * layout.a * (max(layout.m) + 2) ** 2)
 
 
 def _chunks(config: SimulationConfig) -> list[range]:
-    """Replicate ranges whose picks and codes (2c + c(c-1)/2 per student) fit the cap."""
-    c, reps = config.policy.c, config.replicates
-    size = max(1, _CHUNK_BYTES // (8 * sum(config.layout.n) * (2 * c + math.comb(c, 2))))
+    """Replicate ranges of at most _CHUNK_BYTES each (one replicate at least)."""
+    size, reps = max(1, _CHUNK_BYTES // _replicate_bytes(config)), config.replicates
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
 def _draw_chunk(config: SimulationConfig, reps: range, normals: int = 0) -> tuple[np.ndarray, ...]:
     """Replicates ``reps`` drawn with the public draws' generator calls: picks
     (R, c, sum n), design matrices (R, a, max m, p) with zero rows for padded
-    teachers, and ``normals`` response normals each.  One call draws every
-    school's picks when all share m (the generator keeps its spare 32 bits)."""
+    teachers, and ``normals`` response normals each.  With_replacement under
+    one m draws every school's picks in one call: the bit generator keeps the
+    spare 32-bit half of a 64-bit draw across calls, so the values and the
+    final state equal the per-school calls' (one call in place of a)."""
     layout, policy, q = config.layout, config.policy, config.effective_q
     one_call = policy.kind is PolicyKind.WITH_REPLACEMENT and len(set(layout.m)) == 1
     picks = np.empty((len(reps), policy.c, sum(layout.n)), dtype=np.intp)
@@ -416,6 +448,24 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     return SimulationResult(config, *levels)
 
 
+def _teacher_slots(m: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where each school's v_i and its m_i eps_ij start in the one draw of
+    generate_teacher_responses, which takes them school by school, and the
+    draw's size."""
+    m = np.asarray(m)
+    v = np.cumsum(m + 1) - (m + 1)
+    return v, v + 1, int(np.sum(m + 1))
+
+
+def _student_slots(m: Sequence[int], n: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Where each school's m_i t_ij, s_i and n_i eta_is start in the one draw
+    of generate_student_responses, which takes them school by school, and
+    the draw's size."""
+    m, n = np.asarray(m), np.asarray(n)
+    t = np.cumsum(m + 1 + n) - (m + 1 + n)
+    return t, t + m, t + m + 1, int(np.sum(m + 1 + n))
+
+
 def generate_teacher_responses(
     xs: Sequence[np.ndarray],
     vc: TeacherVarianceComponents,
@@ -424,11 +474,11 @@ def generate_teacher_responses(
 ) -> list[np.ndarray]:
     """Draw T_i = X_i beta + 1 v_i + eps_i per school."""
     beta = np.asarray(beta, dtype=float)
-    out = []
-    for x in (np.asarray(x, dtype=float) for x in xs):
-        v_i = rng.normal(0.0, np.sqrt(vc.sigma_v2))
-        out.append(x @ beta + v_i + rng.normal(0.0, np.sqrt(vc.sigma_eps2), len(x)))
-    return out
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    v, eps, size = _teacher_slots([len(x) for x in xs])
+    z = rng.standard_normal(size)
+    sd_v, sd_eps = np.sqrt(vc.sigma_v2), np.sqrt(vc.sigma_eps2)
+    return [x @ beta + sd_v * z[v_i] + sd_eps * z[e : e + len(x)] for x, v_i, e in zip(xs, v, eps)]
 
 
 def generate_student_responses(
@@ -440,13 +490,15 @@ def generate_student_responses(
 ) -> list[np.ndarray]:
     """Draw Y_i = D_i (X_i theta + t_i) + 1 s_i + eta_i per school."""
     theta = np.asarray(theta, dtype=float)
-    out = []
-    for x, d in zip(xs, ds):
-        x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
-        t_i = rng.normal(0.0, np.sqrt(vc.sigma_t2), len(x))
-        s_i = rng.normal(0.0, np.sqrt(vc.sigma_s2))
-        out.append(d @ (x @ theta + t_i) + s_i + rng.normal(0.0, np.sqrt(vc.sigma_eta2), len(d)))
-    return out
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    ds = [np.asarray(d, dtype=float) for d in ds]
+    t, s, eta, size = _student_slots([len(x) for x in xs], [len(d) for d in ds])
+    z = rng.standard_normal(size)
+    sd_t, sd_s, sd_eta = np.sqrt(vc.sigma_t2), np.sqrt(vc.sigma_s2), np.sqrt(vc.sigma_eta2)
+    return [
+        d @ (x @ theta + sd_t * z[t_i : t_i + len(x)]) + sd_s * z[s_i] + sd_eta * z[e : e + len(d)]
+        for x, d, t_i, s_i, e in zip(xs, ds, t, s, eta)
+    ]
 
 
 def gls_estimate(
@@ -487,21 +539,21 @@ def _study_chunk(config: SimulationConfig, reps: range, beta: np.ndarray, theta:
     Y = D(X theta + t) + s + eta on replicates ``reps``, D(.) a sum over the
     picks; NaN where not estimable."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
-    # slots among a replicate's normals, in the generators' order: per school
-    # v_i and eps_i, then per school a block of t_i, s_i and eta_i; padded
-    # teachers read slot 0
-    m, n = np.array(layout.m), np.array(layout.n)
-    v = np.cumsum(1 + m) - (1 + m)
-    block = (1 + m).sum() + np.cumsum(m + 1 + n) - (m + 1 + n)
-    eta = np.repeat(block + m + 1 - (np.cumsum(n) - n), n) + np.arange(n.sum())
-    real = np.arange(m.max()) < m[:, None]
-    eps, t = (np.where(real, start[:, None] + np.arange(m.max()), 0) for start in (v + 1, block))
-    picks, x, z = _draw_chunk(config, reps, int(block[-1] + m[-1] + 1 + n[-1]))
-    t_resp = x @ beta + np.sqrt(tvc.sigma_v2) * z[:, v, None] + np.sqrt(tvc.sigma_eps2) * z[:, eps]
-    u = x @ theta + np.sqrt(svc.sigma_t2) * z[:, t]
+    v, eps, t_size = _teacher_slots(layout.m)
+    t, s, eta, s_size = _student_slots(layout.m, layout.n)
+    picks, x, z = _draw_chunk(config, reps, t_size + s_size)
+    z_t, z_s = z[:, :t_size], z[:, t_size:]
+    # each teacher's and student's offset in its school's run; a padded
+    # teacher (zero intercept) rereads its school's first slot
+    teacher = (np.arange(x.shape[2]) * x[0, ..., 0]).astype(int)
+    student = np.arange(sum(layout.n)) - np.repeat(np.cumsum(layout.n) - layout.n, layout.n)
+    eps, t, eta = eps[:, None] + teacher, t[:, None] + teacher, np.repeat(eta, layout.n) + student
+    sd_v, sd_eps = np.sqrt(tvc.sigma_v2), np.sqrt(tvc.sigma_eps2)
+    t_resp = x @ beta + sd_v * z_t[:, v, None] + sd_eps * z_t[:, eps]
+    u = x @ theta + np.sqrt(svc.sigma_t2) * z_s[:, t]
     school = np.repeat(np.arange(layout.a), layout.n)
     y = u[np.arange(len(reps))[:, None, None], school, picks].sum(axis=1)
-    y = y + np.sqrt(svc.sigma_s2) * z[:, block + m][:, school] + np.sqrt(svc.sigma_eta2) * z[:, eta]
+    y = y + np.sqrt(svc.sigma_s2) * z_s[:, s][:, school] + np.sqrt(svc.sigma_eta2) * z_s[:, eta]
     g_t = _teacher_precisions(layout.m, tvc)
     g_z = _gram_precision(_pick_gram(picks, layout, y), svc)
     fits = [

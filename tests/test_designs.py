@@ -433,13 +433,13 @@ class TestContaminatedMomentMatrix:
         m, q = 4, 0.5
         g = np.linalg.inv(teacher_cov(m, 0.9, 1.7))
         e, _ = contaminated_expected_moment_matrix(g, D2, q)
+        layout = StudyLayout(a=2, m=m, n=1)
         acc = np.zeros((3, 3))
         draws = 40_000
         for _ in range(draws):
-            # the array draws behind draw_randomization and draw_contamination
-            signs = _randomization_signs(D2, (m, m), rng)
-            flags = _contamination_flags(signs, q, rng)
-            x = np.column_stack([np.ones(m), signs[0], flags[0]])
+            draw = draw_randomization(D2, layout, rng)
+            draw = draw_contamination(draw, q, rng, kind=D2)
+            x = design_matrices(draw)[0]
             acc += x.T @ g @ x
         np.testing.assert_allclose(acc / draws, e, atol=0.02 * np.abs(e).max())
 

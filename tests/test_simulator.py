@@ -1,7 +1,5 @@
 """Tests for assignment draws, the Monte Carlo engine, GLS validation, KDE."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -355,11 +353,9 @@ class TestChunkedEngine:
         # replicate r draws from its own streams, so the chunk size and the
         # run length change no variance and no GLS fit, bit for bit
         config = make_config(replicates=23, effect_size_diff=1.0, **self.CONFIGS[name])
-        c = config.policy.c
-        per_replicate = 8 * sum(config.layout.n) * (2 * c + math.comb(c, 2))
         runs, studies = [], []
         for chunk in (1, 7, config.replicates):
-            monkeypatch.setattr(simulator, "_CHUNK_BYTES", chunk * per_replicate)
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", chunk * simulator._replicate_bytes(config))
             assert len(simulator._chunks(config)[0]) == chunk
             runs.append(simulate_anticipated_variance(config))
             studies.append(estimator_variance_study(config))
@@ -371,6 +367,28 @@ class TestChunkedEngine:
                 np.testing.assert_array_equal(run.level(level).variances, full)
             np.testing.assert_array_equal(short.level(level).variances, full[:9])
         assert studies[1] == studies[0] and studies[2] == studies[0]
+
+    @pytest.mark.parametrize("m, n, c", [(8, 200, 2), (3, 7, 3), (5, 1, 1), (2, 9, 4)])
+    def test_one_pick_call_equals_per_school_calls(self, m, n, c):
+        # with one m, the with_replacement chunk draw makes one integers call
+        # for all schools: the bit generator keeps the spare 32-bit half of a
+        # 64-bit draw across calls, so values and final state are the same
+        policy = AssignmentPolicy.with_replacement(c)
+        one, per_school = (replicate_streams(3, 0).assignment for _ in range(2))
+        np.testing.assert_array_equal(
+            one.integers(0, m, size=(5 * n, c)),
+            np.concatenate([simulator._picks(policy, m, n, per_school) for _ in range(5)]),
+        )
+        assert one.bit_generator.state == per_school.bit_generator.state
+
+    @pytest.mark.parametrize("m", [8, 40, 100])
+    def test_chunk_gram_stays_under_cap(self, m):
+        # with_replacement admits m much larger than n: the a x (m+1)^2
+        # Grams, not the picks, are then a chunk's largest arrays
+        config = make_config(layout=StudyLayout(a=16, m=m, n=10), replicates=500)
+        gram_bytes = 8 * config.layout.a * (m + 1) ** 2
+        for chunk in simulator._chunks(config):
+            assert len(chunk) == 1 or len(chunk) * gram_bytes <= simulator._CHUNK_BYTES
 
 
 class TestHeterogeneousLayouts:

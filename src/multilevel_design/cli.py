@@ -15,7 +15,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
@@ -23,17 +25,15 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .closed_forms import BalancedSpec, _balanced_school_traces
-from .designs import (
-    DesignKind,
-    _teacher_traces,
-    check_identifiable,
-    validate_contamination,
-)
+from .designs import DesignKind, _teacher_traces
 from .model_core import (
+    FieldError,
     NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    check_integer,
+    per_school,
 )
 from .simulator import (
     LEVELS,
@@ -44,6 +44,7 @@ from .simulator import (
     PolicyKind,
     SimulationConfig,
     SimulationResult,
+    check_alpha,
     estimator_variance_study,
     simulate_anticipated_variance,
 )
@@ -78,24 +79,124 @@ class UnknownKeyError(ConfigError):
         super().__init__(field, f"unknown key '{field}'")
 
 
+@contextmanager
+def _blaming():
+    """Report a library FieldError as a bad value of the field it names."""
+    try:
+        yield
+    except FieldError as err:
+        raise BadValueError(err.field, str(err)) from err
+
+
+# A schema maps each key of a JSON object, in parse (and so blame) order, to
+# (default, parser); _REQUIRED marks a key without a default.  A parser gets
+# the raw value, its field name and the keys parsed before it.  Parsers
+# check what JSON can get wrong: types, names and keys.  The value rules
+# are the library's, whose FieldError names the field.
+
+_REQUIRED = object()
+_DESIGN_NAMES = {kind.value: kind for kind in DesignKind}
+_POLICY_NAMES = {kind.value: kind for kind in PolicyKind}
+_MODES = {mode: mode for mode in MODES}
+_MAX = sys.float_info.max
+
+
+def _object(value, prefix: str, schema: Mapping) -> dict:
+    """Parse a JSON object: unknown keys, then missing ones, then each value."""
+    if not isinstance(value, dict):
+        raise BadValueError(prefix.rstrip(".") or "config", "expected an object")
+    for key in value:
+        if key not in schema:
+            raise UnknownKeyError(prefix + key)
+    for key, (default, _) in schema.items():
+        if default is _REQUIRED and key not in value:
+            raise MissingFieldError(prefix + key)
+    parsed = {}
+    for key, (default, parse) in schema.items():
+        parsed[key] = parse(value.get(key, default), prefix + key, parsed)
+    return parsed
+
+
+def _integer(value, key, parsed) -> int:
+    return check_integer(value, key)
+
+
+def _counts(value, key, parsed) -> tuple[int, ...]:
+    return per_school(value, parsed["schools"], key)
+
+
+def _number(value, key, parsed=None) -> float:
+    # a JSON integer may exceed every float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
+        raise BadValueError(key, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _choice(value, key, choices: Mapping):
+    if not isinstance(value, str) or value not in choices:
+        raise BadValueError(key, f"must be one of {sorted(choices)}, got {value!r}")
+    return choices[value]
+
+
+def _components(cls):
+    schema = {f.name: (_REQUIRED, _number) for f in fields(cls)}
+    return lambda value, key, parsed: cls(**_object(value, key + ".", schema))
+
+
+def _designs(value, key, parsed) -> tuple[DesignKind, ...]:
+    if not isinstance(value, list) or not value:
+        raise BadValueError(key, "expected a non-empty list of design names")
+    kinds = tuple(_choice(name, key, _DESIGN_NAMES) for name in value)
+    if len(set(kinds)) != len(kinds):
+        raise BadValueError(key, "a design is listed twice")
+    return kinds
+
+
+_ASSIGNMENT = {
+    "policy": (_REQUIRED, lambda value, key, parsed: _choice(value, key, _POLICY_NAMES)),
+    "c": (1, lambda value, key, parsed: value),
+}
+
+
+def _policy(value, key, parsed) -> AssignmentPolicy:
+    block = _object(value, key + ".", _ASSIGNMENT)
+    if "c" not in value and block["policy"] is not PolicyKind.SINGLE_COURSE:
+        raise MissingFieldError(key + ".c")
+    return AssignmentPolicy(block["policy"], block["c"])
+
+
+def _out_dir(value, key, parsed) -> str:
+    if not isinstance(value, str) or not value:
+        raise BadValueError(key, "expected a non-empty string")
+    return value
+
+
+def _key(parse, default=_REQUIRED, key: str | None = None):
+    """A RunConfig field's parser, default and JSON key (the field's name
+    unless given)."""
+    return field(metadata={"parse": parse, "default": default, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration; mirrors the JSON schema."""
+    """Parsed run configuration.  Its fields, in order, are the config schema."""
 
-    schools: int
-    teachers_per_school: tuple[int, ...]
-    students_per_school: tuple[int, ...]
-    teacher_vc: TeacherVarianceComponents
-    student_vc: StudentVarianceComponents
-    designs: tuple[DesignKind, ...]
-    policy: AssignmentPolicy
-    q: float
-    replicates: int
-    seed: int
-    alpha: float
-    effect_size_diff: float | None
-    mode: str
-    out_dir: str
+    schools: int = _key(_integer)
+    teachers_per_school: tuple[int, ...] = _key(_counts)
+    students_per_school: tuple[int, ...] = _key(_counts)
+    teacher_vc: TeacherVarianceComponents = _key(_components(TeacherVarianceComponents))
+    student_vc: StudentVarianceComponents = _key(_components(StudentVarianceComponents))
+    designs: tuple[DesignKind, ...] = _key(_designs)
+    policy: AssignmentPolicy = _key(_policy, {"policy": "with_replacement", "c": 2}, "assignment")
+    q: float = _key(_number, 0.0)
+    replicates: int = _key(_integer, 10_000)
+    seed: int = _key(_integer)
+    alpha: float = _key(lambda value, key, parsed: check_alpha(_number(value, key)), 0.05)
+    effect_size_diff: float | None = _key(
+        lambda value, key, parsed: None if value is None else _number(value, key), None
+    )
+    mode: str = _key(lambda value, key, parsed: _choice(value, key, _MODES), "compare")
+    out_dir: str = _key(_out_dir, "out")
 
     @property
     def layout(self) -> StudyLayout:
@@ -118,232 +219,59 @@ class RunConfig:
         )
 
 
-_TOP_KEYS = {
-    "schools",
-    "teachers_per_school",
-    "students_per_school",
-    "teacher_vc",
-    "student_vc",
-    "designs",
-    "assignment",
-    "q",
-    "replicates",
-    "seed",
-    "alpha",
-    "effect_size_diff",
-    "mode",
-    "out_dir",
+_SCHEMA = {
+    f.metadata["key"] or f.name: (f.metadata["default"], f.metadata["parse"])
+    for f in fields(RunConfig)
 }
-_REQUIRED_KEYS = (
-    "schools",
-    "teachers_per_school",
-    "students_per_school",
-    "teacher_vc",
-    "student_vc",
-    "designs",
-    "seed",
-)
-_DESIGN_NAMES = {kind.value: kind for kind in DesignKind}
-_POLICY_NAMES = {kind.value: kind for kind in PolicyKind}
-
-
-def _require_int(value, field: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadValueError(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise BadValueError(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadValueError(field, f"expected a number, got {value!r}")
-    out = float(value)
-    if not np.isfinite(out):
-        raise BadValueError(field, "must be finite")
-    return out
-
-
-def _counts(value, a: int, field: str) -> tuple[int, ...]:
-    if isinstance(value, list):
-        counts = tuple(_require_int(v, field, minimum=1) for v in value)
-        if len(counts) != a:
-            raise BadValueError(field, f"expected {a} entries, got {len(counts)}")
-        return counts
-    return (_require_int(value, field, minimum=1),) * a
-
-
-def _vc_block(data, field: str, keys: tuple[str, ...]):
-    if not isinstance(data, dict):
-        raise BadValueError(field, "expected an object")
-    for key in data:
-        if key not in keys:
-            raise UnknownKeyError(f"{field}.{key}")
-    values = []
-    for key in keys:
-        if key not in data:
-            raise MissingFieldError(f"{field}.{key}")
-        values.append(_require_number(data[key], f"{field}.{key}"))
-    return values
 
 
 def parse_config_data(data: dict) -> RunConfig:
     """Strictly parse an already-loaded JSON object into a RunConfig."""
-    if not isinstance(data, dict):
-        raise BadValueError("config", "top level must be a JSON object")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise UnknownKeyError(key)
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            raise MissingFieldError(key)
-
-    schools = _require_int(data["schools"], "schools", minimum=2)
-    teachers = _counts(data["teachers_per_school"], schools, "teachers_per_school")
-    students = _counts(data["students_per_school"], schools, "students_per_school")
-
-    sv2, se2 = _vc_block(data["teacher_vc"], "teacher_vc", ("sigma_v2", "sigma_eps2"))
-    try:
-        teacher_vc = TeacherVarianceComponents(sigma_v2=sv2, sigma_eps2=se2)
-    except ValueError as err:
-        raise BadValueError("teacher_vc", str(err)) from err
-    ss2, st2, seta2 = _vc_block(
-        data["student_vc"], "student_vc", ("sigma_s2", "sigma_t2", "sigma_eta2")
-    )
-    try:
-        student_vc = StudentVarianceComponents(
-            sigma_s2=ss2, sigma_t2=st2, sigma_eta2=seta2
-        )
-    except ValueError as err:
-        raise BadValueError("student_vc", str(err)) from err
-
-    raw_designs = data["designs"]
-    if not isinstance(raw_designs, list) or not raw_designs:
-        raise BadValueError("designs", "expected a non-empty list of design names")
-    designs = []
-    for name in raw_designs:
-        if name not in _DESIGN_NAMES:
-            raise BadValueError(
-                "designs", f"unknown design {name!r}; choose from {sorted(_DESIGN_NAMES)}"
-            )
-        kind = _DESIGN_NAMES[name]
-        if kind in designs:
-            raise BadValueError("designs", f"design {name!r} listed twice")
-        designs.append(kind)
-
-    assignment = data.get("assignment", {"policy": "with_replacement", "c": 2})
-    if not isinstance(assignment, dict):
-        raise BadValueError("assignment", "expected an object")
-    for key in assignment:
-        if key not in ("policy", "c"):
-            raise UnknownKeyError(f"assignment.{key}")
-    if "policy" not in assignment:
-        raise MissingFieldError("assignment.policy")
-    policy_name = assignment["policy"]
-    if policy_name not in _POLICY_NAMES:
-        raise BadValueError(
-            "assignment.policy",
-            f"unknown policy {policy_name!r}; choose from {sorted(_POLICY_NAMES)}",
-        )
-    policy_kind = _POLICY_NAMES[policy_name]
-    if policy_kind is PolicyKind.SINGLE_COURSE:
-        c = _require_int(assignment.get("c", 1), "assignment.c", minimum=1)
-    else:
-        if "c" not in assignment:
-            raise MissingFieldError("assignment.c")
-        c = _require_int(assignment["c"], "assignment.c", minimum=1)
-    try:
-        policy = AssignmentPolicy(policy_kind, c)
-    except ValueError as err:
-        raise BadValueError("assignment", str(err)) from err
-
-    q = _require_number(data.get("q", 0.0), "q")
-    replicates = _require_int(data.get("replicates", 10_000), "replicates", minimum=1)
-    seed = _require_int(data["seed"], "seed", minimum=0)
-    if seed >= 2**64:
-        raise BadValueError("seed", "must fit in 64 bits")
-    alpha = _require_number(data.get("alpha", 0.05), "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise BadValueError("alpha", f"must be in (0, 1), got {alpha}")
-    effect = data.get("effect_size_diff")
-    if effect is not None:
-        effect = _require_number(effect, "effect_size_diff")
-    mode = data.get("mode", "compare")
-    if mode not in MODES:
-        raise BadValueError("mode", f"must be one of {MODES}, got {mode!r}")
-    out_dir = data.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise BadValueError("out_dir", "expected a non-empty string")
-
-    return RunConfig(
-        schools=schools,
-        teachers_per_school=teachers,
-        students_per_school=students,
-        teacher_vc=teacher_vc,
-        student_vc=student_vc,
-        designs=tuple(designs),
-        policy=policy,
-        q=q,
-        replicates=replicates,
-        seed=seed,
-        alpha=alpha,
-        effect_size_diff=effect,
-        mode=mode,
-        out_dir=out_dir,
-    )
+    with _blaming():
+        return RunConfig(*_object(data, "", _SCHEMA).values())
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Load and strictly validate a JSON run configuration."""
+def _load(path: str | Path):
     path = Path(path)
     if not path.is_file():
         raise BadValueError("config", f"no such file: {path}")
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise BadValueError("config", f"invalid JSON: {err}") from err
-    return parse_config_data(data)
+
+
+def parse_config(path: str | Path) -> RunConfig:
+    """Load and strictly validate a JSON run configuration."""
+    return parse_config_data(_load(path))
+
+
+def _json(value):
+    if isinstance(value, AssignmentPolicy):
+        return {"policy": value.kind.value, "c": value.c}
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def serialize_config(config: RunConfig) -> dict:
     """JSON-able dict that parses back to an equal RunConfig."""
-    return {
-        "schools": config.schools,
-        "teachers_per_school": list(config.teachers_per_school),
-        "students_per_school": list(config.students_per_school),
-        "teacher_vc": {
-            "sigma_v2": config.teacher_vc.sigma_v2,
-            "sigma_eps2": config.teacher_vc.sigma_eps2,
-        },
-        "student_vc": {
-            "sigma_s2": config.student_vc.sigma_s2,
-            "sigma_t2": config.student_vc.sigma_t2,
-            "sigma_eta2": config.student_vc.sigma_eta2,
-        },
-        "designs": [kind.value for kind in config.designs],
-        "assignment": {"policy": config.policy.kind.value, "c": config.policy.c},
-        "q": config.q,
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "alpha": config.alpha,
-        "effect_size_diff": config.effect_size_diff,
-        "mode": config.mode,
-        "out_dir": config.out_dir,
-    }
+    return {key: _json(getattr(config, f.name)) for key, f in zip(_SCHEMA, fields(config))}
 
 
-def apply_overrides(
-    config: RunConfig,
-    mode: str | None = None,
-    seed: int | None = None,
-    replicates: int | None = None,
-    out_dir: str | None = None,
-) -> RunConfig:
-    """Command-line overrides beat config-file values; the result is parsed
-    like a config file, so the same checks apply."""
-    overrides = {"mode": mode, "seed": seed, "replicates": replicates, "out_dir": out_dir}
-    changes = {key: value for key, value in overrides.items() if value is not None}
-    return parse_config_data({**serialize_config(config), **changes})
+def _with_flags(data, **flags):
+    """``data`` with each flag that is set in place of the key it names."""
+    if not isinstance(data, dict):
+        return data
+    return {**data, **{key: value for key, value in flags.items() if value is not None}}
+
+
+def apply_overrides(config: RunConfig, **flags) -> RunConfig:
+    """``config`` with the keys set in ``flags`` (mode, seed, replicates,
+    out_dir, ...) replaced, parsed like a config file."""
+    return parse_config_data(_with_flags(serialize_config(config), **flags))
 
 
 # --------------------------------------------------------------------------
@@ -503,43 +431,31 @@ def emit_density_svg(
 # --------------------------------------------------------------------------
 
 
-def _blame(field: str, check, *args):
-    """Run a library check, reporting its ValueError (LinAlgError, ParityError
-    and DegenerateContaminationError included) as a bad value of ``field``."""
-    try:
-        return check(*args)
-    except ValueError as err:
-        raise BadValueError(field, str(err)) from err
+def _plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
+    """Reject, before any output exists, every config the mode cannot run,
+    and return what it runs on: the balanced spec for closed-form, one
+    SimulationConfig per design otherwise.
 
-
-def _check_plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
-    """Reject, before any output exists, every config the mode cannot run.
-
-    This is the one place library errors become ConfigErrors: each check
-    blames the config field it reads.  Returns what the mode runs on: the
-    balanced spec for closed-form, one SimulationConfig per design otherwise.
+    Every mode needs invertible covariances and admissible designs; they
+    are checked for every design before any layout rule, so a config with
+    faults in two designs names the same field in every mode.
     """
-    layout = config.layout
     if config.mode == "validate" and config.replicates < 2:
         raise BadValueError("replicates", "validate needs at least 2 replicates")
-    _blame("teacher_vc.sigma_eps2", config.teacher_vc.check_invertible)
-    _blame("student_vc.sigma_eta2", config.student_vc.check_invertible)
-    for design in config.designs:
-        _blame("designs", design.check_parity, layout.a, layout.m)
-        _blame("q", validate_contamination, design, config.q)
-        _blame("q", check_identifiable, design.effective_q(config.q))
-    if config.mode == "closed-form":
-        m = _blame("teachers_per_school", layout.homogeneous_m)
+    layout = config.layout
+    with _blaming():
+        config.teacher_vc.check_invertible()
+        config.student_vc.check_invertible()
+        for design in config.designs:
+            design.check(layout.a, layout.m, config.q)
+        if config.mode != "closed-form":
+            return [config.simulation_config(design) for design in config.designs]
+        m = layout.homogeneous_m()
         if len(set(layout.n)) != 1:
             raise BadValueError(
                 "students_per_school", "closed-form mode needs a homogeneous student count"
             )
-        return _blame("assignment.c", BalancedSpec, m, layout.n[0], config.policy.c, layout.a)
-    for m_i, n_i in zip(layout.m, layout.n):
-        _blame("assignment", config.policy.check_school, m_i, n_i)
-    for design in config.designs:
-        _blame("assignment.c", config.policy.check_student_estimable, design, layout.m)
-    return [config.simulation_config(design) for design in config.designs]
+        return BalancedSpec(m, layout.n[0], config.policy.c, layout.a)
 
 
 def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
@@ -671,9 +587,7 @@ def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute one mode and write its artifacts under ``config.out_dir``."""
-    if config.mode not in MODES:
-        raise BadValueError("mode", f"must be one of {MODES}, got {config.mode!r}")
-    plan = _check_plan(config)
+    plan = _plan(config)
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -686,13 +600,9 @@ def run(config: RunConfig) -> int:
     return _run_simulate(plan, out)
 
 
-class _ArgumentError(ConfigError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _ArgumentError("args", message)
+        raise ConfigError("args", message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -708,11 +618,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", help="override the output directory")
     try:
         args = parser.parse_args(argv)
-        config = parse_config(args.config)
-        config = apply_overrides(
-            config, mode=args.mode, seed=args.seed, replicates=args.reps, out_dir=args.out
-        )
-        return run(config)
+        flags = dict(mode=args.mode, seed=args.seed, replicates=args.reps, out_dir=args.out)
+        return run(parse_config_data(_with_flags(_load(args.config), **flags)))
     except ConfigError as err:
         print(f"multilevel-design: {err}", file=sys.stderr)
         return 1

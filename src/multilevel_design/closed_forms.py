@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .designs import DesignKind, _teacher_traces, _within_school_inflation
-from .model_core import StudentVarianceComponents, TeacherVarianceComponents
+from .model_core import StudentVarianceComponents, StudyLayout, TeacherVarianceComponents
+from .simulator import AssignmentPolicy
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,8 @@ class BalancedSpec:
     a: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be >= 1")
-        if self.a < 2:
-            raise ValueError(f"need at least 2 schools, got {self.a}")
-        if not 1 <= self.c <= self.m:
-            raise ValueError(f"c must be in [1, m={self.m}], got {self.c}")
-        if (self.n * self.c) % self.m != 0:
-            raise ValueError(
-                f"n*c = {self.n * self.c} must be divisible by m = {self.m} "
-                f"so that course sections have equal size"
-            )
+        StudyLayout(self.a, self.m, self.n)
+        AssignmentPolicy.balanced(self.c).check_school(self.m, self.n)
 
 
 def _balanced_school_traces(

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .model_core import (
+    FieldError,
     NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
@@ -40,12 +41,18 @@ from .model_core import (
 )
 
 
-class ParityError(ValueError):
+class ParityError(FieldError):
     """A design's balance constraint (even counts) is violated."""
 
+    def __init__(self, message: str):
+        super().__init__("designs", message)
 
-class DegenerateContaminationError(ValueError):
+
+class DegenerateContaminationError(FieldError):
     """q = 1 makes the contamination column collinear with treatment."""
+
+    def __init__(self, message: str):
+        super().__init__("q", message)
 
 
 class DesignKind(Enum):
@@ -67,6 +74,13 @@ class DesignKind(Enum):
                     )
         if self is DesignKind.COMPLETELY_RANDOMIZED and sum(m) % 2 != 0:
             raise ParityError(f"crd needs an even total teacher count, got {sum(m)}")
+
+    def check(self, a: int, m: Sequence[int], q: float) -> None:
+        """Raise a FieldError unless the design can randomize a schools of
+        ``m`` teachers at contamination q: parity, then q's range, then q = 1."""
+        self.check_parity(a, m)
+        validate_contamination(self, q)
+        check_identifiable(self.effective_q(q))
 
     def moments(self, m: int, a: int) -> tuple[float, float]:
         """(alpha, beta) with Cov(R_i) = alpha*J + beta*(m I - J) for a schools
@@ -103,12 +117,12 @@ class DesignKind(Enum):
 
 
 def validate_contamination(kind: DesignKind | None, q: float) -> None:
-    """Raise ValueError unless q lies in the admissible range of the design:
+    """Raise a FieldError of ``q`` unless q lies in the admissible range of the design:
     [0, 0.5] for crd, [0, 1] otherwise and when no design is given."""
     hi = 0.5 if kind is DesignKind.COMPLETELY_RANDOMIZED else 1.0
     if not 0.0 <= q <= hi:
         name = kind.value if kind is not None else "any design"
-        raise ValueError(f"q={q} outside [0.0, {hi}] for {name}")
+        raise FieldError("q", f"q={q} outside [0.0, {hi}] for {name}")
 
 
 def check_identifiable(q: float) -> None:

@@ -44,6 +44,42 @@ class NonEstimableError(Exception):
     """The treatment direction of an information matrix is singular."""
 
 
+class FieldError(ValueError):
+    """A value check failed; ``field`` names the run-config field it reads,
+    for example ``q``, ``designs``, ``assignment.c`` or ``teacher_vc.sigma_eps2``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+class SingularCovarianceError(FieldError, np.linalg.LinAlgError):
+    """A variance component that every covariance inversion needs is zero."""
+
+
+#: admissible [low, high) of every integer field; None leaves it unbounded
+_INTEGER_RANGES = {
+    "schools": (2, None),
+    "teachers_per_school": (1, None),
+    "students_per_school": (1, None),
+    "assignment.c": (1, None),
+    "replicates": (1, None),
+    "seed": (0, 2**64),
+}
+
+
+def check_integer(value, field: str) -> int:
+    """``value`` as an int; FieldError unless it is an integer (not a bool or
+    a float such as 2.5) in the field's range."""
+    low, high = _INTEGER_RANGES[field]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FieldError(field, f"{field} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise FieldError(field, f"{field} must be {bounds}, got {value}")
+    return int(value)
+
+
 class TreatmentVariance(NamedTuple):
     """Treatment-coefficient variance plus the +-1-coded difference scale.
 
@@ -68,14 +104,13 @@ class TeacherVarianceComponents:
     sigma_eps2: float
 
     def __post_init__(self):
-        if not (self.sigma_v2 >= 0.0):
-            raise ValueError(f"sigma_v2 must be >= 0, got {self.sigma_v2}")
-        if not (self.sigma_eps2 >= 0.0):
-            raise ValueError(f"sigma_eps2 must be >= 0, got {self.sigma_eps2}")
+        _check_components(self, "teacher_vc")
 
     def check_invertible(self) -> None:
         if self.sigma_eps2 <= 0.0:
-            raise np.linalg.LinAlgError("teacher covariance is singular when sigma_eps2 = 0")
+            raise SingularCovarianceError(
+                "teacher_vc.sigma_eps2", "teacher covariance is singular when sigma_eps2 = 0"
+            )
 
     @property
     def rho(self) -> float:
@@ -97,28 +132,30 @@ class StudentVarianceComponents:
     sigma_eta2: float
 
     def __post_init__(self):
-        if not (self.sigma_s2 >= 0.0):
-            raise ValueError(f"sigma_s2 must be >= 0, got {self.sigma_s2}")
-        if not (self.sigma_t2 >= 0.0):
-            raise ValueError(f"sigma_t2 must be >= 0, got {self.sigma_t2}")
-        if not (self.sigma_eta2 >= 0.0):
-            raise ValueError(f"sigma_eta2 must be >= 0, got {self.sigma_eta2}")
+        _check_components(self, "student_vc")
 
     def check_invertible(self) -> None:
         if self.sigma_eta2 <= 0.0:
-            raise np.linalg.LinAlgError("student covariance is singular when sigma_eta2 = 0")
+            raise SingularCovarianceError(
+                "student_vc.sigma_eta2", "student covariance is singular when sigma_eta2 = 0"
+            )
 
 
-def _as_count_tuple(value, a: int, name: str) -> tuple[int, ...]:
-    if np.isscalar(value):
-        counts = (int(value),) * a
-    else:
-        counts = tuple(int(v) for v in value)
+def _check_components(vc, block: str) -> None:
+    """FieldError naming the first negative (or NaN) component of ``vc``."""
+    for name, value in vars(vc).items():
+        if not value >= 0.0:
+            raise FieldError(f"{block}.{name}", f"{name} must be >= 0, got {value}")
+
+
+def per_school(value, a: int, field: str) -> tuple[int, ...]:
+    """A count for each of ``a`` schools from one integer or a sequence of them."""
+    counts = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,) * a
     if len(counts) != a:
-        raise ValueError(f"{name} must have one entry per school ({a}), got {len(counts)}")
-    if any(v < 1 for v in counts):
-        raise ValueError(f"every entry of {name} must be >= 1")
-    return counts
+        raise FieldError(
+            field, f"{field} must have one entry per school ({a}), got {len(counts)}"
+        )
+    return tuple(check_integer(v, field) for v in counts)
 
 
 @dataclass(frozen=True)
@@ -134,19 +171,20 @@ class StudyLayout:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        if self.a < 2:
-            raise ValueError(f"need at least 2 schools, got {self.a}")
-        object.__setattr__(self, "m", _as_count_tuple(self.m, self.a, "m"))
-        object.__setattr__(self, "n", _as_count_tuple(self.n, self.a, "n"))
+        object.__setattr__(self, "a", check_integer(self.a, "schools"))
+        object.__setattr__(self, "m", per_school(self.m, self.a, "teachers_per_school"))
+        object.__setattr__(self, "n", per_school(self.n, self.a, "students_per_school"))
 
     @property
     def total_teachers(self) -> int:
         return sum(self.m)
 
     def homogeneous_m(self) -> int:
-        """The common teacher count, or ValueError when schools differ."""
+        """The common teacher count, or a FieldError when schools differ."""
         if len(set(self.m)) != 1:
-            raise ValueError(f"teacher counts differ across schools: {self.m}")
+            raise FieldError(
+                "teachers_per_school", f"teacher counts differ across schools: {self.m}"
+            )
         return self.m[0]
 
 

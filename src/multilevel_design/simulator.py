@@ -25,15 +25,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .designs import (
-    DesignKind,
-    _contamination_flags,
-    _randomization_signs,
-    check_identifiable,
-    validate_contamination,
-)
+from .designs import DesignKind, _contamination_flags, _randomization_signs
 from .model_core import (
     TREATMENT_COLUMN,
+    FieldError,
     NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
@@ -44,6 +39,7 @@ from .model_core import (
     _symmetric,
     _teacher_precisions,
     _treatment_pivot,
+    check_integer,
 )
 
 TEACHER = "teacher"
@@ -66,10 +62,9 @@ class AssignmentPolicy:
     c: int = 1
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
+        check_integer(self.c, "assignment.c")
         if self.kind is PolicyKind.SINGLE_COURSE and self.c != 1:
-            raise ValueError("single_course implies c = 1")
+            raise FieldError("assignment.c", "single_course implies c = 1")
 
     @classmethod
     def balanced(cls, c: int) -> "AssignmentPolicy":
@@ -84,16 +79,20 @@ class AssignmentPolicy:
         return cls(PolicyKind.SINGLE_COURSE, 1)
 
     def check_school(self, m: int, n: int) -> None:
-        """Raise when the policy cannot produce its exact counts for (m, n)."""
+        """Raise a FieldError when the policy cannot produce its exact counts
+        for (m, n); the balanced rule is also BalancedSpec's."""
         if self.kind is PolicyKind.BALANCED:
             if self.c > m:
-                raise ValueError(f"balanced needs c <= m, got c={self.c}, m={m}")
+                raise FieldError("assignment.c", f"balanced needs c <= m, got c={self.c}, m={m}")
             if (n * self.c) % m != 0:
-                raise ValueError(
-                    f"balanced needs n*c divisible by m, got n={n}, c={self.c}, m={m}"
+                raise FieldError(
+                    "assignment.c",
+                    f"balanced needs n*c divisible by m, got n={n}, c={self.c}, m={m}",
                 )
         elif self.kind is PolicyKind.SINGLE_COURSE and n % m != 0:
-            raise ValueError(f"single_course needs n divisible by m, got n={n}, m={m}")
+            raise FieldError(
+                "assignment", f"single_course needs n divisible by m, got n={n}, m={m}"
+            )
 
     def check_student_estimable(self, design: DesignKind, m: Sequence[int]) -> None:
         """Raise when no replicate can carry student-level treatment information.
@@ -107,7 +106,8 @@ class AssignmentPolicy:
             and design is DesignKind.RANDOMIZE_WITHIN_SCHOOLS
             and all(m_i == self.c for m_i in m)
         ):
-            raise ValueError(
+            raise FieldError(
+                "assignment.c",
                 f"balanced c = m = {self.c} under within_schools gives every student "
                 "every teacher, so the student level is never estimable"
             )
@@ -166,10 +166,11 @@ def _subsets(m: int, c: int) -> np.ndarray:
 class SimulationConfig:
     """Everything one run needs; immutable so replicates can share it.
 
-    Construction rejects any config whose replicates would all fail: a
-    singular covariance at either level, a design parity violation, a policy
-    that cannot fill the layout, q outside the design's range, q = 1 under
-    within-school randomization, or balanced c = m under within-school
+    Construction rejects, with a FieldError naming the config field, any
+    config whose replicates would all fail, in this order: a singular
+    covariance at either level, a design parity violation, q outside the
+    design's range, q = 1 under within-school randomization, a policy that
+    cannot fill the layout, or balanced c = m under within-school
     randomization.
     """
 
@@ -185,22 +186,17 @@ class SimulationConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        check_integer(self.replicates, "replicates")
+        check_integer(self.seed, "seed")
+        check_alpha(self.alpha)
         if self.effect_size_diff is not None and not np.isfinite(self.effect_size_diff):
-            raise ValueError("effect_size_diff must be finite")
-        validate_contamination(self.design, self.q)
-        check_identifiable(self.effective_q)
-        self.design.check_parity(self.layout.a, self.layout.m)
+            raise FieldError("effect_size_diff", "effect_size_diff must be finite")
+        self.teacher_vc.check_invertible()
+        self.student_vc.check_invertible()
+        self.design.check(self.layout.a, self.layout.m, self.q)
         for m_i, n_i in zip(self.layout.m, self.layout.n):
             self.policy.check_school(m_i, n_i)
         self.policy.check_student_estimable(self.design, self.layout.m)
-        self.teacher_vc.check_invertible()
-        self.student_vc.check_invertible()
 
     @property
     def effective_q(self) -> float:
@@ -275,13 +271,19 @@ def empirical_power(
     se = np.asarray(se_samples, dtype=float).ravel()
     if se.size == 0:
         raise ValueError("cannot average power over an empty sample")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     delta = abs(float(effect_size_diff))
     fill = np.inf if delta > 0.0 else 0.0
     ratio = np.divide(delta, se, out=np.full_like(se, fill), where=se > 0.0)
     return float(np.mean(_normal_cdf(ratio - z) + _normal_cdf(-ratio - z)))
+
+
+def check_alpha(alpha: float) -> float:
+    """``alpha`` unless it lies outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise FieldError("alpha", f"alpha must be in (0, 1), got {alpha}")
+    return alpha
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:

@@ -356,11 +356,33 @@ class TestMainEntry:
         lines = (out / "samples_randomize_schools_teacher.csv").read_text().splitlines()
         assert len(lines) == 11
 
+    @pytest.mark.parametrize(
+        "overrides,flags",
+        [
+            ({"replicates": 0}, ["--reps", "10"]),
+            ({"seed": -1, "replicates": 10}, ["--seed", "3"]),
+        ],
+        ids=["reps", "seed"],
+    )
+    def test_flags_replace_bad_file_values(self, tmp_path, overrides, flags):
+        # flags are merged into the file before it is checked
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, base_config(**overrides))
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)] + flags) == 0
+        lines = (out / "samples_randomize_schools_teacher.csv").read_text().splitlines()
+        assert len(lines) == 11
+
 
 class TestErrorContract:
     ZERO_EPS = {"sigma_v2": 1.6, "sigma_eps2": 0.0}
     ZERO_ETA = {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 0.0}
     BALANCED_C_EQUALS_M = {"policy": "balanced", "c": 4}
+    NEGATIVE_V = {"sigma_v2": -1.0, "sigma_eps2": 14.4}
+    NEGATIVE_T = {"sigma_s2": 1.6, "sigma_t2": -1.0, "sigma_eta2": 14.4}
+    BALANCED_C_ABOVE_M = {"policy": "balanced", "c": 5}
+    SINGLE_COURSE_C2 = {"policy": "single_course", "c": 2}
+    # n*c = 7*2 is not divisible by m = 4
+    UNEVEN_SECTIONS = {"students_per_school": 7, "assignment": {"policy": "balanced", "c": 2}}
 
     @pytest.mark.parametrize(
         "mode,overrides,field",
@@ -375,6 +397,27 @@ class TestErrorContract:
             ("simulate", {"assignment": BALANCED_C_EQUALS_M}, "assignment.c"),
             ("validate", {"assignment": BALANCED_C_EQUALS_M}, "assignment.c"),
             ("validate", {"replicates": 1}, "replicates"),
+            ("simulate", {"designs": ["within_schools"], "teachers_per_school": 3}, "designs"),
+            ("simulate", {"designs": ["randomize_schools"], "schools": 3}, "designs"),
+            ("simulate", {"designs": ["crd"], "q": 0.7}, "q"),
+            ("simulate", {"alpha": 1}, "alpha"),
+            ("simulate", {"seed": -1}, "seed"),
+            ("simulate", {"seed": 2**64}, "seed"),
+            ("simulate", {"schools": 1}, "schools"),
+            ("simulate", {"q": 10**400}, "q"),
+            ("closed-form", {"teachers_per_school": [4, 4, 4, 2]}, "teachers_per_school"),
+            ("closed-form", {"students_per_school": [8, 8, 8, 4]}, "students_per_school"),
+            ("closed-form", UNEVEN_SECTIONS, "assignment.c"),
+            ("simulate", UNEVEN_SECTIONS, "assignment.c"),
+            ("simulate", {"teacher_vc": NEGATIVE_V}, "teacher_vc.sigma_v2"),
+            ("simulate", {"student_vc": NEGATIVE_T}, "student_vc.sigma_t2"),
+            ("simulate", {"assignment": SINGLE_COURSE_C2}, "assignment.c"),
+            ("simulate", {"assignment": BALANCED_C_ABOVE_M}, "assignment.c"),
+            (
+                "simulate",
+                {"designs": ["within_schools"], "q": 1.0, "teacher_vc": ZERO_EPS},
+                "teacher_vc.sigma_eps2",
+            ),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -387,6 +430,23 @@ class TestErrorContract:
             "simulate-balanced_c_equals_m",
             "validate-balanced_c_equals_m",
             "validate-one_replicate",
+            "simulate-within_odd_m",
+            "simulate-schools_odd_a",
+            "simulate-crd_q07",
+            "simulate-alpha_1",
+            "simulate-seed_negative",
+            "simulate-seed_2_64",
+            "simulate-one_school",
+            "simulate-q_beyond_float",
+            "closed_form-uneven_m",
+            "closed_form-uneven_n",
+            "closed_form-uneven_sections",
+            "simulate-uneven_sections",
+            "simulate-negative_sigma_v2",
+            "simulate-negative_sigma_t2",
+            "simulate-single_course_c2",
+            "simulate-balanced_c_above_m",
+            "simulate-q1_and_sigma_eps2_zero",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):

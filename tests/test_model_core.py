@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multilevel_design import (
+    FieldError,
     InformationMatrix,
     NonEstimableError,
     StudentVarianceComponents,
@@ -92,6 +93,30 @@ class TestDomainTypes:
             StudyLayout(a=2, m=(2, 2, 2), n=2)
         with pytest.raises(ValueError):
             StudyLayout(a=2, m=(2, 4), n=2).homogeneous_m()
+
+    def test_layout_rejects_non_integer_counts(self):
+        with pytest.raises(FieldError) as err:
+            StudyLayout(a=2, m=2.7, n=[5.9, 3])
+        assert err.value.field == "teachers_per_school"
+        with pytest.raises(FieldError) as err:
+            StudyLayout(a=2, m=2, n=[5.9, 3])
+        assert err.value.field == "students_per_school"
+        with pytest.raises(FieldError) as err:
+            StudyLayout(a=2.0, m=2, n=3)
+        assert err.value.field == "schools"
+
+    def test_errors_name_their_config_field(self):
+        with pytest.raises(FieldError) as err:
+            TeacherVarianceComponents(sigma_v2=-1.0, sigma_eps2=1.0)
+        assert err.value.field == "teacher_vc.sigma_v2"
+        with pytest.raises(FieldError) as err:
+            StudentVarianceComponents(1.0, -1.0, 1.0)
+        assert err.value.field == "student_vc.sigma_t2"
+        # the singular-covariance error is also a LinAlgError
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            StudentVarianceComponents(1.0, 1.0, 0.0).check_invertible()
+        assert isinstance(err.value, FieldError)
+        assert err.value.field == "student_vc.sigma_eta2"
 
     def test_treatment_assignment_validation(self):
         with pytest.raises(ValueError):

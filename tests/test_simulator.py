@@ -6,6 +6,7 @@ import pytest
 from multilevel_design import (
     AssignmentPolicy,
     DesignKind,
+    FieldError,
     NonEstimableError,
     PolicyKind,
     SimulationConfig,
@@ -95,6 +96,21 @@ class TestAssignmentPolicy:
     def test_single_course_c_fixed(self):
         with pytest.raises(ValueError):
             AssignmentPolicy(kind=AssignmentPolicy.single_course().kind, c=2)
+
+
+    def test_non_integer_c_rejected(self):
+        with pytest.raises(FieldError) as err:
+            AssignmentPolicy.with_replacement(2.5)
+        assert err.value.field == "assignment.c"
+
+    def test_errors_name_assignment_c(self):
+        with pytest.raises(FieldError) as err:
+            AssignmentPolicy(kind=PolicyKind.SINGLE_COURSE, c=2)
+        assert err.value.field == "assignment.c"
+        for m, n, c in ((4, 20, 5), (4, 7, 2)):
+            with pytest.raises(FieldError) as err:
+                AssignmentPolicy.balanced(c).check_school(m, n)
+            assert err.value.field == "assignment.c"
 
 
 class TestDrawAssignment:
@@ -339,6 +355,18 @@ class TestSimulate:
             make_config(design=D3, q=0.9)
         with pytest.raises(ValueError, match="even teacher count"):
             make_config(layout=StudyLayout(a=4, m=3, n=6))
+
+
+    def test_non_integer_replicates_rejected(self):
+        with pytest.raises(FieldError) as err:
+            make_config(replicates=2.5)
+        assert err.value.field == "replicates"
+
+    def test_covariance_blamed_before_design(self):
+        # two faults: the order of SimulationConfig's checks picks the field
+        with pytest.raises(FieldError) as err:
+            make_config(teacher_vc=TeacherVarianceComponents(1.6, 0.0), q=1.0)
+        assert err.value.field == "teacher_vc.sigma_eps2"
 
 
 class TestChunkedEngine:

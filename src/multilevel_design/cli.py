@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -51,8 +53,17 @@ from .simulator import (
 
 MODES = ("closed-form", "simulate", "compare", "validate")
 
-#: empirical/analytic variance ratios within this band pass validation
-VALIDATION_TOLERANCE = 0.10
+#: two-sided coverage of the band an empirical/analytic variance ratio must fall in
+VALIDATION_LEVEL = 0.999
+
+
+def variance_ratio_band(n_used: int) -> tuple[float, float]:
+    """Two-sided VALIDATION_LEVEL interval of a sample variance over its
+    expectation from ``n_used`` draws, chi^2_k / k with k = n_used - 1, by
+    the Wilson-Hilferty cube (1 - h -+ z sqrt(h))^3 with h = 2/(9k)."""
+    h = 2.0 / (9.0 * (n_used - 1))
+    z = statistics.NormalDist().inv_cdf(0.5 + VALIDATION_LEVEL / 2.0)
+    return (1.0 - h - z * math.sqrt(h)) ** 3, (1.0 - h + z * math.sqrt(h)) ** 3
 
 
 class ConfigError(Exception):
@@ -280,13 +291,10 @@ def apply_overrides(config: RunConfig, **flags) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if value is None:
+    """A CSV cell: empty for None and non-finite floats."""
+    if value is None or (isinstance(value, float) and not np.isfinite(value)):
         return ""
-    if isinstance(value, float):
-        if not np.isfinite(value):
-            return ""
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -296,13 +304,22 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#7c4fb0", "#c2851a", "#3aa6a6")
+_DASH = ' stroke-dasharray="6,4"'
+_MIDDLE = ' text-anchor="middle"'
+
+
+def _line(x1, y1, x2, y2, stroke: str = "black", width: float = 1, dash: str = "") -> str:
+    coords = f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"'
+    return f'<line {coords} stroke="{stroke}" stroke-width="{width}"{dash}/>'
+
+
+def _text(x, y, size: int, body: str, attrs: str = "") -> str:
+    return f'<text x="{x}" y="{y}" font-size="{size}"{attrs}>{body}</text>'
 
 
 def emit_density_svg(
@@ -312,35 +329,24 @@ def emit_density_svg(
     y_label: str = "density",
 ) -> Path:
     """One SVG with a labeled curve per series; point masses become vertical
-    markers.  Raises before touching the filesystem when there is nothing
-    to draw."""
+    markers, drawn after the curves.  Raises before touching the filesystem
+    when there is nothing to draw."""
     if not series:
         raise ValueError("no densities to plot")
     path = Path(path)
-    curves = []
-    markers = []
-    for label, dens in series.items():
-        if dens.is_point_mass:
-            markers.append((label, float(dens.point_mass)))
-        else:
-            curves.append((label, dens.grid, dens.density))
-
-    x_points = np.concatenate(
-        [g for _, g, _ in curves] + [np.array([v for _, v in markers])]
-    )
-    x_lo = float(np.min(x_points))
-    x_hi = float(np.max(x_points))
+    items = sorted(series.items(), key=lambda item: item[1].is_point_mass)
+    x_points = np.concatenate([d.grid if d.grid is not None else [d.point_mass] for _, d in items])
+    x_lo, x_hi = float(np.min(x_points)), float(np.max(x_points))
     if x_hi <= x_lo:
         pad = max(abs(x_lo) * 0.05, 1e-6)
         x_lo, x_hi = x_lo - pad, x_hi + pad
-    y_hi = max((float(d.max()) for _, _, d in curves), default=1.0)
+    y_hi = max((float(d.density.max()) for _, d in items if d.grid is not None), default=1.0)
     if y_hi <= 0.0:
         y_hi = 1.0
 
-    width, height = 800, 500
-    left, right, top, bottom = 70, 200, 24, 60
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    width, height, left, top = 800, 500, 70, 24
+    plot_w, plot_h = width - left - 200, height - top - 60
+    base, lx, mid = top + plot_h, left + plot_w + 12, f"{top + plot_h / 2:.3f}"
 
     def sx(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -352,77 +358,37 @@ def emit_density_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
-        f'stroke="black" stroke-width="1"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
-        f'stroke="black" stroke-width="1"/>',
+        _line(left, base, left + plot_w, base),
+        _line(left, top, left, base),
     ]
     for i in range(5):
         frac = i / 4.0
-        xv = x_lo + frac * (x_hi - x_lo)
-        px = sx(xv)
-        parts.append(
-            f'<line x1="{px:.3f}" y1="{top + plot_h}" x2="{px:.3f}" '
-            f'y2="{top + plot_h + 5}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.3f}" y="{top + plot_h + 20}" font-size="12" '
-            f'text-anchor="middle">{xv:.4g}</text>'
-        )
-        yv = frac * y_hi
-        py = sy(yv)
-        parts.append(
-            f'<line x1="{left - 5}" y1="{py:.3f}" x2="{left}" y2="{py:.3f}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{py + 4:.3f}" font-size="12" '
-            f'text-anchor="end">{yv:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.3f}" y="{height - 15}" font-size="14" '
-        f'text-anchor="middle">{escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{top + plot_h / 2:.3f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 20 {top + plot_h / 2:.3f})">{escape(y_label)}</text>'
-    )
-
-    legend_entries = []
-    color_iter = 0
-    for label, grid, dens in curves:
-        color = _PALETTE[color_iter % len(_PALETTE)]
-        color_iter += 1
-        points = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(grid, dens))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
-        legend_entries.append((label, color, False))
-    for label, value in markers:
-        color = _PALETTE[color_iter % len(_PALETTE)]
-        color_iter += 1
-        px = sx(value)
-        parts.append(
-            f'<line x1="{px:.3f}" y1="{top}" x2="{px:.3f}" y2="{top + plot_h}" '
-            f'stroke="{color}" stroke-width="1.5" stroke-dasharray="6,4"/>'
-        )
-        legend_entries.append((label, color, True))
-
-    ly = top + 12
-    lx = left + plot_w + 12
-    for label, color, dashed in legend_entries:
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"{dash}/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-size="12">{escape(label)}</text>'
-        )
-        ly += 18
-    parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")
+        xv, yv = x_lo + frac * (x_hi - x_lo), frac * y_hi
+        px, py = f"{sx(xv):.3f}", f"{sy(yv):.3f}"
+        parts += [
+            _line(px, base, px, base + 5),
+            _text(px, base + 20, 12, f"{xv:.4g}", _MIDDLE),
+            _line(left - 5, py, left, py),
+            _text(left - 8, f"{sy(yv) + 4:.3f}", 12, f"{yv:.4g}", ' text-anchor="end"'),
+        ]
+    parts += [
+        _text(f"{left + plot_w / 2:.3f}", height - 15, 14, escape(x_label), _MIDDLE),
+        _text(20, mid, 14, escape(y_label), f'{_MIDDLE} transform="rotate(-90 20 {mid})"'),
+    ]
+    legend = []
+    for i, (label, dens) in enumerate(items):
+        color, dash = _PALETTE[i % len(_PALETTE)], _DASH if dens.is_point_mass else ""
+        if dens.is_point_mass:
+            px = f"{sx(float(dens.point_mass)):.3f}"
+            parts.append(_line(px, top, px, base, color, 1.5, dash))
+        else:
+            points = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(dens.grid, dens.density))
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                         f'points="{points}"/>')
+        ly = top + 12 + 18 * i
+        legend += [_line(lx, ly - 4, lx + 24, ly - 4, color, 2, dash)]
+        legend += [_text(lx + 30, ly, 12, escape(label))]
+    _write_atomic(path, "\n".join(parts + legend + ["</svg>"]) + "\n")
     return path
 
 
@@ -469,12 +435,8 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
             t_j, w = traces[level]
             info = spec.a * design.information(spec.m, spec.a, t_j, w)
             inflation = design.inflation(config.q, spec.m, t_j, w)
-            if info > 0.0 and inflation is not None:
-                variance = inflation / info
-                se_diff = 2.0 * float(np.sqrt(variance))
-            else:
-                variance = None
-                se_diff = None
+            variance = inflation / info if info > 0.0 and inflation is not None else None
+            se_diff = None if variance is None else 2.0 * float(np.sqrt(variance))
             rows.append((design.value, level, info, variance, se_diff, inflation))
     _write_csv(
         out / "closed_forms.csv",
@@ -485,59 +447,35 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
 
 
 def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
-    results: dict[DesignKind, SimulationResult] = {
-        sim.design: simulate_anticipated_variance(sim) for sim in sim_configs
-    }
-
+    """Per design and level the samples and density CSVs, then the summary
+    and one SVG; a NaN (non-estimable) value writes an empty cell."""
+    results = [(sim.design.value, simulate_anticipated_variance(sim)) for sim in sim_configs]
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
-    for design, result in results.items():
+    for design, result in results:
         for level in LEVELS:
-            res = result.level(level)
-            sample_rows = []
-            for rep, variance in enumerate(res.variances):
-                estimable = np.isfinite(variance)
-                sample_rows.append(
-                    (
-                        rep,
-                        level,
-                        design.value,
-                        float(variance) if estimable else None,
-                        1 if estimable else 0,
-                    )
-                )
+            res, dens = result.level(level), result.level(level).density
             _write_csv(
-                out / f"samples_{design.value}_{level}.csv",
+                out / f"samples_{design}_{level}.csv",
                 ("replicate", "level", "design", "variance", "estimable"),
-                sample_rows,
+                [(r, level, design, float(v), int(np.isfinite(v)))
+                 for r, v in enumerate(res.variances)],
             )
             density_rows = []
-            if res.density is not None:
-                if res.density.is_point_mass:
-                    density_rows.append((level, design.value, res.density.point_mass, None))
-                else:
-                    for x, y in zip(res.density.grid, res.density.density):
-                        density_rows.append((level, design.value, float(x), float(y)))
-                series[f"{design.value} {level}"] = res.density
+            if dens is not None:
+                series[f"{design} {level}"] = dens
+                curve = [] if dens.is_point_mass else zip(dens.grid, dens.density)
+                density_rows = [(level, design, float(x), float(y)) for x, y in curve] or [
+                    (level, design, dens.point_mass, None)
+                ]
             _write_csv(
-                out / f"density_{design.value}_{level}.csv",
+                out / f"density_{design}_{level}.csv",
                 ("level", "design", "variance", "density"),
                 density_rows,
             )
-            se_diff = (
-                2.0 * float(np.sqrt(res.mean)) if np.isfinite(res.mean) else None
-            )
-            summary_rows.append(
-                (
-                    design.value,
-                    level,
-                    res.mean if np.isfinite(res.mean) else None,
-                    res.sd if np.isfinite(res.sd) else None,
-                    se_diff,
-                    res.power,
-                    res.non_estimable / result.replicates,
-                )
-            )
+            se_diff = 2.0 * float(np.sqrt(res.mean))
+            frac = res.non_estimable / result.replicates
+            summary_rows.append((design, level, res.mean, res.sd, se_diff, res.power, frac))
     _write_csv(
         out / "summary.csv",
         ("design", "level", "mean_var", "sd_var", "se_diff", "power", "non_estimable_frac"),
@@ -550,39 +488,24 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
 
 def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     rows = []
-    failed = False
     for sim in sim_configs:
-        design = sim.design
         try:
             study = estimator_variance_study(sim)
         except NonEstimableError:
             # too few estimable replicates to estimate a variance: a failure
-            failed = True
-            rows.extend((design.value, level, None, None, None, 0) for level in LEVELS)
+            rows.extend((sim.design.value, level, None, None, None, 0) for level in LEVELS)
             continue
-        for level in LEVELS:
-            res = study[level]
-            ok = (
-                abs(res.variance_ratio - 1.0) <= VALIDATION_TOLERANCE
-                and res.mean_error_z <= 3.0
-            )
-            failed = failed or not ok
-            rows.append(
-                (
-                    design.value,
-                    level,
-                    res.anticipated_mean,
-                    res.coef_variance,
-                    res.variance_ratio,
-                    1 if ok else 0,
-                )
-            )
+        for level, res in study.items():
+            low, high = variance_ratio_band(res.n_used)
+            ok = low <= res.variance_ratio <= high and res.mean_error_z <= 3.0
+            cells = (res.anticipated_mean, res.coef_variance, res.variance_ratio, int(ok))
+            rows.append((sim.design.value, level) + cells)
     _write_csv(
         out / "validate.csv",
         ("design", "level", "analytic_var", "empirical_var", "ratio", "pass"),
         rows,
     )
-    return 2 if failed else 0
+    return 2 if any(row[-1] == 0 for row in rows) else 0
 
 
 def run(config: RunConfig) -> int:

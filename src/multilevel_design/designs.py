@@ -140,27 +140,43 @@ def draw_randomization(
 ) -> TreatmentAssignment:
     """Draw one equiprobable balanced realization of the design."""
     kind.check_parity(layout.a, layout.m)
-    signs = _randomization_signs(kind, layout.m, rng)
+    signs = _randomization_signs(kind, layout.m, rng.random(_sign_uniforms(kind, layout.m)))
     return TreatmentAssignment(r=tuple(row[:m_i] for row, m_i in zip(signs, layout.m)))
 
 
-def _randomization_signs(kind: DesignKind, m: Sequence[int], rng: np.random.Generator):
-    """One realization as an (a, max m) array of +-1 signs, 0 beyond each
-    school's m_i; the generator calls of ``draw_randomization``."""
-    real = np.arange(max(m)) < np.array(m)[:, None]
-    signs = np.where(real, -1.0, 0.0)
+def _sign_uniforms(kind: DesignKind, m: Sequence[int]) -> int:
+    """Uniforms one realization consumes: a key per school under
+    randomize_schools, a key per teacher otherwise."""
+    return len(m) if kind is DesignKind.RANDOMIZE_SCHOOLS else sum(m)
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each key's 0-based rank along the last axis, ties in slot order."""
+    return np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
+
+
+def _school_keys(u: np.ndarray, starts, counts, width: int) -> np.ndarray:
+    """Each school's run of ``counts[i]`` uniforms from ``starts[i]`` of ``u``'s
+    last axis as (..., a, width) sort keys, +inf (last) beyond the run."""
+    slots = np.arange(width)
+    keys = u[..., np.minimum(np.asarray(starts)[:, None] + slots, u.shape[-1] - 1)]
+    return np.where(slots < np.asarray(counts)[:, None], keys, np.inf)
+
+
+def _randomization_signs(kind: DesignKind, m: Sequence[int], u: np.ndarray) -> np.ndarray:
+    """Realizations as (..., a, max m) +-1 signs, 0 beyond each school's m_i,
+    from uniform keys ``u`` (..., _sign_uniforms): the half of the schools,
+    of each school's teachers or of all teachers with the smallest is treated."""
+    m = np.asarray(m)
+    real = np.arange(m.max()) < m[:, None]
     if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        treated = rng.permutation(len(m))[: len(m) // 2]
-        signs[treated] = real[treated]
+        treated = (_ranks(u) < len(m) // 2)[..., None]
     elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        for i, m_i in enumerate(m):
-            signs[i, rng.permutation(m_i)[: m_i // 2]] = 1.0
+        treated = _ranks(_school_keys(u, np.cumsum(m) - m, m, m.max())) < m[:, None] // 2
     else:
-        total = sum(m)
-        pooled = -np.ones(total)
-        pooled[rng.permutation(total)[: total // 2]] = 1.0
-        signs[real] = pooled
-    return signs
+        treated = np.zeros(u.shape[:-1] + real.shape, dtype=bool)
+        treated[..., real] = _ranks(u) < m.sum() // 2
+    return np.where(real, np.where(treated, 1.0, -1.0), 0.0)
 
 
 def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
@@ -221,25 +237,24 @@ def draw_contamination(
     """
     validate_contamination(kind, q)
     r = assignment.r
-    flags = _contamination_flags(_padded(r, (max(ri.size for ri in r),)), q, rng)
+    signs = _padded(r, (max(ri.size for ri in r),))
+    flags = _contamination_flags(signs, q, rng.random(sum(ri.size for ri in r)))
     return TreatmentAssignment(r=r, c=tuple(f[: ri.size] for f, ri in zip(flags, r)))
 
 
-def _contamination_flags(signs: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
-    """0/1 contamination flags for an (a, max m) sign array (0 marks a padded
-    slot); the generator calls of ``draw_contamination``: one uniform per
-    teacher of every school that has a control teacher, school by school."""
-    real = signs != 0.0
-    controls = signs == -1.0
-    m = real.sum(axis=1)
-    prob = (signs.sum(axis=1) + m) * q / m
-    drawn = controls.any(axis=1)
-    if np.any(prob[drawn] > 1.0 + 1e-12):
-        raise ValueError(f"q={q} gives a contamination probability of {prob[drawn].max():g} > 1")
-    u = np.ones(signs.shape)
-    u[drawn[:, None] & real] = rng.random(int(m[drawn].sum()))
-    # an all-treated school has nobody to contaminate and draws nothing
-    return (controls & (u < np.minimum(prob, 1.0)[:, None])).astype(float)
+def _contamination_flags(signs: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
+    """0/1 contamination flags for (..., a, max m) signs (0 marks a padded
+    slot) from one uniform per teacher (..., sum m), school by school: a
+    control teacher contaminates when its uniform is below the probability."""
+    real, controls = signs != 0.0, signs == -1.0
+    m = real.sum(axis=-1)
+    prob = (signs.sum(axis=-1) + m) * q / m
+    drawn = prob[controls.any(axis=-1)]  # an all-treated school has nobody to contaminate
+    if np.any(drawn > 1.0 + 1e-12):
+        raise ValueError(f"q={q} gives a contamination probability of {drawn.max():g} > 1")
+    keys = np.ones(signs.shape)
+    keys[real] = u.ravel()
+    return (controls & (keys < np.minimum(prob, 1.0)[..., None])).astype(float)
 
 
 def expected_contamination(

@@ -57,13 +57,13 @@ class SingularCovarianceError(FieldError, np.linalg.LinAlgError):
     """A variance component that every covariance inversion needs is zero."""
 
 
-#: admissible [low, high) of every integer field; None leaves it unbounded
+#: admissible [low, high) of every integer field
 _INTEGER_RANGES = {
-    "schools": (2, None),
-    "teachers_per_school": (1, None),
-    "students_per_school": (1, None),
-    "assignment.c": (1, None),
-    "replicates": (1, None),
+    "schools": (2, 2**16),
+    "teachers_per_school": (1, 2**16),
+    "students_per_school": (1, 2**24),
+    "assignment.c": (1, 2**10),
+    "replicates": (1, 2**22),
     "seed": (0, 2**64),
 }
 
@@ -74,9 +74,8 @@ def check_integer(value, field: str) -> int:
     low, high = _INTEGER_RANGES[field]
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise FieldError(field, f"{field} must be an integer, got {value!r}")
-    if value < low or (high is not None and value >= high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise FieldError(field, f"{field} must be {bounds}, got {value}")
+    if not low <= value < high:
+        raise FieldError(field, f"{field} must be in [{low}, {high}), got {value}")
     return int(value)
 
 

@@ -5,8 +5,9 @@ arrays: each student's teacher picks and each teacher's +-1 randomization
 and contamination, schools padded to the largest.  Per chunk, bincounts over
 the picks give each school's Gram [1 D]'[1 D] (no n x m D is formed), one
 kernel call the student precisions and one contraction per level the
-information; one pivot per run gives the variances.  Replicates are keyed by
-(master seed, replicate index, purpose), so chunking changes no result.
+information; one pivot per run gives the variances.  Each purpose has one
+stream keyed by (seed, purpose) of which a replicate takes K uniforms from
+offset r*K, so a chunk is one draw per purpose and chunking changes no result.
 
 A second path generates synthetic responses on the same draws and
 GLS-estimates them per chunk, which validates the analytic anticipated
@@ -25,7 +26,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .designs import DesignKind, _contamination_flags, _randomization_signs
+from .designs import (
+    DesignKind,
+    _contamination_flags,
+    _randomization_signs,
+    _school_keys,
+    _sign_uniforms,
+)
 from .model_core import (
     TREATMENT_COLUMN,
     FieldError,
@@ -128,38 +135,58 @@ def draw_assignment(
     replacement, so entries can exceed 1.
 
     single_course: each student gets one teacher and every section has
-    exactly n/m students.
+    exactly n/m students (the balanced construction with c = 1).
     """
     policy.check_school(m, n)
-    cells = (np.arange(n)[:, None] * m + _picks(policy, m, n, rng)).ravel()
+    u = rng.random((1, _assignment_uniforms(policy, (m,), (n,))))
+    cells = (np.arange(n)[:, None] * m + _picks(policy, (m,), (n,), u)[0].T).ravel()
     return np.bincount(cells, minlength=n * m).reshape(n, m).astype(float)
 
 
-def _picks(policy: AssignmentPolicy, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The (n, c) teacher indices ("picks") of one school's students; row s
-    of D counts the picks in row s."""
-    c = policy.c
+def _assignment_uniforms(policy: AssignmentPolicy, m: Sequence[int], n: Sequence[int]) -> int:
+    """Uniforms a layout's picks consume: c per student with replacement,
+    otherwise per school one remainder offset, a key per teacher and one
+    per student."""
+    replacing = policy.kind is PolicyKind.WITH_REPLACEMENT
+    return policy.c * sum(n) if replacing else len(m) + sum(m) + sum(n)
+
+
+def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
+    """The (R, c, sum n) teacher indices ("picks") of every student from the
+    uniforms ``u`` (R, K) laid out school by school; row s of D counts
+    student s's picks.  With replacement a pick is floor(u m_i); otherwise
+    the offset is floor(u m_i) and relabeling and student order are stable
+    argsorts of uniform keys."""
+    c, ms, ns = policy.c, np.asarray(m), np.asarray(n)
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        return rng.integers(0, m, size=(n, c))
-    if policy.kind is PolicyKind.SINGLE_COURSE:
-        teachers = np.repeat(np.arange(m), n // m)
-        rng.shuffle(teachers)
-        return teachers[:, None]
-    full, rest = divmod(n, math.comb(m, c))
-    rows = []
-    if full:
-        rows.append(np.tile(_subsets(m, c), (full, 1)))
-    if rest:
-        offset = int(rng.integers(m))
-        rows.append((offset + c * np.arange(rest)[:, None] + np.arange(c)) % m)
-    relabel = rng.permutation(m)
-    order = rng.permutation(n)
-    return relabel[np.concatenate(rows)[order]]
+        u = np.swapaxes(u.reshape(len(u), -1, c), -1, -2) * np.repeat(ms, ns)
+        return u.astype(np.intp, order="C")  # truncation is floor here
+    starts = np.cumsum(1 + ms + ns) - (1 + ms + ns)
+    offset = (u[:, starts, None] * ms[:, None]).astype(np.intp)
+    relabel = np.argsort(_school_keys(u, starts + 1, ms, ms.max()), axis=-1, kind="stable")
+    shifted = np.take_along_axis(relabel, (np.arange(ms.max()) + offset) % ms[:, None], -1)
+    order = np.argsort(_school_keys(u, starts + 1 + ms, ns, ns.max()), axis=-1, kind="stable")
+    school = np.repeat(np.arange(len(ms)), ns)
+    slots = _balanced_slots(m, n, c)[school, order[:, np.arange(ns.max()) < ns[:, None]]]
+    table = np.concatenate([relabel, shifted], -1)
+    picks = table[np.arange(len(u))[:, None, None], school[:, None], slots]
+    return np.ascontiguousarray(np.swapaxes(picks, -1, -2))
 
 
 @functools.cache
-def _subsets(m: int, c: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(m), c)))
+def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
+    """Every school's (max n, c) balanced rows as slots of [relabel, relabel
+    shifted by the remainder offset]: full passes over the c-subsets, then
+    the remainder's (c*j + k) mod m_i in the shifted half."""
+    slots = np.zeros((len(m), max(n), c), dtype=np.intp)
+    for i, (m_i, n_i) in enumerate(zip(m, n)):
+        full, rest = divmod(n_i, math.comb(m_i, c))
+        if full:
+            subsets = np.array(list(itertools.combinations(range(m_i), c)))
+            slots[i, : n_i - rest] = np.tile(subsets, (full, 1))
+        slots[i, n_i - rest : n_i] = max(m) + (c * np.arange(rest)[:, None] + np.arange(c)) % m_i
+    slots.setflags(write=False)  # cached: every caller shares it
+    return slots
 
 
 @dataclass(frozen=True)
@@ -170,8 +197,8 @@ class SimulationConfig:
     config whose replicates would all fail, in this order: a singular
     covariance at either level, a design parity violation, q outside the
     design's range, q = 1 under within-school randomization, a policy that
-    cannot fill the layout, or balanced c = m under within-school
-    randomization.
+    cannot fill the layout, balanced c = m under within-school
+    randomization, or a replicate over _REPLICATE_BYTES_LIMIT.
     """
 
     layout: StudyLayout
@@ -197,6 +224,11 @@ class SimulationConfig:
         for m_i, n_i in zip(self.layout.m, self.layout.n):
             self.policy.check_school(m_i, n_i)
         self.policy.check_student_estimable(self.design, self.layout.m)
+        students, teachers = _footprint(self.layout, self.policy.c)
+        if students + teachers > _REPLICATE_BYTES_LIMIT:
+            field = "students_per_school" if students > teachers else "teachers_per_school"
+            size = f"{students + teachers} bytes, over {_REPLICATE_BYTES_LIMIT}"
+            raise FieldError(field, f"one replicate's arrays need {size}")
 
     @property
     def effective_q(self) -> float:
@@ -204,17 +236,35 @@ class SimulationConfig:
 
 
 class ReplicateStreams(NamedTuple):
+    """Per purpose of the random numbers: a generator, or a replicate's K."""
+
     assignment: np.random.Generator
     randomization: np.random.Generator
     contamination: np.random.Generator
     responses: np.random.Generator
 
 
-def replicate_streams(seed: int, replicate: int) -> ReplicateStreams:
-    """Independent per-purpose generators keyed by (seed, replicate); each is
-    ``default_rng`` of a spawned seed, built without its per-call wrapper."""
-    root = np.random.SeedSequence([seed, replicate])
-    return ReplicateStreams(*(np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4)))
+def replicate_streams(config: SimulationConfig, replicate: int) -> ReplicateStreams:
+    """Each purpose's stream, keyed by (seed, purpose), advanced to the first
+    uniform of replicate ``replicate``: offset replicate * K_purpose."""
+    return ReplicateStreams(
+        *(
+            np.random.Generator(np.random.PCG64([config.seed, k]).advance(replicate * size))
+            for k, size in enumerate(_stream_sizes(config))
+        )
+    )
+
+
+def _stream_sizes(config: SimulationConfig) -> ReplicateStreams:
+    """K per purpose: the uniforms one replicate's draws consume."""
+    m, n = config.layout.m, config.layout.n
+    teachers = sum(m) + len(m)  # the normals of _teacher_slots, then of _student_slots
+    return ReplicateStreams(
+        _assignment_uniforms(config.policy, m, n),
+        _sign_uniforms(config.design, m),
+        sum(m),
+        _paired(teachers) + _paired(teachers + sum(n)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,16 +406,21 @@ def _summarize_level(
 
 #: cap on the bytes of a chunk of replicates' largest arrays (see _replicate_bytes)
 _CHUNK_BYTES = 2**21
+#: a layout whose one replicate needs more bytes than this is rejected
+_REPLICATE_BYTES_LIMIT = 2**30
+
+
+def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
+    """Bytes one replicate adds to a chunk's largest arrays, sized by the
+    students and by the teachers: the picks and pick-pair codes (2c +
+    c(c-1)/2 integers a student) and about eight arrays the size of every
+    school's Gram (pair counts, Gram, its scaled copies, the solve and G,
+    each at most (max m + 2)^2 per school)."""
+    return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
 
 def _replicate_bytes(config: SimulationConfig) -> int:
-    """Bytes one replicate adds to a chunk's largest arrays: the picks and
-    pick-pair codes (2c + c(c-1)/2 integers a student) and about eight
-    arrays the size of every school's Gram (pair counts, Gram, its scaled
-    copies, the solve and G, each at most (max m + 2)^2 per school)."""
-    layout, c = config.layout, config.policy.c
-    picks = sum(layout.n) * (2 * c + math.comb(c, 2))
-    return 8 * (picks + 8 * layout.a * (max(layout.m) + 2) ** 2)
+    return sum(_footprint(config.layout, config.policy.c))
 
 
 def _chunks(config: SimulationConfig) -> list[range]:
@@ -374,33 +429,26 @@ def _chunks(config: SimulationConfig) -> list[range]:
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _draw_chunk(config: SimulationConfig, reps: range, normals: int = 0) -> tuple[np.ndarray, ...]:
-    """Replicates ``reps`` drawn with the public draws' generator calls: picks
-    (R, c, sum n), design matrices (R, a, max m, p) with zero rows for padded
-    teachers, and ``normals`` response normals each.  With_replacement under
-    one m draws every school's picks in one call: the bit generator keeps the
-    spare 32-bit half of a 64-bit draw across calls, so the values and the
-    final state equal the per-school calls' (one call in place of a)."""
-    layout, policy, q = config.layout, config.policy, config.effective_q
-    one_call = policy.kind is PolicyKind.WITH_REPLACEMENT and len(set(layout.m)) == 1
-    picks = np.empty((len(reps), policy.c, sum(layout.n)), dtype=np.intp)
+def _draw_chunk(
+    config: SimulationConfig, reps: range, responses: bool = False
+) -> tuple[np.ndarray, ...]:
+    """Replicates ``reps``' picks (R, c, sum n), design matrices (R, a, max m,
+    p) with zero rows for padded teachers, and, given ``responses``, their
+    response uniforms (R, K): one uniform draw per purpose, none per
+    replicate."""
+    layout, q = config.layout, config.effective_q
+    streams, sizes = replicate_streams(config, reps.start), _stream_sizes(config)
+
+    def uniforms(purpose: str) -> np.ndarray:
+        return getattr(streams, purpose).random((len(reps), getattr(sizes, purpose)))
+
+    picks = _picks(config.policy, layout.m, layout.n, uniforms("assignment"))
     x = np.zeros((len(reps), layout.a, max(layout.m), 3 if q > 0.0 else 2))
     x[..., 0] = np.arange(max(layout.m)) < np.array(layout.m)[:, None]
-    z = np.empty((len(reps), normals))
-    for j, rep in enumerate(reps):
-        streams = replicate_streams(config.seed, rep)
-        rng = streams.assignment
-        if one_call:
-            picks[j] = rng.integers(0, layout.m[0], size=(sum(layout.n), policy.c)).T
-        else:
-            schools = zip(layout.m, layout.n)
-            picks[j] = np.concatenate([_picks(policy, m_i, n_i, rng) for m_i, n_i in schools]).T
-        x[j, ..., 1] = _randomization_signs(config.design, layout.m, streams.randomization)
-        if q > 0.0:
-            x[j, ..., 2] = _contamination_flags(x[j, ..., 1], q, streams.contamination)
-        if normals:
-            z[j] = streams.responses.standard_normal(normals)
-    return picks, x, z
+    x[..., 1] = _randomization_signs(config.design, layout.m, uniforms("randomization"))
+    if q > 0.0:
+        x[..., 2] = _contamination_flags(x[..., 1], q, uniforms("contamination"))
+    return picks, x, uniforms("responses") if responses else None
 
 
 def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = None) -> np.ndarray:
@@ -441,7 +489,7 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     """Distribution of the anticipated treatment variance at both levels.
 
     Deterministic given (seed, config): replicate i always consumes the same
-    random streams.  One pivot per run gives every variance, NaN for a
+    uniforms of each purpose's stream.  One pivot per run gives every variance, NaN for a
     replicate whose treatment direction is singular.
     """
     infos = np.concatenate([_replicate_information(config, r) for r in _chunks(config)], axis=1)
@@ -451,21 +499,35 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
 
 
 def _teacher_slots(m: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Where each school's v_i and its m_i eps_ij start in the one draw of
-    generate_teacher_responses, which takes them school by school, and the
-    draw's size."""
+    """Where each school's v_i and its m_i eps_ij start in the normals of
+    generate_teacher_responses, which takes them school by school, and
+    their count."""
     m = np.asarray(m)
     v = np.cumsum(m + 1) - (m + 1)
     return v, v + 1, int(np.sum(m + 1))
 
 
 def _student_slots(m: Sequence[int], n: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Where each school's m_i t_ij, s_i and n_i eta_is start in the one draw
+    """Where each school's m_i t_ij, s_i and n_i eta_is start in the normals
     of generate_student_responses, which takes them school by school, and
-    the draw's size."""
+    their count."""
     m, n = np.asarray(m), np.asarray(n)
     t = np.cumsum(m + 1 + n) - (m + 1 + n)
     return t, t + m, t + m + 1, int(np.sum(m + 1 + n))
+
+
+def _paired(k: int) -> int:
+    """Uniforms that k Box-Muller normals consume: 2 * ceil(k / 2)."""
+    return k + k % 2
+
+
+def _normals(u: np.ndarray, k: int) -> np.ndarray:
+    """k standard normals from the last axis of ``u``, _paired(k) uniforms, by
+    Box-Muller: sqrt(-2 log(1 - u1)) (cos, sin)(2 pi u2), finite at u1 = 0."""
+    pairs = u.reshape(u.shape[:-1] + (-1, 2))
+    radius = np.sqrt(-2.0 * np.log1p(-pairs[..., 0]))
+    angle = 2.0 * np.pi * pairs[..., 1]
+    return (radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], -1)).reshape(u.shape)[..., :k]
 
 
 def generate_teacher_responses(
@@ -478,7 +540,7 @@ def generate_teacher_responses(
     beta = np.asarray(beta, dtype=float)
     xs = [np.asarray(x, dtype=float) for x in xs]
     v, eps, size = _teacher_slots([len(x) for x in xs])
-    z = rng.standard_normal(size)
+    z = _normals(rng.random(_paired(size)), size)
     sd_v, sd_eps = np.sqrt(vc.sigma_v2), np.sqrt(vc.sigma_eps2)
     return [x @ beta + sd_v * z[v_i] + sd_eps * z[e : e + len(x)] for x, v_i, e in zip(xs, v, eps)]
 
@@ -495,7 +557,7 @@ def generate_student_responses(
     xs = [np.asarray(x, dtype=float) for x in xs]
     ds = [np.asarray(d, dtype=float) for d in ds]
     t, s, eta, size = _student_slots([len(x) for x in xs], [len(d) for d in ds])
-    z = rng.standard_normal(size)
+    z = _normals(rng.random(_paired(size)), size)
     sd_t, sd_s, sd_eta = np.sqrt(vc.sigma_t2), np.sqrt(vc.sigma_s2), np.sqrt(vc.sigma_eta2)
     return [
         d @ (x @ theta + sd_t * z[t_i : t_i + len(x)]) + sd_s * z[s_i] + sd_eta * z[e : e + len(d)]
@@ -543,8 +605,9 @@ def _study_chunk(config: SimulationConfig, reps: range, beta: np.ndarray, theta:
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
-    picks, x, z = _draw_chunk(config, reps, t_size + s_size)
-    z_t, z_s = z[:, :t_size], z[:, t_size:]
+    picks, x, u = _draw_chunk(config, reps, responses=True)
+    z_t = _normals(u[:, : _paired(t_size)], t_size)
+    z_s = _normals(u[:, _paired(t_size) :], s_size)
     # each teacher's and student's offset in its school's run; a padded
     # teacher (zero intercept) rereads its school's first slot
     teacher = (np.arange(x.shape[2]) * x[0, ..., 0]).astype(int)

@@ -136,8 +136,11 @@ def contaminated_treatment_entry_numeric(g, q):
 
 def balanced_assignment_loop(m, n, c, rng):
     """Balanced n x m assignment dealt one student at a time: full passes
-    over the c-subsets, a cyclic remainder, then random teacher relabeling
-    and student order.  Draws from ``rng`` in the library's order."""
+    over the c-subsets, a cyclic remainder shifted by floor(u m) of one
+    uniform u, then teacher relabeling and student order sorted by one
+    uniform key each (Python's stable sort).  Takes its 1 + m + n uniforms
+    from ``rng`` in the library's order."""
+    u = rng.random(1 + m + n)
     n_subsets = math.comb(m, c)
     full, rest = divmod(n, n_subsets)
     rows = []
@@ -145,22 +148,23 @@ def balanced_assignment_loop(m, n, c, rng):
         subsets = list(itertools.combinations(range(m), c))
         for _ in range(full):
             rows.extend(subsets)
-    if rest:
-        offset = int(rng.integers(m))
-        for i in range(rest):
-            rows.append(tuple((offset + i * c + j) % m for j in range(c)))
-    relabel = rng.permutation(m)
-    order = rng.permutation(n)
+    offset = int(u[0] * m)
+    for i in range(rest):
+        rows.append(tuple((offset + i * c + j) % m for j in range(c)))
+    relabel = sorted(range(m), key=lambda t: u[1 + t])
+    order = sorted(range(n), key=lambda s: u[1 + m + s])
     out = np.zeros((n, m))
     for pos, row_idx in enumerate(order):
-        out[pos, relabel[list(rows[row_idx])]] = 1.0
+        out[pos, [relabel[t] for t in rows[row_idx]]] = 1.0
     return out
 
 
 def with_replacement_assignment_loop(m, n, c, rng):
-    """n x m counts of c uniform picks per student, added one pick at a time."""
+    """n x m counts of c uniform picks floor(u m) per student, added one pick
+    at a time from the student's c consecutive uniforms."""
     out = np.zeros((n, m))
-    picks = rng.integers(0, m, size=(n, c))
-    for j in range(c):
-        np.add.at(out, (np.arange(n), picks[:, j]), 1.0)
+    u = rng.random((n, c))
+    for s in range(n):
+        for j in range(c):
+            out[s, int(u[s, j] * m)] += 1.0
     return out

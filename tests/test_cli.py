@@ -1,5 +1,6 @@
 """Tests for config parsing, artifact emission, and the CLI entry point."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,9 @@ from multilevel_design.cli import (
     parse_config_data,
     run,
     serialize_config,
+    variance_ratio_band,
 )
+from multilevel_design import cli
 
 from oracles import (
     dense_expected_student_info,
@@ -295,22 +298,44 @@ class TestValidateMode:
         assert len(lines) == 3
         assert all(line.endswith(",1") for line in lines[1:])
 
-    def test_underpowered_validate_exits_2(self, tmp_path):
-        # 30 synthetic data sets cannot pin a variance to 10%; this seed's
-        # teacher ratio lands far outside the band
-        out = tmp_path / "out"
-        data = base_config(
-            designs=["within_schools"],
-            replicates=30,
-            seed=3,
-            effect_size_diff=1.0,
-            mode="validate",
-            out_dir=str(out),
-        )
-        config = parse_config(write_config(tmp_path, data))
-        assert run(config) == 2
-        lines = (out / "validate.csv").read_text().splitlines()
-        assert any(line.endswith(",0") for line in lines[1:])
+    def test_underpowered_validate_exits_2(self, tmp_path, monkeypatch):
+        # 30 synthetic data sets put the ratio band at about [0.35, 2.10]: a
+        # teacher ratio 1% above it fails its row and the run, one 1% below
+        # passes (a fixed 10% band would fail both)
+        real = cli.estimator_variance_study
+        for scale, code, flag in ((1.01, 2, ",0"), (0.99, 0, ",1")):
+            def study(sim, scale=scale):
+                levels = real(sim)
+                res = levels["teacher"]
+                ratio = scale * variance_ratio_band(res.n_used)[1]
+                variance = ratio * res.anticipated_mean
+                levels["teacher"] = dataclasses.replace(res, coef_variance=variance)
+                return levels
+
+            monkeypatch.setattr(cli, "estimator_variance_study", study)
+            out = tmp_path / f"out{code}"
+            data = base_config(
+                designs=["within_schools"],
+                replicates=30,
+                seed=3,
+                effect_size_diff=1.0,
+                mode="validate",
+                out_dir=str(out),
+            )
+            config = parse_config(write_config(tmp_path, data))
+            assert run(config) == code
+            lines = (out / "validate.csv").read_text().splitlines()
+            assert lines[1].startswith("within_schools,teacher,") and lines[1].endswith(flag)
+
+    def test_ratio_band_is_the_chi_square_interval(self):
+        # the 99.9% interval of chi^2_k / k, k = n - 1, by Wilson-Hilferty
+        low, high = variance_ratio_band(300)
+        assert low == pytest.approx(0.7526, abs=1e-3) and high == pytest.approx(1.2912, abs=1e-3)
+        assert variance_ratio_band(2201) == pytest.approx((0.9037, 1.1022), abs=1e-3)
+        stats = pytest.importorskip("scipy.stats")
+        for n in (30, 300, 2200):
+            exact = stats.chi2.ppf([0.0005, 0.9995], n - 1) / (n - 1)
+            np.testing.assert_allclose(variance_ratio_band(n), exact, rtol=1e-2)
 
     def test_too_few_estimable_replicates_fail(self, tmp_path):
         # balanced c = m gives D = J, so crd's student level is estimable only
@@ -418,6 +443,11 @@ class TestErrorContract:
                 {"designs": ["within_schools"], "q": 1.0, "teacher_vc": ZERO_EPS},
                 "teacher_vc.sigma_eps2",
             ),
+            ("simulate", {"schools": 10**30}, "schools"),
+            ("simulate", {"students_per_school": 10**9}, "students_per_school"),
+            ("validate", {"replicates": 2**40}, "replicates"),
+            ("simulate", {"schools": 4096, "students_per_school": 2**20}, "students_per_school"),
+            ("simulate", {"teachers_per_school": 8192}, "teachers_per_school"),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -447,6 +477,11 @@ class TestErrorContract:
             "simulate-single_course_c2",
             "simulate-balanced_c_above_m",
             "simulate-q1_and_sigma_eps2_zero",
+            "simulate-schools_10_30",
+            "simulate-students_10_9",
+            "validate-replicates_2_40",
+            "simulate-replicate_over_1GiB_students",
+            "simulate-replicate_over_1GiB_teachers",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):

@@ -33,6 +33,7 @@ from multilevel_design import (
 from multilevel_design.designs import (
     _contamination_flags,
     _randomization_signs,
+    _sign_uniforms,
     validate_contamination,
 )
 
@@ -99,11 +100,11 @@ class TestDrawRandomization:
     def test_empirical_moments(self, kind, m, a):
         # mean within 3 standard errors of 0, covariance coefficients
         # within 2 percent of their closed forms
-        # the array draw behind draw_randomization: the same generator calls;
-        # the +-1 sums are integers, so summing them at once changes nothing
+        # the array draw behind draw_randomization, every draw in one call
         rng = np.random.default_rng(20090101)
         draws = 100_000
-        pooled = np.array([_randomization_signs(kind, (m,) * a, rng).ravel() for _ in range(draws)])
+        u = rng.random((draws, _sign_uniforms(kind, (m,) * a)))
+        pooled = _randomization_signs(kind, (m,) * a, u).reshape(draws, -1)
         acc = pooled.sum(axis=0)
         acc2 = pooled.T @ pooled
         mean = acc / draws
@@ -373,14 +374,13 @@ class TestExpectedContamination:
                 np.testing.assert_allclose(mu, 0.0)
 
     def test_design3_monte_carlo(self):
-        # the array draws behind draw_randomization and draw_contamination
+        # the array draws behind draw_randomization and draw_contamination,
+        # every draw in one call each
         rng = np.random.default_rng(20090202)
         draws = 20_000
-        acc = np.zeros(8)
-        for _ in range(draws):
-            signs = _randomization_signs(D3, (8,) * 16, rng)
-            acc += _contamination_flags(signs, 0.5, rng)[0]
-        np.testing.assert_allclose(acc / draws, 0.2204724409448819, rtol=0.01 * 3)
+        signs = _randomization_signs(D3, (8,) * 16, rng.random((draws, 128)))
+        flags = _contamination_flags(signs, 0.5, rng.random((draws, 128)))
+        np.testing.assert_allclose(flags[:, 0].mean(axis=0), 0.2204724409448819, rtol=0.01 * 3)
 
 
 class TestContaminatedMomentMatrix:
@@ -428,19 +428,18 @@ class TestContaminatedMomentMatrix:
             contaminated_expected_moment_matrix(g, D2, 0.5)
 
     def test_monte_carlo_moments(self):
-        # empirical average of X'GX over design-2 draws with contamination
+        # empirical average of X'GX over design-2 draws with contamination,
+        # the array draws behind draw_randomization and draw_contamination
+        # taking every draw in one call each; X is the first school's [1 R C]
         rng = np.random.default_rng(20090203)
         m, q = 4, 0.5
         g = np.linalg.inv(teacher_cov(m, 0.9, 1.7))
         e, _ = contaminated_expected_moment_matrix(g, D2, q)
-        layout = StudyLayout(a=2, m=m, n=1)
-        acc = np.zeros((3, 3))
         draws = 40_000
-        for _ in range(draws):
-            draw = draw_randomization(D2, layout, rng)
-            draw = draw_contamination(draw, q, rng, kind=D2)
-            x = design_matrices(draw)[0]
-            acc += x.T @ g @ x
+        signs = _randomization_signs(D2, (m, m), rng.random((draws, 2 * m)))
+        flags = _contamination_flags(signs, q, rng.random((draws, 2 * m)))
+        x = np.stack([np.ones((draws, m)), signs[:, 0], flags[:, 0]], axis=-1)
+        acc = np.einsum("dip,ij,djq->pq", x, g, x)
         np.testing.assert_allclose(acc / draws, e, atol=0.02 * np.abs(e).max())
 
 

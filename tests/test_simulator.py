@@ -64,8 +64,9 @@ def make_config(**overrides):
 
 
 def public_draws(config, rep):
-    """Replicate ``rep``'s (D, X) through the public one-school draw functions."""
-    streams = replicate_streams(config.seed, rep)
+    """Replicate ``rep``'s (D, X) through the public one-school draw functions,
+    called in school order on each purpose's stream advanced to ``rep``."""
+    streams = replicate_streams(config, rep)
     ds = [
         draw_assignment(config.policy, m_i, n_i, streams.assignment)
         for m_i, n_i in zip(config.layout.m, config.layout.n)
@@ -176,17 +177,26 @@ class TestDrawAssignment:
 
 class TestReplicateStreams:
     def test_deterministic_per_replicate(self):
-        a = replicate_streams(123, 7)
-        b = replicate_streams(123, 7)
+        config = make_config(seed=123)
+        a = replicate_streams(config, 7)
+        b = replicate_streams(config, 7)
         assert a.assignment.random() == b.assignment.random()
-        assert a.responses.normal() == b.responses.normal()
+        assert a.responses.random() == b.responses.random()
 
     def test_distinct_across_replicates_and_purposes(self):
-        a = replicate_streams(123, 7)
-        b = replicate_streams(123, 8)
+        config = make_config(seed=123)
+        a = replicate_streams(config, 7)
+        b = replicate_streams(config, 8)
         assert a.assignment.random() != b.assignment.random()
-        c = replicate_streams(123, 9)
-        assert c.assignment.random() != c.randomization.random()
+        c = replicate_streams(config, 9)
+        assert len({s.random() for s in c}) == 4
+
+    def test_keyed_by_seed_and_purpose_only(self):
+        # replicate r of a purpose is the block at offset r*K of one stream,
+        # whatever the layout that sets K
+        small, large = make_config(), make_config(layout=StudyLayout(a=6, m=4, n=30))
+        for s, t in zip(replicate_streams(small, 0), replicate_streams(large, 0)):
+            assert s.random() == t.random()
 
 
 class TestSimulate:
@@ -397,17 +407,45 @@ class TestChunkedEngine:
         assert studies[1] == studies[0] and studies[2] == studies[0]
 
     @pytest.mark.parametrize("m, n, c", [(8, 200, 2), (3, 7, 3), (5, 1, 1), (2, 9, 4)])
-    def test_one_pick_call_equals_per_school_calls(self, m, n, c):
-        # with one m, the with_replacement chunk draw makes one integers call
-        # for all schools: the bit generator keeps the spare 32-bit half of a
-        # 64-bit draw across calls, so values and final state are the same
-        policy = AssignmentPolicy.with_replacement(c)
-        one, per_school = (replicate_streams(3, 0).assignment for _ in range(2))
-        np.testing.assert_array_equal(
-            one.integers(0, m, size=(5 * n, c)),
-            np.concatenate([simulator._picks(policy, m, n, per_school) for _ in range(5)]),
+    def test_advanced_stream_equals_sequential_draw(self, m, n, c):
+        # a purpose stream advanced to r*K gives, bit for bit, row r of one
+        # sequential random((R, K)) draw from replicate 0
+        config = make_config(
+            layout=StudyLayout(a=4, m=m, n=n),
+            design=D3,
+            policy=AssignmentPolicy.with_replacement(c),
+            q=0.3,
         )
-        assert one.bit_generator.state == per_school.bit_generator.state
+        sizes = simulator._stream_sizes(config)
+        assert sizes.assignment == 4 * n * c
+        blocks = [rng.random((6, k)) for rng, k in zip(replicate_streams(config, 0), sizes)]
+        for rep in range(6):
+            for rng, k, block in zip(replicate_streams(config, rep), sizes, blocks):
+                np.testing.assert_array_equal(rng.random(k), block[rep])
+
+    def test_largest_uniform_picks_below_m(self):
+        # floor(u m) < m at u = nextafter(1, 0) for every m up to 2**31
+        ms = (1, 3, 5, 7, 10, 999) + tuple(2**k + d for k in range(1, 32) for d in (-1, 0, 1))
+        ms = tuple(m for m in ms if m <= 2**31)
+        top = np.full((1, len(ms)), np.nextafter(1.0, 0.0))
+        picks = simulator._picks(AssignmentPolicy.with_replacement(1), ms, (1,) * len(ms), top)
+        np.testing.assert_array_equal(picks[0, 0], np.array(ms) - 1)
+
+    def test_box_muller_finite_at_the_ends(self):
+        # log(1 - u) is 0 at u = 0 and about -36.7 at the largest uniform
+        for u in (0.0, np.nextafter(1.0, 0.0)):
+            assert np.all(np.isfinite(simulator._normals(np.full(4, u), 4)))
+        np.testing.assert_array_equal(simulator._normals(np.zeros(2), 2), [0.0, 0.0])
+
+    def test_odd_normal_count_discards_its_spare(self):
+        # a block of k normals takes 2 ceil(k/2) uniforms and drops the spare
+        u = np.random.default_rng(5).random(9)
+        np.testing.assert_array_equal(simulator._normals(u[:8], 7), simulator._normals(u[:8], 8)[:7])
+        xs = [np.ones((2, 2)), np.ones((3, 2))]  # (2 + 1) + (3 + 1) = 7 normals
+        rng = np.random.default_rng(5)
+        t_resp = generate_teacher_responses(xs, PILOT_TEACHER, np.zeros(2), rng)
+        assert [len(t) for t in t_resp] == [2, 3]
+        assert rng.random() == u[8]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
     def test_chunk_gram_stays_under_cap(self, m):
@@ -603,7 +641,7 @@ class TestEstimatorVarianceStudy:
         got = simulator._study_chunk(config, range(config.replicates), beta, 2.0 * beta)
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
-            rng = replicate_streams(config.seed, rep).responses
+            rng = replicate_streams(config, rep).responses
             t_resp = generate_teacher_responses(xs, config.teacher_vc, beta, rng)
             s_resp = generate_student_responses(xs, ds, config.student_vc, 2.0 * beta, rng)
             fits = [(t_resp, config.teacher_vc, None), (s_resp, config.student_vc, ds)]

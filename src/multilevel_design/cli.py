@@ -279,12 +279,6 @@ def _with_flags(data, **flags):
     return {**data, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def apply_overrides(config: RunConfig, **flags) -> RunConfig:
-    """``config`` with the keys set in ``flags`` (mode, seed, replicates,
-    out_dir, ...) replaced, parsed like a config file."""
-    return parse_config_data(_with_flags(serialize_config(config), **flags))
-
-
 # --------------------------------------------------------------------------
 # artifact writers
 # --------------------------------------------------------------------------
@@ -322,12 +316,7 @@ def _text(x, y, size: int, body: str, attrs: str = "") -> str:
     return f'<text x="{x}" y="{y}" font-size="{size}"{attrs}>{body}</text>'
 
 
-def emit_density_svg(
-    series: Mapping[str, DensityEstimate],
-    path: str | Path,
-    x_label: str = "anticipated variance",
-    y_label: str = "density",
-) -> Path:
+def emit_density_svg(series: Mapping[str, DensityEstimate], path: str | Path) -> Path:
     """One SVG with a labeled curve per series; point masses become vertical
     markers, drawn after the curves.  Raises before touching the filesystem
     when there is nothing to draw."""
@@ -372,8 +361,8 @@ def emit_density_svg(
             _text(left - 8, f"{sy(yv) + 4:.3f}", 12, f"{yv:.4g}", ' text-anchor="end"'),
         ]
     parts += [
-        _text(f"{left + plot_w / 2:.3f}", height - 15, 14, escape(x_label), _MIDDLE),
-        _text(20, mid, 14, escape(y_label), f'{_MIDDLE} transform="rotate(-90 20 {mid})"'),
+        _text(f"{left + plot_w / 2:.3f}", height - 15, 14, "anticipated variance", _MIDDLE),
+        _text(20, mid, 14, "density", f'{_MIDDLE} transform="rotate(-90 20 {mid})"'),
     ]
     legend = []
     for i, (label, dens) in enumerate(items):

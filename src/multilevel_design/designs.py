@@ -116,13 +116,12 @@ class DesignKind(Enum):
         return _within_school_inflation(q, m, t_j, w)
 
 
-def validate_contamination(kind: DesignKind | None, q: float) -> None:
+def validate_contamination(kind: DesignKind, q: float) -> None:
     """Raise a FieldError of ``q`` unless q lies in the admissible range of the design:
-    [0, 0.5] for crd, [0, 1] otherwise and when no design is given."""
+    [0, 0.5] for crd, [0, 1] otherwise."""
     hi = 0.5 if kind is DesignKind.COMPLETELY_RANDOMIZED else 1.0
     if not 0.0 <= q <= hi:
-        name = kind.value if kind is not None else "any design"
-        raise FieldError("q", f"q={q} outside [0.0, {hi}] for {name}")
+        raise FieldError("q", f"q={q} outside [0.0, {hi}] for {kind.value}")
 
 
 def check_identifiable(q: float) -> None:
@@ -228,7 +227,7 @@ def draw_contamination(
     assignment: TreatmentAssignment,
     q: float,
     rng: np.random.Generator,
-    kind: DesignKind | None = None,
+    kind: DesignKind,
 ) -> TreatmentAssignment:
     """Attach Bernoulli contamination indicators to control teachers.
 
@@ -245,16 +244,15 @@ def draw_contamination(
 def _contamination_flags(signs: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
     """0/1 contamination flags for (..., a, max m) signs (0 marks a padded
     slot) from one uniform per teacher (..., sum m), school by school: a
-    control teacher contaminates when its uniform is below the probability."""
+    control teacher contaminates when its uniform is below the probability,
+    which is at most 1 wherever q is admissible for the design that drew
+    the signs."""
     real, controls = signs != 0.0, signs == -1.0
     m = real.sum(axis=-1)
     prob = (signs.sum(axis=-1) + m) * q / m
-    drawn = prob[controls.any(axis=-1)]  # an all-treated school has nobody to contaminate
-    if np.any(drawn > 1.0 + 1e-12):
-        raise ValueError(f"q={q} gives a contamination probability of {drawn.max():g} > 1")
     keys = np.ones(signs.shape)
     keys[real] = u.ravel()
-    return (controls & (keys < np.minimum(prob, 1.0)[..., None])).astype(float)
+    return (controls & (keys < prob[..., None])).astype(float)
 
 
 def expected_contamination(

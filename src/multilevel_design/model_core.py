@@ -8,12 +8,12 @@ response depends on the set of teachers each student takes courses from
 (an n x m count matrix D per school), giving the multiple-membership
 covariance sigma_s2*J + sigma_t2*D D' + sigma_eta2*I.
 
-All operations here are pure functions of their arguments; the values are
-immutable after construction and safe to share across workers.  The linear
-algebra kernels (the student precision from a school's Gram, the
-information sum and the treatment pivot) take stacked arrays, so one call
-covers every school of a chunk of replicates; a school with fewer teachers
-is padded with idle teachers whose design and precision rows are zero.
+All operations here are pure functions of their arguments, and the values
+are immutable after construction.  The linear algebra kernels (the student
+precision from a school's Gram, the information sum and the treatment
+pivot) take stacked arrays, so one call covers every school of a chunk of
+replicates; a school with fewer teachers is padded with idle teachers whose
+design and precision rows are zero.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-INTERCEPT = "intercept"
-TREATMENT = "treatment"
-CONTAMINATION = "contamination"
-#: column of the treatment indicator in every design matrix
+#: column of the treatment indicator in every design matrix [1 r] or [1 r c]
 TREATMENT_COLUMN = 1
 
 #: relative tolerance for declaring a matrix asymmetric
@@ -174,10 +171,6 @@ class StudyLayout:
         object.__setattr__(self, "m", per_school(self.m, self.a, "teachers_per_school"))
         object.__setattr__(self, "n", per_school(self.n, self.a, "students_per_school"))
 
-    @property
-    def total_teachers(self) -> int:
-        return sum(self.m)
-
     def homogeneous_m(self) -> int:
         """The common teacher count, or a FieldError when schools differ."""
         if len(set(self.m)) != 1:
@@ -219,10 +212,6 @@ class TreatmentAssignment:
                     raise ValueError("only control teachers can be contaminated")
             object.__setattr__(self, "c", c)
 
-    @property
-    def a(self) -> int:
-        return len(self.r)
-
 
 def _check_symmetric(entries: np.ndarray) -> None:
     """Raise ValueError when a matrix is asymmetric beyond SYMMETRY_RTOL."""
@@ -249,33 +238,18 @@ def _spectral_norm(entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InformationMatrix:
-    """Symmetric PSD information matrix with named parameter columns."""
+    """Symmetric PSD information matrix over the design-matrix columns
+    (intercept, treatment at TREATMENT_COLUMN, optional contamination)."""
 
     entries: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"information matrix must be square, got {entries.shape}")
-        if len(self.labels) != entries.shape[0]:
-            raise ValueError("one label per parameter is required")
         _check_symmetric(entries)
         _spectral_norm(entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def treatment_index(self) -> int:
-        return self.labels.index(TREATMENT)
-
-
-def _column_labels(p: int) -> tuple[str, ...]:
-    if p == 2:
-        return (INTERCEPT, TREATMENT)
-    if p == 3:
-        return (INTERCEPT, TREATMENT, CONTAMINATION)
-    raise ValueError(f"design matrices must have 2 or 3 columns, got {p}")
 
 
 def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:
@@ -332,23 +306,6 @@ def _gram(d: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
     return np.swapaxes(a, -1, -2) @ (a if rhs is None else np.concatenate([a, rhs], axis=-1))
 
 
-def solve_student_system(
-    d: np.ndarray, vc: StudentVarianceComponents, rhs: np.ndarray
-) -> np.ndarray:
-    """D' Sigma^-1 rhs: the inverse student covariance applied to ``rhs``
-    and projected onto the teachers, in teacher space from the Gram of
-    [1 D rhs] at O(n*m*(m+k)).  ``d`` is n x m and ``rhs`` n x k, or stacks
-    (..., n, m) and (..., n, k), solved by one batched call; returns (..., m, k).
-    """
-    d = np.asarray(d, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    vc.check_invertible()
-    n, m = d.shape[-2:]
-    if rhs.ndim != d.ndim or rhs.shape[-2] != n:
-        raise ValueError(f"rhs has shape {rhs.shape}, expected (..., {n}, k) to match D {d.shape}")
-    return _gram_precision(_gram(d, rhs), vc)[..., m:]
-
-
 def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
     """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i), from
     the Gram of [1 D], symmetrized; a stack of D (..., n, m) gives a stack."""
@@ -384,13 +341,14 @@ def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
     """Every school's X_i, precision G_i and, given responses, z_i (G_i T_i
     or D_i' Sigma_i^-1 Y_i), validated and padded to the largest school:
-    (x, g, z, p).  The student terms come from the Gram of [1 D y]."""
+    (x, g, z).  The student terms come from the Gram of [1 D y]."""
     xs = [np.asarray(x, dtype=float) for x in xs]
     ds = None if ds is None else [np.asarray(d, dtype=float) for d in ds]
     if not xs:
         raise ValueError("need at least one school")
     p = xs[0].shape[1] if xs[0].ndim == 2 else 0
-    _column_labels(p)
+    if p not in (2, 3):
+        raise ValueError(f"design matrices must have 2 or 3 columns, got {p}")
     for x in xs:
         if x.ndim != 2 or x.shape[1] != p:
             raise ValueError(f"school design matrix has shape {x.shape}, expected (m_i, {p})")
@@ -405,19 +363,19 @@ def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
     x, y = _padded(xs, (m, p)), None if ys is None else _padded(ys, (n,))
     if ds is None:
         g = _teacher_precisions([len(x_i) for x_i in xs], vc)
-        return x, g, None if y is None else np.einsum("kij,kj->ki", g, y), p
+        return x, g, None if y is None else np.einsum("kij,kj->ki", g, y)
     gram = _gram(_padded(ds, (n, m)), None if y is None else y[..., None])
     gram[:, 0, 0] = [len(d) for d in ds]  # padded rows of D are no students
     g_z = _gram_precision(gram, vc)
-    return x, _symmetric(g_z[..., :m]), None if y is None else g_z[..., m], p
+    return x, _symmetric(g_z[..., :m]), None if y is None else g_z[..., m]
 
 
 def teacher_information(
     xs: Sequence[np.ndarray], vc: TeacherVarianceComponents
 ) -> InformationMatrix:
     """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision."""
-    x, g, _, p = _school_stack(xs, vc)
-    return InformationMatrix(_information(x, g), _column_labels(p))
+    x, g, _ = _school_stack(xs, vc)
+    return InformationMatrix(_information(x, g))
 
 
 def student_information(
@@ -426,8 +384,8 @@ def student_information(
     vc: StudentVarianceComponents,
 ) -> InformationMatrix:
     """Sum of X_i' D_i' Sigma_i^-1 D_i X_i over schools."""
-    x, g, _, p = _school_stack(xs, vc, d)
-    return InformationMatrix(_information(x, g), _column_labels(p))
+    x, g, _ = _school_stack(xs, vc, d)
+    return InformationMatrix(_information(x, g))
 
 
 def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -479,23 +437,19 @@ def _treatment_pivot(entries: np.ndarray, index: int) -> np.ndarray:
     return np.where(pivot > SINGULAR_RTOL * spectral, pivot, np.nan)
 
 
-def treatment_variance(info, index: int | None = None) -> TreatmentVariance:
+def treatment_variance(info, index: int = TREATMENT_COLUMN) -> TreatmentVariance:
     """Variance of the treatment coefficient implied by an information matrix.
 
     Returns the (index, index) entry of the inverse information, computed as
     the reciprocal pivot of the treatment direction after eliminating the
-    other parameters.  ``index`` is 0-based and defaults to the column
-    labelled "treatment".  Raises NonEstimableError when the treatment
+    other parameters.  ``info`` is an InformationMatrix or a plain square
+    array; ``index`` is 0-based.  Raises NonEstimableError when the treatment
     direction is singular.
     """
     if isinstance(info, InformationMatrix):
         entries = info.entries
-        if index is None:
-            index = info.treatment_index
     else:
         entries = np.asarray(info, dtype=float)
-        if index is None:
-            raise ValueError("index is required for a plain matrix")
         _check_symmetric(entries)
     pivot = float(_treatment_pivot(entries, index))
     if np.isnan(pivot):

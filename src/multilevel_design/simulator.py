@@ -280,18 +280,16 @@ class DensityEstimate:
         return self.point_mass is not None
 
 
-def kde_density(samples: np.ndarray, grid_size: int = 256) -> DensityEstimate:
+def kde_density(samples: np.ndarray) -> DensityEstimate:
     """Gaussian-kernel density with the Silverman rule-of-thumb bandwidth.
 
-    h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on a uniform grid over
-    [min - 3h, max + 3h].  Degenerate inputs (all samples identical) return
-    a point-mass marker instead of a grid.
+    h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on a uniform grid of 256
+    points over [min - 3h, max + 3h].  Degenerate inputs (all samples
+    identical) return a point-mass marker instead of a grid.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("cannot estimate a density from an empty sample")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     if np.all(samples == samples[0]):
         return DensityEstimate(grid=None, density=None, point_mass=float(samples[0]))
     sd = float(np.std(samples, ddof=1))
@@ -299,11 +297,11 @@ def kde_density(samples: np.ndarray, grid_size: int = 256) -> DensityEstimate:
     iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     h = 0.9 * scale * samples.size ** (-0.2)
-    grid = np.linspace(samples.min() - 3.0 * h, samples.max() + 3.0 * h, grid_size)
-    dens = np.zeros(grid_size)
+    grid = np.linspace(samples.min() - 3.0 * h, samples.max() + 3.0 * h, 256)
+    dens = np.zeros(grid.size)
     chunk = max(1, int(4e6) // samples.size)
     inv = 1.0 / (h * np.sqrt(2.0 * np.pi))
-    for start in range(0, grid_size, chunk):
+    for start in range(0, grid.size, chunk):
         z = (grid[start : start + chunk, None] - samples[None, :]) / h
         dens[start : start + chunk] = inv * np.exp(-0.5 * z**2).mean(axis=1)
     return DensityEstimate(grid=grid, density=dens, point_mass=None)
@@ -330,9 +328,10 @@ def empirical_power(
 
 
 def check_alpha(alpha: float) -> float:
-    """``alpha`` unless it lies outside the open interval (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise FieldError("alpha", f"alpha must be in (0, 1), got {alpha}")
+    """``alpha`` unless it lies outside the open interval (0, 1) or is so small
+    that 1 - alpha/2 rounds to 1, where the normal quantile is infinite."""
+    if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:
+        raise FieldError("alpha", f"alpha must be in (0, 1) with 1 - alpha/2 < 1, got {alpha}")
     return alpha
 
 
@@ -580,7 +579,7 @@ def gls_estimate(
     other direction (an all-zero contamination column) gets the pseudo-inverse.
     """
     responses = [np.asarray(y, dtype=float) for y in responses]
-    x, g, z, _ = _school_stack(xs, vc, ds, responses)
+    x, g, z = _school_stack(xs, vc, ds, responses)
     coef, cov = _gls_fit(x, g, z)
     if np.isnan(coef[TREATMENT_COLUMN]):
         raise NonEstimableError("the treatment direction of the GLS information is singular")
@@ -625,7 +624,8 @@ def _study_chunk(config: SimulationConfig, reps: range, beta: np.ndarray, theta:
         _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, t_resp)),
         _gls_fit(x, g_z[..., :-1], g_z[..., -1]),
     ]
-    return np.array([(coef[:, TREATMENT_COLUMN], cov[:, 1, 1]) for coef, cov in fits])
+    k = TREATMENT_COLUMN
+    return np.array([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
 
 
 @dataclass(frozen=True)
@@ -649,32 +649,28 @@ class EstimatorLevelStudy:
         return abs(self.coef_mean - self.truth) / se
 
 
-def estimator_variance_study(
-    config: SimulationConfig,
-    beta: np.ndarray | None = None,
-    theta: np.ndarray | None = None,
-) -> dict[str, EstimatorLevelStudy]:
+def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLevelStudy]:
     """Generate synthetic responses per replicate and GLS-estimate them.
 
     Uses the draws of the anticipated-variance path, so the Monte Carlo
     variance of the treatment coefficient compares 1:1 with the mean
     anticipated variance, read from the covariance of the same GLS fit.
-    Replicates whose treatment direction is singular at a level are skipped.
+    Both levels take the coefficients (0, delta/2[, -delta/4]), delta the
+    effect size (1 when unset).  Replicates whose treatment direction is
+    singular at a level are skipped.
     """
     delta = config.effect_size_diff if config.effect_size_diff is not None else 1.0
     p = 3 if config.effective_q > 0.0 else 2
-    default = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
-    beta = default if beta is None else np.asarray(beta, dtype=float)
-    theta = default if theta is None else np.asarray(theta, dtype=float)
+    beta = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
 
-    fits = np.concatenate([_study_chunk(config, r, beta, theta) for r in _chunks(config)], axis=-1)
+    fits = np.concatenate([_study_chunk(config, r, beta, beta) for r in _chunks(config)], axis=-1)
     out = {}
-    for level, truth, (coefs, anticipated) in zip(LEVELS, (beta[1], theta[1]), fits):
+    for level, (coefs, anticipated) in zip(LEVELS, fits):
         used = ~np.isnan(coefs)
         if used.sum() < 2:
             raise NonEstimableError(f"not enough estimable replicates at the {level} level")
         out[level] = EstimatorLevelStudy(
-            truth=float(truth),
+            truth=float(beta[TREATMENT_COLUMN]),
             coef_mean=float(coefs[used].mean()),
             coef_variance=float(coefs[used].var(ddof=1)),
             anticipated_mean=float(anticipated[used].mean()),

@@ -11,7 +11,6 @@ from multilevel_design.cli import (
     BadValueError,
     MissingFieldError,
     UnknownKeyError,
-    apply_overrides,
     emit_density_svg,
     main,
     parse_config,
@@ -136,13 +135,6 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(BadValueError):
             parse_config(tmp_path / "absent.json")
-
-    def test_overrides(self, tmp_path):
-        config = parse_config(write_config(tmp_path, base_config()))
-        out = apply_overrides(config, mode="simulate", seed=1, replicates=7, out_dir="z")
-        assert (out.mode, out.seed, out.replicates, out.out_dir) == ("simulate", 1, 7, "z")
-        with pytest.raises(BadValueError):
-            apply_overrides(config, replicates=0)
 
 
 class TestClosedFormMode:
@@ -426,6 +418,7 @@ class TestErrorContract:
             ("simulate", {"designs": ["randomize_schools"], "schools": 3}, "designs"),
             ("simulate", {"designs": ["crd"], "q": 0.7}, "q"),
             ("simulate", {"alpha": 1}, "alpha"),
+            ("compare", {"alpha": 1e-17, "effect_size_diff": 1.0}, "alpha"),
             ("simulate", {"seed": -1}, "seed"),
             ("simulate", {"seed": 2**64}, "seed"),
             ("simulate", {"schools": 1}, "schools"),
@@ -464,6 +457,7 @@ class TestErrorContract:
             "simulate-schools_odd_a",
             "simulate-crd_q07",
             "simulate-alpha_1",
+            "compare-alpha_1e-17",
             "simulate-seed_negative",
             "simulate-seed_2_64",
             "simulate-one_school",

@@ -266,6 +266,31 @@ class TestContaminationRule:
         assert D2.effective_q(0.7) == 0.7
         assert D3.effective_q(0.4) == 0.4
 
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda kind: kind.value)
+    def test_probability_at_most_one_at_largest_q(self, kind):
+        # a control teacher's probability (1'R_i + m_i) q / m_i is 2 q times
+        # the treated share of its school: none under randomize_schools, 1/2
+        # under within_schools, below 1 under crd, whose q is at most 0.5;
+        # so q in the design's range needs no clipping
+        q = 0.5 if kind is D3 else 1.0
+        validate_contamination(kind, q)
+        probs = [
+            (r.sum() + m) * q / m
+            for m, a in ((2, 4), (4, 2), (6, 2))
+            for realization in enumerate_randomizations(kind.value, m, a)
+            for r in realization
+            if np.any(r == -1.0)
+        ]
+        assert max(probs) <= 1.0
+
+    def test_crd_single_control_teacher(self):
+        # the largest crd probability: one control beside m - 1 treated
+        # teachers contaminates with (m - 1)/m at q = 0.5, here 0.75
+        signs = np.array([[1.0, 1.0, 1.0, -1.0], [1.0, -1.0, -1.0, -1.0]])
+        for u, flagged in ((0.7499, 1.0), (0.7501, 0.0)):
+            flags = _contamination_flags(signs, 0.5, np.full(8, u))
+            assert flags[0].tolist() == [0.0, 0.0, 0.0, flagged]
+
 
 def _traces(g):
     """(t_J, w) = (tr(G J), tr(G (m I - J))) of one precision."""

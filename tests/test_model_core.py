@@ -13,7 +13,6 @@ from multilevel_design import (
     TreatmentAssignment,
     design_matrices,
     gls_estimate,
-    solve_student_system,
     student_information,
     student_precision,
     teacher_information,
@@ -75,13 +74,12 @@ class TestDomainTypes:
     def test_zero_student_residual_blocks_solve(self):
         degenerate = StudentVarianceComponents(1.0, 1.0, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
-            solve_student_system(np.ones((3, 2)), degenerate, np.ones(3))
+            student_precision(np.ones((3, 2)), degenerate)
 
     def test_layout_normalizes_scalars(self):
         layout = StudyLayout(a=3, m=4, n=10)
         assert layout.m == (4, 4, 4)
         assert layout.n == (10, 10, 10)
-        assert layout.total_teachers == 12
         assert layout.homogeneous_m() == 4
 
     def test_layout_validation(self):
@@ -126,15 +124,17 @@ class TestDomainTypes:
                 r=(np.array([1.0, -1.0]),), c=(np.array([1.0, 0.0]),)
             )  # treated teacher flagged as contaminated
         ok = TreatmentAssignment(r=(np.array([1.0, -1.0]),), c=(np.array([0.0, 1.0]),))
-        assert ok.a == 1
+        assert len(ok.r) == len(ok.c) == 1
 
     def test_information_matrix_validation(self):
         with pytest.raises(ValueError):
-            InformationMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]), ("intercept", "treatment"))
+            InformationMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
         with pytest.raises(ValueError):
-            InformationMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]), ("intercept", "treatment"))
-        ok = InformationMatrix(np.diag([2.0, 3.0]), ("intercept", "treatment"))
-        assert ok.treatment_index == 1
+            InformationMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(ValueError):
+            InformationMatrix(np.ones((2, 3)))
+        ok = InformationMatrix(np.diag([2.0, 3.0]))
+        assert treatment_variance(ok).variance == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 class TestTeacherPrecision:
@@ -192,38 +192,39 @@ class TestTeacherInformation:
             teacher_information([np.ones((3, 2)), np.ones((3, 4))], PILOT_TEACHER)
 
     def test_contamination_column_labels(self):
+        # columns are intercept, treatment, contamination in that order
         assignment = TreatmentAssignment(
             r=(np.array([1.0, -1.0]),), c=(np.array([0.0, 1.0]),)
         )
         info = teacher_information(design_matrices(assignment), PILOT_TEACHER)
-        assert info.labels == ("intercept", "treatment", "contamination")
+        x = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
+        dense = x.T @ np.linalg.solve(teacher_cov(2, 1.6, 14.4), x)
+        np.testing.assert_allclose(info.entries, dense, rtol=1e-12, atol=1e-15)
 
 
 class TestSolveStudentSystem:
+    """The student system D' Sigma^-1 D as student_precision solves it in
+    teacher space, against the dense covariance."""
+
     def test_inverse_round_trip(self):
-        rng = np.random.default_rng(11)
         d = subset_uniform_assignment(3, 2, 6)
         vc = StudentVarianceComponents(0.5, 2.0, 1.5)
-        m = rng.normal(size=(6, 4))
-        rhs = student_cov(d, 0.5, 2.0, 1.5) @ m
-        np.testing.assert_allclose(solve_student_system(d, vc, rhs), d.T @ m, atol=1e-10)
+        sigma = student_cov(d, 0.5, 2.0, 1.5)
+        m = np.linalg.solve(sigma, d)  # G = D' Sigma^-1 (Sigma m) = D'm
+        np.testing.assert_allclose(student_precision(d, vc), d.T @ m, atol=1e-10)
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(12)
         d = subset_uniform_assignment(2, 1, 6)
         comps = (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)), float(rng.uniform(0.5, 3)))
         vc = StudentVarianceComponents(*comps)
-        rhs = rng.normal(size=(6, 3))
-        expected = d.T @ np.linalg.solve(student_cov(d, *comps), rhs)
-        np.testing.assert_allclose(
-            solve_student_system(d, vc, rhs), expected, rtol=1e-10, atol=1e-12
-        )
+        expected = d.T @ np.linalg.solve(student_cov(d, *comps), d)
+        np.testing.assert_allclose(student_precision(d, vc), expected, rtol=1e-10, atol=1e-12)
 
     def test_pure_residual(self):
         vc = StudentVarianceComponents(0.0, 0.0, 2.0)
         d = np.ones((4, 2))
-        rhs = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_allclose(solve_student_system(d, vc, rhs), d.T @ rhs / 2.0)
+        np.testing.assert_allclose(student_precision(d, vc), d.T @ d / 2.0)
 
     def test_dense_agreement_randomized(self):
         rng = np.random.default_rng(99)
@@ -237,33 +238,22 @@ class TestSolveStudentSystem:
                 float(rng.uniform(0.2, 4)),
             )
             vc = StudentVarianceComponents(*comps)
-            rhs = rng.normal(size=(n, 2))
-            expected = d.T @ np.linalg.solve(student_cov(d, *comps), rhs)
+            expected = d.T @ np.linalg.solve(student_cov(d, *comps), d)
             scale = np.abs(expected).max()
             np.testing.assert_allclose(
-                solve_student_system(d, vc, rhs), expected, atol=1e-10 * max(scale, 1.0)
+                student_precision(d, vc), expected, atol=1e-10 * max(scale, 1.0)
             )
-
 
     def test_stacked_matches_per_school(self):
         rng = np.random.default_rng(13)
         ds = rng.integers(0, 3, size=(5, 9, 4)).astype(float)
-        rhs = rng.normal(size=(5, 9, 2))
         for comps in ((0.7, 1.9, 0.4), (0.0, 1.9, 0.4), (0.7, 0.0, 0.4), (0.0, 0.0, 0.4)):
             vc = StudentVarianceComponents(*comps)
-            stacked = solve_student_system(ds, vc, rhs)
             precisions = student_precision(ds, vc)
             for i in range(len(ds)):
                 np.testing.assert_allclose(
-                    stacked[i], solve_student_system(ds[i], vc, rhs[i]), rtol=1e-12, atol=0.0
-                )
-                np.testing.assert_allclose(
                     precisions[i], student_precision(ds[i], vc), rtol=1e-12, atol=0.0
                 )
-
-    def test_rhs_shape_checked(self):
-        with pytest.raises(ValueError):
-            solve_student_system(np.ones((3, 2)), PILOT_STUDENT, np.ones((4, 1)))
 
 
 class TestStudentInformation:
@@ -395,9 +385,8 @@ class TestTreatmentVariance:
         expected = np.linalg.inv(info)[2, 2]
         assert treatment_variance(info, index=2).variance == pytest.approx(expected, rel=1e-10)
 
-    def test_requires_index_for_plain_matrix(self):
-        with pytest.raises(ValueError):
-            treatment_variance(np.eye(2))
+    def test_plain_matrix_defaults_to_treatment_column(self):
+        assert treatment_variance(np.diag([2.0, 4.0])).variance == pytest.approx(0.25, rel=1e-15)
 
 
 class TestInformationProperties:

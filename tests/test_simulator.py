@@ -706,18 +706,18 @@ class TestKdeDensity:
 
     def test_symmetric_samples(self):
         samples = np.array([-1.0, 1.0] * 500)
-        est = kde_density(samples, grid_size=201)
+        est = kde_density(samples)
         np.testing.assert_allclose(est.density, est.density[::-1], atol=1e-9)
 
     def test_standard_normal_peak(self):
         rng = np.random.default_rng(12)
-        est = kde_density(rng.standard_normal(10_000), grid_size=512)
+        est = kde_density(rng.standard_normal(10_000))
         assert est.density.max() == pytest.approx(1 / np.sqrt(2 * np.pi), rel=0.10)
 
     def test_integral_near_one(self):
         rng = np.random.default_rng(13)
         for sample in (rng.standard_normal(500), rng.exponential(2.0, 800)):
-            est = kde_density(sample, grid_size=400)
+            est = kde_density(sample)
             integral = np.trapezoid(est.density, est.grid)
             assert integral == pytest.approx(1.0, abs=0.02)
 

@@ -41,6 +41,6 @@ print("the gap to randomize-by-school widens as rho grows.")
 # inverse information matrix
 vc = TeacherVarianceComponents(1.6, 14.4)
 info = expected_teacher_information(DesignKind.RANDOMIZE_SCHOOLS, layout, vc)
-result = treatment_variance(np.diag([info, info]), index=1)
+result = treatment_variance(np.diag([info, info]))
 print(f"\nrandomize-schools anticipated variance {result.variance:.4f}, "
       f"difference-scale SE {result.se_diff:.3f}")

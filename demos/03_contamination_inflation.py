@@ -13,7 +13,6 @@ from multilevel_design import (
     StudentVarianceComponents,
     TeacherVarianceComponents,
     contaminated_expected_moment_matrix,
-    DesignKind,
     student_inflation_design2,
     teacher_inflation_design2,
     teacher_precision,
@@ -36,9 +35,7 @@ print("effect is no longer estimable.")
 
 # the factor comes from the expected moment matrix of [1 R C]
 g = teacher_precision(8, teacher_vc)
-e, entry = contaminated_expected_moment_matrix(
-    g, DesignKind.RANDOMIZE_WITHIN_SCHOOLS, 0.5
-)
+e, entry = contaminated_expected_moment_matrix(g, 0.5)
 print("\nexpected moment matrix at q = 0.5 (teacher level, one school):")
 print(np.array_str(e, precision=4))
 print(f"treatment entry of its inverse: {entry:.5f} per school")

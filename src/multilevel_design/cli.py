@@ -6,7 +6,9 @@ write per-replicate samples, density grids, a summary table and one SVG of
 the density curves; ``validate`` cross-checks the analytic anticipated
 variance against GLS estimates on synthetic data.
 
-Exit codes: 0 success, 1 configuration error, 2 validation failure.
+Exit codes: 0 success, 1 configuration error (one stderr line,
+``multilevel-design: '<field>': <message>``), 2 validation failure or a
+design and level with no estimable replicate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import os
 import statistics
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -66,44 +67,11 @@ def variance_ratio_band(n_used: int) -> tuple[float, float]:
     return (1.0 - h - z * math.sqrt(h)) ** 3, (1.0 - h + z * math.sqrt(h)) ** 3
 
 
-class ConfigError(Exception):
-    """Base class for configuration problems; carries the offending field."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(message)
-
-
-class MissingFieldError(ConfigError):
-    def __init__(self, field: str):
-        super().__init__(field, f"missing required field '{field}'")
-
-
-class BadValueError(ConfigError):
-    def __init__(self, field: str, reason: str):
-        self.reason = reason
-        super().__init__(field, f"bad value for '{field}': {reason}")
-
-
-class UnknownKeyError(ConfigError):
-    def __init__(self, field: str):
-        super().__init__(field, f"unknown key '{field}'")
-
-
-@contextmanager
-def _blaming():
-    """Report a library FieldError as a bad value of the field it names."""
-    try:
-        yield
-    except FieldError as err:
-        raise BadValueError(err.field, str(err)) from err
-
-
 # A schema maps each key of a JSON object, in parse (and so blame) order, to
 # (default, parser); _REQUIRED marks a key without a default.  A parser gets
 # the raw value, its field name and the keys parsed before it.  Parsers
 # check what JSON can get wrong: types, names and keys.  The value rules
-# are the library's, whose FieldError names the field.
+# are the library's.  Both raise FieldError, which names the field.
 
 _REQUIRED = object()
 _DESIGN_NAMES = {kind.value: kind for kind in DesignKind}
@@ -115,13 +83,13 @@ _MAX = sys.float_info.max
 def _object(value, prefix: str, schema: Mapping) -> dict:
     """Parse a JSON object: unknown keys, then missing ones, then each value."""
     if not isinstance(value, dict):
-        raise BadValueError(prefix.rstrip(".") or "config", "expected an object")
+        raise FieldError(prefix.rstrip(".") or "config", "expected an object")
     for key in value:
         if key not in schema:
-            raise UnknownKeyError(prefix + key)
+            raise FieldError(prefix + key, "unknown key")
     for key, (default, _) in schema.items():
         if default is _REQUIRED and key not in value:
-            raise MissingFieldError(prefix + key)
+            raise FieldError(prefix + key, "missing required field")
     parsed = {}
     for key, (default, parse) in schema.items():
         parsed[key] = parse(value.get(key, default), prefix + key, parsed)
@@ -139,13 +107,13 @@ def _counts(value, key, parsed) -> tuple[int, ...]:
 def _number(value, key, parsed=None) -> float:
     # a JSON integer may exceed every float
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
-        raise BadValueError(key, f"expected a finite number, got {value!r}")
+        raise FieldError(key, f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _choice(value, key, choices: Mapping):
     if not isinstance(value, str) or value not in choices:
-        raise BadValueError(key, f"must be one of {sorted(choices)}, got {value!r}")
+        raise FieldError(key, f"must be one of {sorted(choices)}, got {value!r}")
     return choices[value]
 
 
@@ -156,10 +124,10 @@ def _components(cls):
 
 def _designs(value, key, parsed) -> tuple[DesignKind, ...]:
     if not isinstance(value, list) or not value:
-        raise BadValueError(key, "expected a non-empty list of design names")
+        raise FieldError(key, "expected a non-empty list of design names")
     kinds = tuple(_choice(name, key, _DESIGN_NAMES) for name in value)
     if len(set(kinds)) != len(kinds):
-        raise BadValueError(key, "a design is listed twice")
+        raise FieldError(key, "a design is listed twice")
     return kinds
 
 
@@ -172,13 +140,13 @@ _ASSIGNMENT = {
 def _policy(value, key, parsed) -> AssignmentPolicy:
     block = _object(value, key + ".", _ASSIGNMENT)
     if "c" not in value and block["policy"] is not PolicyKind.SINGLE_COURSE:
-        raise MissingFieldError(key + ".c")
+        raise FieldError(key + ".c", "missing required field")
     return AssignmentPolicy(block["policy"], block["c"])
 
 
 def _out_dir(value, key, parsed) -> str:
     if not isinstance(value, str) or not value:
-        raise BadValueError(key, "expected a non-empty string")
+        raise FieldError(key, "expected a non-empty string")
     return value
 
 
@@ -238,18 +206,17 @@ _SCHEMA = {
 
 def parse_config_data(data: dict) -> RunConfig:
     """Strictly parse an already-loaded JSON object into a RunConfig."""
-    with _blaming():
-        return RunConfig(*_object(data, "", _SCHEMA).values())
+    return RunConfig(*_object(data, "", _SCHEMA).values())
 
 
 def _load(path: str | Path):
     path = Path(path)
     if not path.is_file():
-        raise BadValueError("config", f"no such file: {path}")
+        raise FieldError("config", f"no such file: {path}")
     try:
         return json.loads(path.read_text())
     except json.JSONDecodeError as err:
-        raise BadValueError("config", f"invalid JSON: {err}") from err
+        raise FieldError("config", f"invalid JSON: {err}") from err
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -396,21 +363,18 @@ def _plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
     faults in two designs names the same field in every mode.
     """
     if config.mode == "validate" and config.replicates < 2:
-        raise BadValueError("replicates", "validate needs at least 2 replicates")
+        raise FieldError("replicates", "validate needs at least 2 replicates")
     layout = config.layout
-    with _blaming():
-        config.teacher_vc.check_invertible()
-        config.student_vc.check_invertible()
-        for design in config.designs:
-            design.check(layout.a, layout.m, config.q)
-        if config.mode != "closed-form":
-            return [config.simulation_config(design) for design in config.designs]
-        m = layout.homogeneous_m()
-        if len(set(layout.n)) != 1:
-            raise BadValueError(
-                "students_per_school", "closed-form mode needs a homogeneous student count"
-            )
-        return BalancedSpec(m, layout.n[0], config.policy.c, layout.a)
+    config.teacher_vc.check_invertible()
+    config.student_vc.check_invertible()
+    for design in config.designs:
+        design.check(layout.a, layout.m, config.q)
+    if config.mode != "closed-form":
+        return [config.simulation_config(design) for design in config.designs]
+    m = layout.homogeneous_m()
+    if len(set(layout.n)) != 1:
+        raise FieldError("students_per_school", "closed-form needs a homogeneous student count")
+    return BalancedSpec(m, layout.n[0], config.policy.c, layout.a)
 
 
 def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
@@ -437,7 +401,8 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
 
 def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     """Per design and level the samples and density CSVs, then the summary
-    and one SVG; a NaN (non-estimable) value writes an empty cell."""
+    and one SVG; a NaN (non-estimable) value writes an empty cell.  Returns
+    2 when some design and level has no estimable replicate."""
     results = [(sim.design.value, simulate_anticipated_variance(sim)) for sim in sim_configs]
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
@@ -472,7 +437,7 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     )
     if series:
         emit_density_svg(series, out / "density.svg")
-    return 0
+    return 2 if any(row[-1] == 1.0 for row in summary_rows) else 0
 
 
 def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
@@ -504,7 +469,7 @@ def run(config: RunConfig) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise BadValueError("out_dir", str(err)) from err
+        raise FieldError("out_dir", str(err)) from err
     if config.mode == "closed-form":
         return _run_closed_form(config, plan, out)
     if config.mode == "validate":
@@ -514,7 +479,7 @@ def run(config: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError("args", message)
+        raise FieldError("args", message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -532,8 +497,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         flags = dict(mode=args.mode, seed=args.seed, replicates=args.reps, out_dir=args.out)
         return run(parse_config_data(_with_flags(_load(args.config), **flags)))
-    except ConfigError as err:
-        print(f"multilevel-design: {err}", file=sys.stderr)
+    except FieldError as err:
+        print(f"multilevel-design: '{err.field}': {err}", file=sys.stderr)
         return 1
 
 

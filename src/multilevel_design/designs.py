@@ -288,14 +288,13 @@ def _within_school_inflation(q: float, m: int, t_j: float, w: float) -> float:
     return 1.0 + q / (2.0 * (1.0 - q)) * t_c / t_g
 
 
-def contaminated_expected_moment_matrix(
-    g: np.ndarray, kind: DesignKind, q: float
-) -> tuple[np.ndarray, float]:
+def contaminated_expected_moment_matrix(g: np.ndarray, q: float) -> tuple[np.ndarray, float]:
     """Expected moment matrix E[X' G X] under within-school contamination.
 
-    For the three-column model X = [1 R C] with design-2 randomization the
-    expectation depends on G only through t_J = tr(G J), t_C = tr(G Cov(R))
-    and t_G = tr(G):
+    For the three-column model X = [1 R C] with within-school (design-2)
+    randomization, the one design with this closed form, the expectation
+    depends on G only through t_J = tr(G J), t_C = tr(G Cov(R)) and
+    t_G = tr(G):
 
         E = [[t_J,        0,          (q/2) t_J ],
              [0,          t_C,       -(q/2) t_C ],
@@ -305,8 +304,6 @@ def contaminated_expected_moment_matrix(
     (1/t_C) * (1 + q/(2(1-q)) * t_C/t_G), the anticipated variance of the
     treatment coefficient per school.
     """
-    if kind is not DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        raise ValueError("the closed-form moment matrix is available for within_schools only")
     g = np.asarray(g, dtype=float)
     m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != m:

@@ -389,16 +389,14 @@ def student_information(
 
 
 def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b' block^+ b for a stack of symmetric PSD blocks of size 0, 1 or 2.
+    """b' block^+ b for a stack of symmetric PSD blocks of size 1 (the
+    intercept) or 2 (intercept and contamination).
 
     The pseudo-inverse drops a direction that least squares would cut, so a
     singular other direction (an all-zero contamination column) is fitted
     the way lstsq fits it.
     """
-    size = block.shape[-1]
-    if size == 0:
-        return np.zeros(block.shape[:-2])
-    if size == 1:
+    if block.shape[-1] == 1:
         a, b0 = block[..., 0, 0], b[..., 0]
         return b0 * np.divide(b0, a, out=np.zeros_like(a), where=a != 0.0)
     a, c, e = block[..., 0, 0], block[..., 0, 1], block[..., 1, 1]
@@ -414,44 +412,42 @@ def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(full, b0 * solved0 + b1 * solved1, rank1)
 
 
-def _treatment_pivot(entries: np.ndarray, index: int) -> np.ndarray:
-    """Schur-complement pivot of direction ``index`` after eliminating the others.
+def _treatment_pivot(entries: np.ndarray) -> np.ndarray:
+    """Schur-complement pivot of the treatment direction after eliminating the others.
 
-    ``entries`` is one p x p information matrix or a stack (..., p, p) with
-    p <= 3; the others block is eliminated in closed form.  One eigvalsh per
-    matrix serves the PSD check (ValueError) and the threshold: a pivot at
-    or below ``SINGULAR_RTOL`` times the spectral norm, which covers singular
-    information matrices and directions absorbed by collinear columns, is
-    returned as NaN.
+    ``entries`` is one p x p information matrix or a stack (..., p, p) over
+    [1 r] (p = 2) or [1 r c] (p = 3); the others block is eliminated in
+    closed form.  One eigvalsh per matrix serves the PSD check (ValueError)
+    and the threshold: a pivot at or below ``SINGULAR_RTOL`` times the
+    spectral norm, which covers singular information matrices and directions
+    absorbed by collinear columns, is returned as NaN.
     """
     entries = np.asarray(entries, dtype=float)
-    p = entries.shape[-1]
-    if not 0 <= index < p:
-        raise ValueError(f"index {index} out of range for {p} parameters")
-    if p > 3:
-        raise ValueError(f"the treatment pivot takes at most 3 parameters, got {p}")
+    p, k = entries.shape[-1], TREATMENT_COLUMN
+    if not 2 <= p <= 3:
+        raise ValueError(f"the treatment pivot takes 2 or 3 parameters, got {p}")
     spectral = _spectral_norm(entries)
-    others = [j for j in range(p) if j != index]
+    others = [j for j in range(p) if j != k]
     block = entries[..., others, :][..., others]
-    pivot = entries[..., index, index] - _explained(block, entries[..., others, index])
+    pivot = entries[..., k, k] - _explained(block, entries[..., others, k])
     return np.where(pivot > SINGULAR_RTOL * spectral, pivot, np.nan)
 
 
-def treatment_variance(info, index: int = TREATMENT_COLUMN) -> TreatmentVariance:
+def treatment_variance(info) -> TreatmentVariance:
     """Variance of the treatment coefficient implied by an information matrix.
 
-    Returns the (index, index) entry of the inverse information, computed as
-    the reciprocal pivot of the treatment direction after eliminating the
-    other parameters.  ``info`` is an InformationMatrix or a plain square
-    array; ``index`` is 0-based.  Raises NonEstimableError when the treatment
-    direction is singular.
+    Returns the (TREATMENT_COLUMN, TREATMENT_COLUMN) entry of the inverse
+    information, computed as the reciprocal pivot of the treatment direction
+    after eliminating the other parameters.  ``info`` is an InformationMatrix
+    or a plain 2 x 2 or 3 x 3 array over the columns [1 r] or [1 r c].
+    Raises NonEstimableError when the treatment direction is singular.
     """
     if isinstance(info, InformationMatrix):
         entries = info.entries
     else:
         entries = np.asarray(info, dtype=float)
         _check_symmetric(entries)
-    pivot = float(_treatment_pivot(entries, index))
+    pivot = float(_treatment_pivot(entries))
     if np.isnan(pivot):
         raise NonEstimableError("the treatment direction of the information matrix is singular")
     variance = 1.0 / pivot

@@ -492,7 +492,7 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     replicate whose treatment direction is singular.
     """
     infos = np.concatenate([_replicate_information(config, r) for r in _chunks(config)], axis=1)
-    variances = 1.0 / _treatment_pivot(infos, TREATMENT_COLUMN)
+    variances = 1.0 / _treatment_pivot(infos)
     levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
     return SimulationResult(config, *levels)
 
@@ -591,7 +591,7 @@ def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, n
     fit or a stack of replicates; NaN where treatment is singular."""
     info = _information(x, g)
     cov = np.full(info.shape, np.nan)
-    ok = ~np.isnan(_treatment_pivot(info, TREATMENT_COLUMN))
+    ok = ~np.isnan(_treatment_pivot(info))
     cov[ok] = np.linalg.pinv(info[ok], hermitian=True)
     return (cov @ np.einsum("...kip,...ki->...p", x, z)[..., None])[..., 0], cov
 

@@ -6,11 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from multilevel_design import DensityEstimate, PolicyKind
+from multilevel_design import DensityEstimate, FieldError, PolicyKind
 from multilevel_design.cli import (
-    BadValueError,
-    MissingFieldError,
-    UnknownKeyError,
     emit_density_svg,
     main,
     parse_config,
@@ -56,29 +53,29 @@ class TestParseConfig:
     def test_missing_seed(self, tmp_path):
         data = base_config()
         del data["seed"]
-        with pytest.raises(MissingFieldError) as err:
+        with pytest.raises(FieldError) as err:
             parse_config(write_config(tmp_path, data))
         assert err.value.field == "seed"
 
     def test_unknown_key(self, tmp_path):
         data = base_config(bogus=1)
-        with pytest.raises(UnknownKeyError) as err:
+        with pytest.raises(FieldError) as err:
             parse_config(write_config(tmp_path, data))
         assert err.value.field == "bogus"
 
     def test_unknown_nested_key(self, tmp_path):
         data = base_config(teacher_vc={"sigma_v2": 1.0, "sigma_eps2": 2.0, "x": 3})
-        with pytest.raises(UnknownKeyError) as err:
+        with pytest.raises(FieldError) as err:
             parse_config(write_config(tmp_path, data))
         assert err.value.field == "teacher_vc.x"
 
     def test_bad_replicates(self, tmp_path):
-        with pytest.raises(BadValueError) as err:
+        with pytest.raises(FieldError) as err:
             parse_config(write_config(tmp_path, base_config(replicates=0)))
         assert err.value.field == "replicates"
 
     def test_bad_design_name(self, tmp_path):
-        with pytest.raises(BadValueError) as err:
+        with pytest.raises(FieldError) as err:
             parse_config(write_config(tmp_path, base_config(designs=["nope"])))
         assert err.value.field == "designs"
 
@@ -86,7 +83,7 @@ class TestParseConfig:
         data = base_config(q=float("nan"))
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data).replace("NaN", "1e999"))
-        with pytest.raises(BadValueError):
+        with pytest.raises(FieldError):
             parse_config(path)
 
     def test_defaults(self, tmp_path):
@@ -133,7 +130,7 @@ class TestParseConfig:
         assert config.layout.n == (6, 8)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(BadValueError):
+        with pytest.raises(FieldError):
             parse_config(tmp_path / "absent.json")
 
 
@@ -209,7 +206,7 @@ class TestClosedFormMode:
             out_dir=str(tmp_path / "out"),
         )
         config = parse_config(write_config(tmp_path, data))
-        with pytest.raises(BadValueError) as err:
+        with pytest.raises(FieldError) as err:
             run(config)
         assert err.value.field == "teachers_per_school"
 
@@ -268,6 +265,26 @@ class TestCompareMode:
             })
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
+
+    def test_no_estimable_replicate_exits_2(self, tmp_path, capsys):
+        # balanced c = m gives D = J: seed 6 draws equal arms in every
+        # school of all 3 replicates, so crd's student level is never estimable
+        out = tmp_path / "out"
+        data = base_config(
+            schools=2,
+            teachers_per_school=2,
+            students_per_school=4,
+            designs=["crd"],
+            assignment={"policy": "balanced", "c": 2},
+            replicates=3,
+            seed=6,
+        )
+        config_path = write_config(tmp_path, data)
+        assert main(["compare", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[2] == "crd,student,,,,,1.0"
+        assert summary[1].startswith("crd,teacher,") and summary[1].endswith(",0.0")
 
 
 class TestValidateMode:
@@ -441,6 +458,10 @@ class TestErrorContract:
             ("validate", {"replicates": 2**40}, "replicates"),
             ("simulate", {"schools": 4096, "students_per_school": 2**20}, "students_per_school"),
             ("simulate", {"teachers_per_school": 8192}, "teachers_per_school"),
+            ("simulate", {"teacher_vc": 5}, "teacher_vc"),
+            ("simulate", {"designs": []}, "designs"),
+            ("simulate", {"designs": ["crd", "crd"]}, "designs"),
+            ("simulate", {"assignment": {"policy": "balanced"}}, "assignment.c"),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -476,16 +497,51 @@ class TestErrorContract:
             "validate-replicates_2_40",
             "simulate-replicate_over_1GiB_students",
             "simulate-replicate_over_1GiB_teachers",
+            "simulate-teacher_vc_not_object",
+            "simulate-designs_empty",
+            "simulate-design_twice",
+            "simulate-balanced_without_c",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):
         out = tmp_path / "out"
         config_path = write_config(tmp_path, base_config(**overrides))
-        assert main([mode, "--config", str(config_path), "--out", str(out)]) == 1
+        argv = [mode, "--config", str(config_path), "--out", str(out)]
+        self._assert_rejected(capsys, argv, field)
+        assert not out.exists() or not any(out.iterdir())
+
+    @staticmethod
+    def _assert_rejected(capsys, argv, field):
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"'{field}'" in err
-        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "text", [json.dumps([base_config()]), "{not json"], ids=["top_level_array", "not_json"]
+    )
+    def test_unreadable_config(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        argv = ["compare", "--config", str(config_path), "--out", str(out)]
+        self._assert_rejected(capsys, argv, "config")
+        assert not out.exists()
+
+    def test_empty_out_dir_without_flag(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, base_config(out_dir=""))
+        monkeypatch.chdir(tmp_path)
+        self._assert_rejected(capsys, ["compare", "--config", str(config_path)], "out_dir")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_out_dir_below_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        config_path = write_config(tmp_path, base_config())
+        argv = ["compare", "--config", str(config_path), "--out", str(blocker / "out")]
+        self._assert_rejected(capsys, argv, "out_dir")
+        assert blocker.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
 
 class TestDensitySvg:

@@ -411,34 +411,30 @@ class TestExpectedContamination:
 class TestContaminatedMomentMatrix:
     def test_q_zero_reduces_to_reciprocal(self):
         g = np.linalg.inv(teacher_cov(8, 1.6, 14.4))
-        e, entry = contaminated_expected_moment_matrix(g, D2, 0.0)
+        e, entry = contaminated_expected_moment_matrix(g, 0.0)
         t_c = np.trace(g @ ((8 * np.eye(8) - np.ones((8, 8))) / 7.0))
         assert entry == pytest.approx(1.0 / t_c, rel=1e-12)
         assert np.all(e[2] == 0.0) and np.all(e[:, 2] == 0.0)
 
     def test_matches_numeric_inverse_pilot(self):
         g = np.linalg.inv(teacher_cov(8, 1.6, 14.4))
-        e, entry = contaminated_expected_moment_matrix(g, D2, 0.5)
+        e, entry = contaminated_expected_moment_matrix(g, 0.5)
         np.testing.assert_allclose(e, contaminated_moment_matrix_numeric(g, 0.5), rtol=1e-12)
         assert entry == pytest.approx(np.linalg.inv(e)[1, 1], rel=1e-10)
         assert entry == pytest.approx(contaminated_treatment_entry_numeric(g, 0.5), rel=1e-10)
 
     def test_identity_g_hand_value(self):
-        _, entry = contaminated_expected_moment_matrix(np.eye(4), D2, 0.5)
+        _, entry = contaminated_expected_moment_matrix(np.eye(4), 0.5)
         assert entry == pytest.approx(0.375, rel=1e-12)
 
     def test_q_one_pole(self):
         with pytest.raises(DegenerateContaminationError):
-            contaminated_expected_moment_matrix(np.eye(4), D2, 1.0)
-
-    def test_design_restriction(self):
-        with pytest.raises(ValueError, match="within_schools"):
-            contaminated_expected_moment_matrix(np.eye(4), D1, 0.5)
+            contaminated_expected_moment_matrix(np.eye(4), 1.0)
 
     def test_zero_information_direction(self):
         # G = J has tr(G Cov(R)) = 0
         with pytest.raises(NonEstimableError):
-            contaminated_expected_moment_matrix(np.ones((4, 4)), D2, 0.5)
+            contaminated_expected_moment_matrix(np.ones((4, 4)), 0.5)
 
     def test_student_precision_accepted_asymmetric_rejected(self):
         # a small sigma_eta2 leaves the solved G asymmetric by ~1e-9 before
@@ -446,11 +442,11 @@ class TestContaminatedMomentMatrix:
         rng = np.random.default_rng(1)
         d = draw_assignment(AssignmentPolicy.with_replacement(2), 8, 200, rng)
         g = student_precision(d, StudentVarianceComponents(1.6, 14.4, 1e-5))
-        _, entry = contaminated_expected_moment_matrix(g, D2, 0.5)
+        _, entry = contaminated_expected_moment_matrix(g, 0.5)
         assert np.isfinite(entry)
         g[0, 1] += 1e-6 * np.abs(g).max()
         with pytest.raises(ValueError, match="asymmetric"):
-            contaminated_expected_moment_matrix(g, D2, 0.5)
+            contaminated_expected_moment_matrix(g, 0.5)
 
     def test_monte_carlo_moments(self):
         # empirical average of X'GX over design-2 draws with contamination,
@@ -459,7 +455,7 @@ class TestContaminatedMomentMatrix:
         rng = np.random.default_rng(20090203)
         m, q = 4, 0.5
         g = np.linalg.inv(teacher_cov(m, 0.9, 1.7))
-        e, _ = contaminated_expected_moment_matrix(g, D2, q)
+        e, _ = contaminated_expected_moment_matrix(g, q)
         draws = 40_000
         signs = _randomization_signs(D2, (m, m), rng.random((draws, 2 * m)))
         flags = _contamination_flags(signs, q, rng.random((draws, 2 * m)))
@@ -475,7 +471,7 @@ class TestTeacherInflationConsistency:
         from multilevel_design import teacher_inflation_design2
 
         g = teacher_precision(8, PILOT_TEACHER)
-        _, entry = contaminated_expected_moment_matrix(g, D2, 0.5)
+        _, entry = contaminated_expected_moment_matrix(g, 0.5)
         t_c = np.trace(g @ ((8 * np.eye(8) - np.ones((8, 8))) / 7.0))
         assert entry * t_c == pytest.approx(
             teacher_inflation_design2(0.5, 8, PILOT_TEACHER), rel=1e-12

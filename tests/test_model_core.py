@@ -343,7 +343,7 @@ class TestStudentInformation:
 
 class TestTreatmentVariance:
     def test_reciprocal_of_diagonal(self):
-        result = treatment_variance(np.diag([4.70588, 8.88889]), index=1)
+        result = treatment_variance(np.diag([4.70588, 8.88889]))
         assert result.variance == pytest.approx(0.1125, abs=1e-5)
 
     def test_design1_teacher_anchor(self):
@@ -356,7 +356,7 @@ class TestTreatmentVariance:
 
     def test_non_estimable_singular_direction(self):
         with pytest.raises(NonEstimableError):
-            treatment_variance(np.diag([4.0, 0.0]), index=1)
+            treatment_variance(np.diag([4.0, 0.0]))
 
     def test_collinear_contamination_column(self):
         # q=1 contamination: C = (1 - R)/2 makes treatment non-estimable
@@ -382,11 +382,16 @@ class TestTreatmentVariance:
         rng = np.random.default_rng(3)
         b = rng.normal(size=(3, 3))
         info = b @ b.T + 0.5 * np.eye(3)
-        expected = np.linalg.inv(info)[2, 2]
-        assert treatment_variance(info, index=2).variance == pytest.approx(expected, rel=1e-10)
+        expected = np.linalg.inv(info)[1, 1]
+        assert treatment_variance(info).variance == pytest.approx(expected, rel=1e-10)
 
     def test_plain_matrix_defaults_to_treatment_column(self):
         assert treatment_variance(np.diag([2.0, 4.0])).variance == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_only_two_or_three_columns(self, p):
+        with pytest.raises(ValueError, match="2 or 3 parameters"):
+            treatment_variance(np.eye(p))
 
 
 class TestInformationProperties:

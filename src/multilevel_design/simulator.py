@@ -1,17 +1,23 @@
 """Monte Carlo engine for the anticipated-variance distribution.
 
 Replicates run in chunks under a memory cap.  A replicate only draws, into
-arrays: each student's teacher picks and each teacher's +-1 randomization
-and contamination, schools padded to the largest.  Per chunk, bincounts over
-the picks give each school's Gram [1 D]'[1 D] (no n x m D is formed), one
-kernel call the student precisions and one contraction per level the
-information; one pivot per run gives the variances.  Each purpose has one
-stream keyed by (seed, purpose) of which a replicate takes K uniforms from
-offset r*K, so a chunk is one draw per purpose and chunking changes no result.
+arrays: its assignment uniforms and each teacher's +-1 randomization and
+contamination, schools padded to the largest.  Per chunk, each school's Gram
+[1 D]'[1 D] comes without an n x m D: with replacement from bincounts over
+the students' teacher picks; balanced and single_course from the slot Gram
+of the layout's fixed balanced rows, cached once and carried onto teachers
+through each replicate's slot table in O(m^2), since reordering students
+leaves the Gram unchanged.  One kernel call gives the student precisions and
+one contraction per level the information; one pivot per run gives the
+variances.  Each purpose has one stream keyed by (seed, purpose) of which a
+replicate takes K uniforms from offset r*K; a run makes each stream once and
+draws its chunks in order, so chunking changes no result.
 
 A second path generates synthetic responses on the same draws and
 GLS-estimates them per chunk, which validates the analytic anticipated
-variances against the Monte Carlo variance of an actual estimator.
+variances against the Monte Carlo variance of an actual estimator.  It pairs
+each response with its row of D, so it keeps the ordered picks, as does
+draw_assignment.
 """
 
 from __future__ import annotations
@@ -155,29 +161,42 @@ def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.nd
     """The (R, c, sum n) teacher indices ("picks") of every student from the
     uniforms ``u`` (R, K) laid out school by school; row s of D counts
     student s's picks.  With replacement a pick is floor(u m_i); otherwise
-    the offset is floor(u m_i) and relabeling and student order are stable
-    argsorts of uniform keys."""
+    a stable argsort of uniform keys orders the students, who take the
+    balanced rows through the replicate's slot table.  Only draw_assignment
+    and validate pair a student with its row of D; information takes
+    balanced Grams from _assignment_gram, with no student order."""
     c, ms, ns = policy.c, np.asarray(m), np.asarray(n)
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
         u = np.swapaxes(u.reshape(len(u), -1, c), -1, -2) * np.repeat(ms, ns)
         return u.astype(np.intp, order="C")  # truncation is floor here
+    keys = _school_keys(u, np.cumsum(1 + ms + ns) - ns, ns, ns.max())
+    order = np.argsort(keys, axis=-1, kind="stable")
+    school = np.repeat(np.arange(len(ms)), ns)
+    slots = _balanced_slots(m, n, c)[school, order[:, np.arange(ns.max()) < ns[:, None]]]
+    picks = _slot_table(m, n, u)[np.arange(len(u))[:, None, None], school[:, None], slots]
+    return np.ascontiguousarray(np.swapaxes(picks, -1, -2))
+
+
+def _slot_table(m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
+    """Every school's (R, a, 2 max m) teacher of each balanced slot from the
+    uniforms ``u`` (R, K): [relabel, relabel shifted by the remainder
+    offset], the offset floor(u m_i) of the school's first uniform and the
+    relabeling a stable argsort of its next m_i.  Each half is a
+    permutation of the max m slots (a padded slot keeps its own index)."""
+    ms, ns = np.asarray(m), np.asarray(n)
     starts = np.cumsum(1 + ms + ns) - (1 + ms + ns)
     offset = (u[:, starts, None] * ms[:, None]).astype(np.intp)
     relabel = np.argsort(_school_keys(u, starts + 1, ms, ms.max()), axis=-1, kind="stable")
-    shifted = np.take_along_axis(relabel, (np.arange(ms.max()) + offset) % ms[:, None], -1)
-    order = np.argsort(_school_keys(u, starts + 1 + ms, ns, ns.max()), axis=-1, kind="stable")
-    school = np.repeat(np.arange(len(ms)), ns)
-    slots = _balanced_slots(m, n, c)[school, order[:, np.arange(ns.max()) < ns[:, None]]]
-    table = np.concatenate([relabel, shifted], -1)
-    picks = table[np.arange(len(u))[:, None, None], school[:, None], slots]
-    return np.ascontiguousarray(np.swapaxes(picks, -1, -2))
+    slot = np.arange(ms.max())
+    shift = np.where(slot < ms[:, None], (slot + offset) % ms[:, None], slot)
+    return np.concatenate([relabel, np.take_along_axis(relabel, shift, -1)], -1)
 
 
 @functools.cache
 def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
-    """Every school's (max n, c) balanced rows as slots of [relabel, relabel
-    shifted by the remainder offset]: full passes over the c-subsets, then
-    the remainder's (c*j + k) mod m_i in the shifted half."""
+    """Every school's (max n, c) balanced rows as slots of _slot_table: full
+    passes over the c-subsets, then the remainder's (c*j + k) mod m_i in
+    the shifted half.  Fixed per layout, so _slot_gram counts them once."""
     slots = np.zeros((len(m), max(n), c), dtype=np.intp)
     for i, (m_i, n_i) in enumerate(zip(m, n)):
         full, rest = divmod(n_i, math.comb(m_i, c))
@@ -187,6 +206,53 @@ def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
         slots[i, n_i - rest : n_i] = max(m) + (c * np.arange(rest)[:, None] + np.arange(c)) % m_i
     slots.setflags(write=False)  # cached: every caller shares it
     return slots
+
+
+@functools.cache
+def _slot_gram(m: tuple, n: tuple, c: int) -> np.ndarray:
+    """Every school's Gram of its balanced rows over the 2 max m slots, the
+    slot counts and slot-pair counts (j < k) of _pick_gram with the slots
+    as picks, and a zero row and column appended: (a, 2 max m + 2, 2 max m
+    + 2).  Reordering students leaves it unchanged, so it is counted once."""
+    layout = StudyLayout(len(m), 2 * max(m), n)
+    slots = _balanced_slots(m, n, c)[np.repeat(np.arange(len(m)), n), _within_school(n)]
+    gram = _pick_gram(np.ascontiguousarray(slots.T)[None], layout)[0]
+    gram = np.pad(gram, ((0, 0), (0, 1), (0, 1)))
+    gram.setflags(write=False)  # cached: every caller shares it
+    return gram
+
+
+def _assignment_gram(
+    policy: AssignmentPolicy, layout: StudyLayout, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Every school's Gram [1 D]'[1 D], (R, a, m+1, m+1), of the next ``count``
+    replicates of the assignment stream ``rng``.  With replacement it counts
+    the picks.  Otherwise each half of the slot table gives teacher t one
+    slot, and the Gram sums the slot Gram's entries over both halves of its
+    rows and its columns: integer counts gathered with no per-student work,
+    equal to _pick_gram of the picks.  It draws the uniforms itself, so they
+    are freed before the counting."""
+    shape = (count, _assignment_uniforms(policy, layout.m, layout.n))
+    if policy.kind is PolicyKind.WITH_REPLACEMENT:
+        return _pick_gram(_picks(policy, layout.m, layout.n, rng.random(shape)), layout)
+    m = max(layout.m)
+    table = _slot_table(layout.m, layout.n, rng.random(shape)).reshape(count, layout.a, 2, m)
+    # per half, the slot Gram row of the intercept and of each teacher; the
+    # second half's intercept reads the zero row
+    rows = np.zeros(table.shape[:-1] + (m + 1,), dtype=np.intp)
+    rows[..., 1, 0] = 2 * m + 1
+    rows[..., 1:] = 1 + np.argsort(table, axis=-1) + np.array([[0], [m]])
+    first, second = np.moveaxis(rows, 2, 0)
+    gram, school = _slot_gram(layout.m, layout.n, policy.c), np.arange(layout.a)[:, None]
+    # rows, then columns (the Grams are symmetric), of both halves
+    gram = np.swapaxes(gram[school, first] + gram[school, second], -1, -2)
+    reps = np.arange(count)[:, None, None]
+    return gram[reps, school, first] + gram[reps, school, second]
+
+
+def _within_school(n: Sequence[int]) -> np.ndarray:
+    """Each student's index in its school's run of the sum n students."""
+    return np.arange(sum(n)) - np.repeat(np.cumsum(n) - n, n)
 
 
 @dataclass(frozen=True)
@@ -246,7 +312,8 @@ class ReplicateStreams(NamedTuple):
 
 def replicate_streams(config: SimulationConfig, replicate: int) -> ReplicateStreams:
     """Each purpose's stream, keyed by (seed, purpose), advanced to the first
-    uniform of replicate ``replicate``: offset replicate * K_purpose."""
+    uniform of replicate ``replicate``: offset replicate * K_purpose.  A run
+    makes replicate 0's once and draws its chunks from them in order."""
     return ReplicateStreams(
         *(
             np.random.Generator(np.random.PCG64([config.seed, k]).advance(replicate * size))
@@ -414,7 +481,9 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     students and by the teachers: the picks and pick-pair codes (2c +
     c(c-1)/2 integers a student) and about eight arrays the size of every
     school's Gram (pair counts, Gram, its scaled copies, the solve and G,
-    each at most (max m + 2)^2 per school)."""
+    each at most (max m + 2)^2 per school).  Balanced and single_course
+    information makes no picks; its gathers briefly hold four Gram-sized
+    arrays a school, freed before the precision kernel runs."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
 
@@ -428,26 +497,19 @@ def _chunks(config: SimulationConfig) -> list[range]:
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _draw_chunk(
-    config: SimulationConfig, reps: range, responses: bool = False
-) -> tuple[np.ndarray, ...]:
-    """Replicates ``reps``' picks (R, c, sum n), design matrices (R, a, max m,
-    p) with zero rows for padded teachers, and, given ``responses``, their
-    response uniforms (R, K): one uniform draw per purpose, none per
-    replicate."""
-    layout, q = config.layout, config.effective_q
-    streams, sizes = replicate_streams(config, reps.start), _stream_sizes(config)
-
-    def uniforms(purpose: str) -> np.ndarray:
-        return getattr(streams, purpose).random((len(reps), getattr(sizes, purpose)))
-
-    picks = _picks(config.policy, layout.m, layout.n, uniforms("assignment"))
-    x = np.zeros((len(reps), layout.a, max(layout.m), 3 if q > 0.0 else 2))
+def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int) -> np.ndarray:
+    """The next ``count`` replicates' design matrices (R, a, max m, p), zero
+    rows for padded teachers: one uniform draw per purpose from ``streams``,
+    none per replicate."""
+    layout, q, sizes = config.layout, config.effective_q, _stream_sizes(config)
+    x = np.zeros((count, layout.a, max(layout.m), 3 if q > 0.0 else 2))
     x[..., 0] = np.arange(max(layout.m)) < np.array(layout.m)[:, None]
-    x[..., 1] = _randomization_signs(config.design, layout.m, uniforms("randomization"))
+    u = streams.randomization.random((count, sizes.randomization))
+    x[..., 1] = _randomization_signs(config.design, layout.m, u)
     if q > 0.0:
-        x[..., 2] = _contamination_flags(x[..., 1], q, uniforms("contamination"))
-    return picks, x, uniforms("responses") if responses else None
+        u = streams.contamination.random((count, sizes.contamination))
+        x[..., 2] = _contamination_flags(x[..., 1], q, u)
+    return x
 
 
 def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = None) -> np.ndarray:
@@ -476,10 +538,13 @@ def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = No
     return gram
 
 
-def _replicate_information(config: SimulationConfig, reps: range) -> np.ndarray:
+def _replicate_information(
+    config: SimulationConfig, streams: ReplicateStreams, reps: range
+) -> np.ndarray:
     """Both levels' p x p information of replicates ``reps``, (2, R, p, p)."""
-    picks, x, _ = _draw_chunk(config, reps)
-    g_s = _symmetric(_gram_precision(_pick_gram(picks, config.layout), config.student_vc))
+    x = _design_chunk(config, streams, len(reps))
+    gram = _assignment_gram(config.policy, config.layout, streams.assignment, len(reps))
+    g_s = _symmetric(_gram_precision(gram, config.student_vc))
     g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
     return np.stack([_information(x, g_t), _information(x, g_s)])
 
@@ -491,7 +556,10 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     uniforms of each purpose's stream.  One pivot per run gives every variance, NaN for a
     replicate whose treatment direction is singular.
     """
-    infos = np.concatenate([_replicate_information(config, r) for r in _chunks(config)], axis=1)
+    streams = replicate_streams(config, 0)
+    infos = np.concatenate(
+        [_replicate_information(config, streams, r) for r in _chunks(config)], axis=1
+    )
     variances = 1.0 / _treatment_pivot(infos)
     levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
     return SimulationResult(config, *levels)
@@ -596,7 +664,13 @@ def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, n
     return (cov @ np.einsum("...kip,...ki->...p", x, z)[..., None])[..., 0], cov
 
 
-def _study_chunk(config: SimulationConfig, reps: range, beta: np.ndarray, theta: np.ndarray):
+def _study_chunk(
+    config: SimulationConfig,
+    streams: ReplicateStreams,
+    reps: range,
+    beta: np.ndarray,
+    theta: np.ndarray,
+):
     """Per level, the treatment coefficients and anticipated variances (2, 2, R)
     of GLS fits to the response generators' T = X beta + v + eps and
     Y = D(X theta + t) + s + eta on replicates ``reps``, D(.) a sum over the
@@ -604,13 +678,18 @@ def _study_chunk(config: SimulationConfig, reps: range, beta: np.ndarray, theta:
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
-    picks, x, u = _draw_chunk(config, reps, responses=True)
+    sizes = _stream_sizes(config)
+    x = _design_chunk(config, streams, len(reps))
+    picks = _picks(
+        config.policy, layout.m, layout.n, streams.assignment.random((len(reps), sizes.assignment))
+    )
+    u = streams.responses.random((len(reps), sizes.responses))
     z_t = _normals(u[:, : _paired(t_size)], t_size)
     z_s = _normals(u[:, _paired(t_size) :], s_size)
     # each teacher's and student's offset in its school's run; a padded
     # teacher (zero intercept) rereads its school's first slot
     teacher = (np.arange(x.shape[2]) * x[0, ..., 0]).astype(int)
-    student = np.arange(sum(layout.n)) - np.repeat(np.cumsum(layout.n) - layout.n, layout.n)
+    student = _within_school(layout.n)
     eps, t, eta = eps[:, None] + teacher, t[:, None] + teacher, np.repeat(eta, layout.n) + student
     sd_v, sd_eps = np.sqrt(tvc.sigma_v2), np.sqrt(tvc.sigma_eps2)
     t_resp = x @ beta + sd_v * z_t[:, v, None] + sd_eps * z_t[:, eps]
@@ -663,7 +742,9 @@ def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLev
     p = 3 if config.effective_q > 0.0 else 2
     beta = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
 
-    fits = np.concatenate([_study_chunk(config, r, beta, beta) for r in _chunks(config)], axis=-1)
+    streams = replicate_streams(config, 0)
+    chunks = _chunks(config)
+    fits = np.concatenate([_study_chunk(config, streams, r, beta, beta) for r in chunks], axis=-1)
     out = {}
     for level, (coefs, anticipated) in zip(LEVELS, fits):
         used = ~np.isnan(coefs)

@@ -287,6 +287,52 @@ class TestCompareMode:
         assert summary[1].startswith("crd,teacher,") and summary[1].endswith(",0.0")
 
 
+class TestGoldenValues:
+    """summary.csv's mean_var and sd_var of two small compares as 0.2.0 first
+    wrote them: a change to the engine must reproduce them to 1e-12
+    relative.  An sd of identical variances is rounding noise, so it is
+    compared on the scale of its mean."""
+
+    GOLDEN = {
+        "balanced_q0.5": (
+            {"assignment": {"policy": "balanced", "c": 2}, "q": 0.5},
+            {
+                ("randomize_schools", "teacher"): (1.2999999999999998, 2.2429892266911074e-16),
+                ("randomize_schools", "student"): (1.1125, 2.2653080771659774e-16),
+                ("within_schools", "teacher"): (1.6419719234520702, 0.6601102755052486),
+                ("within_schools", "student"): (2.2311124634807578, 0.8459211959604602),
+                ("crd", "teacher"): (1.4452066777273445, 0.49331425164801984),
+                ("crd", "student"): (1.769848899216322, 0.6359182635748406),
+            },
+        ),
+        "single_course": (
+            {"assignment": {"policy": "single_course"}},
+            {
+                ("randomize_schools", "teacher"): (1.2999999999999998, 2.2429892266911074e-16),
+                ("randomize_schools", "student"): (1.7500000000000002, 2.2429892266911074e-16),
+                ("within_schools", "teacher"): (0.9000000000000001, 0.0),
+                ("within_schools", "student"): (1.35, 2.2429892266911074e-16),
+                ("crd", "teacher"): (0.969307995482778, 0.05823096974365125),
+                ("crd", "student"): (1.4247540861652583, 0.061001661758490706),
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_summary_matches_recorded_values(self, tmp_path, name):
+        # 4 schools of 4 teachers and 8 students: balanced c = 2 deals one full
+        # pass over the 6 pairs and 2 remainder rows
+        overrides, golden = self.GOLDEN[name]
+        out = tmp_path / "out"
+        assert run(parse_config_data(base_config(out_dir=str(out), **overrides))) == 0
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert {(row[0], row[1]) for row in rows} == set(golden)
+        for design, level, mean, sd, *_ in rows:
+            want_mean, want_sd = golden[design, level]
+            assert float(mean) == pytest.approx(want_mean, rel=1e-12, abs=0.0)
+            assert float(sd) == pytest.approx(want_sd, rel=1e-12, abs=1e-12 * want_mean)
+
+
 class TestValidateMode:
     def test_validate_passes_and_writes_csv(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Tests for assignment draws, the Monte Carlo engine, GLS validation, KDE."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -458,23 +460,43 @@ class TestChunkedEngine:
 
 
 class TestHeterogeneousLayouts:
-    def test_padded_engine_matches_public_path(self):
-        # per-school m in {2, 4, 6, 8} and varied n: the engine pads schools
-        # with idle teachers, the public path takes one D per school
-        rng = np.random.default_rng(20240601)
-        for trial in range(12):
-            a = int(rng.integers(2, 6))
+    @staticmethod
+    def _trial_layout(trial, rng):
+        """The trial's policy and a layout it can fill: with replacement any
+        n, balanced c = 2 a multiple of m_i/2 (often not of C(m_i, 2), so the
+        remainder rows run) and single_course a multiple of m_i."""
+        a = int(rng.integers(2, 6))
+        if trial % 3 == 0:
             m = tuple(int(v) for v in rng.choice([2, 4, 6, 8], size=a))
-            n = tuple(int(v) for v in rng.integers(1, 40, size=a))
+            return AssignmentPolicy.with_replacement(2), m, tuple(int(v) for v in rng.integers(1, 40, size=a))
+        if trial % 3 == 1:  # m_i > c, so within_schools can estimate the student level
+            m = tuple(int(v) for v in rng.choice([4, 6, 8], size=a))
+            return AssignmentPolicy.balanced(2), m, tuple(m_i // 2 * int(rng.integers(1, 13)) for m_i in m)
+        m = tuple(int(v) for v in rng.choice([2, 4, 6, 8], size=a))
+        return AssignmentPolicy.single_course(), m, tuple(m_i * int(rng.integers(1, 6)) for m_i in m)
+
+    def test_padded_engine_matches_public_path(self):
+        # per-school m in {2, 4, 6, 8}, varied n and all three policies: the
+        # engine pads schools with idle teachers, the public path takes one
+        # D per school
+        rng = np.random.default_rng(20240601)
+        remainder_rows = False
+        for trial in range(18):
+            policy, m, n = self._trial_layout(trial, rng)
+            a = len(m)
+            design = (D1, D2, D3)[trial // 3 % 3] if a % 2 == 0 else (D2, D3)[trial // 3 % 2]
+            if policy.kind is PolicyKind.BALANCED:
+                remainder_rows |= any(n_i % math.comb(m_i, 2) for m_i, n_i in zip(m, n))
             config = make_config(
                 layout=StudyLayout(a=a, m=m, n=n),
-                design=(D1, D2, D3)[trial % 3] if a % 2 == 0 else (D2, D3)[trial % 2],
+                design=design,
+                policy=policy,
                 q=0.3 if trial % 4 == 0 else 0.0,
                 replicates=6,
                 seed=trial,
             )
             reps = range(config.replicates)
-            infos = simulator._replicate_information(config, reps)
+            infos = simulator._replicate_information(config, replicate_streams(config, 0), reps)
             for rep in reps:
                 ds, xs = public_draws(config, rep)
                 expected = (
@@ -492,11 +514,34 @@ class TestHeterogeneousLayouts:
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
             # a padded teacher has no design row and an exactly zero precision row
-            picks, x, _ = simulator._draw_chunk(config, reps)
-            g = _gram_precision(simulator._pick_gram(picks, config.layout), config.student_vc)
+            x = simulator._design_chunk(config, replicate_streams(config, 0), len(reps))
+            stream = replicate_streams(config, 0).assignment
+            gram = simulator._assignment_gram(config.policy, config.layout, stream, len(reps))
+            g = _gram_precision(gram, config.student_vc)
             for i, m_i in enumerate(m):
                 assert np.all(x[:, i, m_i:] == 0.0)
                 assert np.all(g[:, i, m_i:] == 0.0) and np.all(g[:, i, :, m_i:] == 0.0)
+        assert remainder_rows
+
+    @pytest.mark.parametrize(
+        "m, n, policy",
+        [
+            ((4, 6, 8), (12, 9, 20), AssignmentPolicy.balanced(2)),
+            ((6, 4), (14, 8), AssignmentPolicy.balanced(3)),
+            ((8, 8), (20, 36), AssignmentPolicy.balanced(4)),
+            ((3, 3), (5, 7), AssignmentPolicy.balanced(3)),
+            ((8,) * 16, (196,) * 16, AssignmentPolicy.balanced(2)),
+            ((5, 7), (15, 21), AssignmentPolicy.single_course()),
+        ],
+    )
+    def test_slot_gram_equals_pick_gram(self, m, n, policy):
+        # the Gram carried from the cached slot Gram through the slot table
+        # counts exactly what the ordered picks count, padded teachers included
+        layout = StudyLayout(a=len(m), m=m, n=n)
+        u = np.random.default_rng(sum(n)).random((5, simulator._assignment_uniforms(policy, m, n)))
+        want = simulator._pick_gram(simulator._picks(policy, m, n, u), layout)
+        got = simulator._assignment_gram(policy, layout, np.random.default_rng(sum(n)), 5)
+        assert np.array_equal(got, want)
 
 
 class TestResponseGenerators:
@@ -638,7 +683,8 @@ class TestEstimatorVarianceStudy:
         # the same draws and response stream, one replicate at a time
         config = make_config(**{"replicates": 12, "effect_size_diff": 1.0, **overrides})
         beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
-        got = simulator._study_chunk(config, range(config.replicates), beta, 2.0 * beta)
+        streams = replicate_streams(config, 0)
+        got = simulator._study_chunk(config, streams, range(config.replicates), beta, 2.0 * beta)
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses

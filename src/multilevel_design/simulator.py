@@ -208,16 +208,20 @@ def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
     return slots
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _slot_gram(m: tuple, n: tuple, c: int) -> np.ndarray:
-    """Every school's Gram of its balanced rows over the 2 max m slots, the
-    slot counts and slot-pair counts (j < k) of _pick_gram with the slots
-    as picks, and a zero row and column appended: (a, 2 max m + 2, 2 max m
-    + 2).  Reordering students leaves it unchanged, so it is counted once."""
-    layout = StudyLayout(len(m), 2 * max(m), n)
-    slots = _balanced_slots(m, n, c)[np.repeat(np.arange(len(m)), n), _within_school(n)]
-    gram = _pick_gram(np.ascontiguousarray(slots.T)[None], layout)[0]
-    gram = np.pad(gram, ((0, 0), (0, 1), (0, 1)))
+    """Every school's Gram [1 S]'[1 S] of its balanced rows S over the slots
+    of each half of _slot_table, (2, a, max m + 1, max m + 1): the full
+    passes fill the first half and the remainder rows the second, and no
+    row spans both, so the halves share no pair.  Reordering students
+    leaves it unchanged, so _pick_gram counts it once, a school at a time
+    with its halves as two schools; the cache keeps the last layout's only."""
+    top = max(m)
+    gram = np.empty((2, len(m), top + 1, top + 1))
+    for i, (m_i, n_i) in enumerate(zip(m, n)):
+        rows = _balanced_slots(m, n, c)[i, :n_i] % top  # each half's slots as 0..max m
+        split = n_i - n_i % math.comb(m_i, c)
+        gram[:, i] = _pick_gram(rows.T[None], (split, n_i - split), top)[0]
     gram.setflags(write=False)  # cached: every caller shares it
     return gram
 
@@ -227,27 +231,24 @@ def _assignment_gram(
 ) -> np.ndarray:
     """Every school's Gram [1 D]'[1 D], (R, a, m+1, m+1), of the next ``count``
     replicates of the assignment stream ``rng``.  With replacement it counts
-    the picks.  Otherwise each half of the slot table gives teacher t one
-    slot, and the Gram sums the slot Gram's entries over both halves of its
-    rows and its columns: integer counts gathered with no per-student work,
-    equal to _pick_gram of the picks.  It draws the uniforms itself, so they
-    are freed before the counting."""
+    the picks.  Otherwise the full passes deal every c-subset of a school's
+    teachers equally often, so their slot Gram is the teachers' Gram under
+    any relabeling; the remainder's is gathered at the intercept and each
+    teacher's slot in the shifted half of the slot table.  Integer counts
+    with no per-student work, equal to _pick_gram of the picks.  It draws
+    the uniforms itself, so they are freed before the counting."""
     shape = (count, _assignment_uniforms(policy, layout.m, layout.n))
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        return _pick_gram(_picks(policy, layout.m, layout.n, rng.random(shape)), layout)
+        picks = _picks(policy, layout.m, layout.n, rng.random(shape))
+        return _pick_gram(picks, layout.n, max(layout.m))
     m = max(layout.m)
-    table = _slot_table(layout.m, layout.n, rng.random(shape)).reshape(count, layout.a, 2, m)
-    # per half, the slot Gram row of the intercept and of each teacher; the
-    # second half's intercept reads the zero row
-    rows = np.zeros(table.shape[:-1] + (m + 1,), dtype=np.intp)
-    rows[..., 1, 0] = 2 * m + 1
-    rows[..., 1:] = 1 + np.argsort(table, axis=-1) + np.array([[0], [m]])
-    first, second = np.moveaxis(rows, 2, 0)
-    gram, school = _slot_gram(layout.m, layout.n, policy.c), np.arange(layout.a)[:, None]
-    # rows, then columns (the Grams are symmetric), of both halves
-    gram = np.swapaxes(gram[school, first] + gram[school, second], -1, -2)
-    reps = np.arange(count)[:, None, None]
-    return gram[reps, school, first] + gram[reps, school, second]
+    shifted = _slot_table(layout.m, layout.n, rng.random(shape))[..., m:]
+    rows = np.zeros(shifted.shape[:-1] + (m + 1,), dtype=np.intp)
+    rows[..., 1:] = 1 + np.argsort(shifted, axis=-1)
+    full, rest = _slot_gram(layout.m, layout.n, policy.c)
+    gram = rest[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]
+    gram += full
+    return gram
 
 
 def _within_school(n: Sequence[int]) -> np.ndarray:
@@ -291,6 +292,8 @@ class SimulationConfig:
             self.policy.check_school(m_i, n_i)
         self.policy.check_student_estimable(self.design, self.layout.m)
         students, teachers = _footprint(self.layout, self.policy.c)
+        if self.policy.kind is not PolicyKind.WITH_REPLACEMENT:
+            teachers += _slot_gram_bytes(self.layout)
         if students + teachers > _REPLICATE_BYTES_LIMIT:
             field = "students_per_school" if students > teachers else "teachers_per_school"
             size = f"{students + teachers} bytes, over {_REPLICATE_BYTES_LIMIT}"
@@ -482,19 +485,28 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     c(c-1)/2 integers a student) and about eight arrays the size of every
     school's Gram (pair counts, Gram, its scaled copies, the solve and G,
     each at most (max m + 2)^2 per school).  Balanced and single_course
-    information makes no picks; its gathers briefly hold four Gram-sized
-    arrays a school, freed before the precision kernel runs."""
+    information makes no picks and no pair counts: it gathers the Gram
+    straight from the cached slot Gram, whose bytes _slot_gram_bytes
+    counts once a run."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
+
+
+def _slot_gram_bytes(layout: StudyLayout) -> int:
+    """Bytes of _slot_gram's cached result, two Gram-sized arrays a school,
+    which balanced and single_course hold beside a chunk's replicates; the
+    replicate-size guard counts them with the teachers."""
+    return 16 * layout.a * (max(layout.m) + 1) ** 2
 
 
 def _replicate_bytes(config: SimulationConfig) -> int:
     return sum(_footprint(config.layout, config.policy.c))
 
 
-def _chunks(config: SimulationConfig) -> list[range]:
-    """Replicate ranges of at most _CHUNK_BYTES each (one replicate at least)."""
+def _chunks(config: SimulationConfig) -> list[int]:
+    """Replicate counts, in run order, of chunks of at most _CHUNK_BYTES each
+    (one replicate at least)."""
     size, reps = max(1, _CHUNK_BYTES // _replicate_bytes(config)), config.replicates
-    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+    return [min(size, reps - start) for start in range(0, reps, size)]
 
 
 def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int) -> np.ndarray:
@@ -512,14 +524,17 @@ def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: in
     return x
 
 
-def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = None) -> np.ndarray:
+def _pick_gram(
+    picks: np.ndarray, n: Sequence[int], m: int, y: np.ndarray | None = None
+) -> np.ndarray:
     """Every school's Gram [1 D]'[1 D (y)], (R, a, m+1, m+1[+1]), by bincount
-    over picks (R, c, sum n): D'D = P + P' + diag(1'D), 1'D counting each
+    over picks (R, c, sum n) of the n_i students of each school in turn,
+    padded to m teachers: D'D = P + P' + diag(1'D), 1'D counting each
     teacher's picks and P each student's pick pairs (j < k); D'y and 1'y are
     y-weighted counts.  A padded teacher is never picked: a zero row."""
     reps, c, _ = picks.shape
-    a, m = layout.a, max(layout.m)
-    school = np.arange(reps)[:, None] * a + np.repeat(np.arange(a), layout.n)
+    a = len(n)
+    school = np.arange(reps)[:, None] * a + np.repeat(np.arange(a), n)
     teacher = school[:, None] * m + picks
     col = np.bincount(teacher.ravel(), minlength=reps * a * m).reshape(reps, a, m)
     pairs = np.zeros((reps, a, m, m))
@@ -529,7 +544,7 @@ def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = No
     gram = np.zeros((reps, a, m + 1, m + 1 + (y is not None)))
     gram[..., 1 : m + 1, 1 : m + 1] = pairs + np.swapaxes(pairs, -1, -2)
     gram[..., range(1, m + 1), range(1, m + 1)] += col
-    gram[..., 0, 0] = layout.n
+    gram[..., 0, 0] = n
     gram[..., 0, 1 : m + 1] = gram[..., 1 : m + 1, 0] = col
     if y is not None:
         gram[..., 0, -1] = np.bincount(school.ravel(), y.ravel(), reps * a).reshape(reps, a)
@@ -539,11 +554,12 @@ def _pick_gram(picks: np.ndarray, layout: StudyLayout, y: np.ndarray | None = No
 
 
 def _replicate_information(
-    config: SimulationConfig, streams: ReplicateStreams, reps: range
+    config: SimulationConfig, streams: ReplicateStreams, count: int
 ) -> np.ndarray:
-    """Both levels' p x p information of replicates ``reps``, (2, R, p, p)."""
-    x = _design_chunk(config, streams, len(reps))
-    gram = _assignment_gram(config.policy, config.layout, streams.assignment, len(reps))
+    """Both levels' p x p information, (2, R, p, p), of the next ``count``
+    replicates of ``streams``."""
+    x = _design_chunk(config, streams, count)
+    gram = _assignment_gram(config.policy, config.layout, streams.assignment, count)
     g_s = _symmetric(_gram_precision(gram, config.student_vc))
     g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
     return np.stack([_information(x, g_t), _information(x, g_s)])
@@ -558,7 +574,7 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     """
     streams = replicate_streams(config, 0)
     infos = np.concatenate(
-        [_replicate_information(config, streams, r) for r in _chunks(config)], axis=1
+        [_replicate_information(config, streams, count) for count in _chunks(config)], axis=1
     )
     variances = 1.0 / _treatment_pivot(infos)
     levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
@@ -667,23 +683,23 @@ def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, n
 def _study_chunk(
     config: SimulationConfig,
     streams: ReplicateStreams,
-    reps: range,
+    count: int,
     beta: np.ndarray,
     theta: np.ndarray,
 ):
     """Per level, the treatment coefficients and anticipated variances (2, 2, R)
     of GLS fits to the response generators' T = X beta + v + eps and
-    Y = D(X theta + t) + s + eta on replicates ``reps``, D(.) a sum over the
-    picks; NaN where not estimable."""
+    Y = D(X theta + t) + s + eta on the next ``count`` replicates of
+    ``streams``, D(.) a sum over the picks; NaN where not estimable."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
     sizes = _stream_sizes(config)
-    x = _design_chunk(config, streams, len(reps))
+    x = _design_chunk(config, streams, count)
     picks = _picks(
-        config.policy, layout.m, layout.n, streams.assignment.random((len(reps), sizes.assignment))
+        config.policy, layout.m, layout.n, streams.assignment.random((count, sizes.assignment))
     )
-    u = streams.responses.random((len(reps), sizes.responses))
+    u = streams.responses.random((count, sizes.responses))
     z_t = _normals(u[:, : _paired(t_size)], t_size)
     z_s = _normals(u[:, _paired(t_size) :], s_size)
     # each teacher's and student's offset in its school's run; a padded
@@ -695,10 +711,10 @@ def _study_chunk(
     t_resp = x @ beta + sd_v * z_t[:, v, None] + sd_eps * z_t[:, eps]
     u = x @ theta + np.sqrt(svc.sigma_t2) * z_s[:, t]
     school = np.repeat(np.arange(layout.a), layout.n)
-    y = u[np.arange(len(reps))[:, None, None], school, picks].sum(axis=1)
+    y = u[np.arange(count)[:, None, None], school, picks].sum(axis=1)
     y = y + np.sqrt(svc.sigma_s2) * z_s[:, s][:, school] + np.sqrt(svc.sigma_eta2) * z_s[:, eta]
     g_t = _teacher_precisions(layout.m, tvc)
-    g_z = _gram_precision(_pick_gram(picks, layout, y), svc)
+    g_z = _gram_precision(_pick_gram(picks, layout.n, max(layout.m), y), svc)
     fits = [
         _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, t_resp)),
         _gls_fit(x, g_z[..., :-1], g_z[..., -1]),
@@ -744,7 +760,7 @@ def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLev
 
     streams = replicate_streams(config, 0)
     chunks = _chunks(config)
-    fits = np.concatenate([_study_chunk(config, streams, r, beta, beta) for r in chunks], axis=-1)
+    fits = np.concatenate([_study_chunk(config, streams, k, beta, beta) for k in chunks], axis=-1)
     out = {}
     for level, (coefs, anticipated) in zip(LEVELS, fits):
         used = ~np.isnan(coefs)

@@ -396,7 +396,7 @@ class TestChunkedEngine:
         runs, studies = [], []
         for chunk in (1, 7, config.replicates):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", chunk * simulator._replicate_bytes(config))
-            assert len(simulator._chunks(config)[0]) == chunk
+            assert simulator._chunks(config)[0] == chunk
             runs.append(simulate_anticipated_variance(config))
             studies.append(estimator_variance_study(config))
         monkeypatch.undo()
@@ -456,71 +456,80 @@ class TestChunkedEngine:
         config = make_config(layout=StudyLayout(a=16, m=m, n=10), replicates=500)
         gram_bytes = 8 * config.layout.a * (m + 1) ** 2
         for chunk in simulator._chunks(config):
-            assert len(chunk) == 1 or len(chunk) * gram_bytes <= simulator._CHUNK_BYTES
+            assert chunk == 1 or chunk * gram_bytes <= simulator._CHUNK_BYTES
 
 
 class TestHeterogeneousLayouts:
     @staticmethod
-    def _trial_layout(trial, rng):
-        """The trial's policy and a layout it can fill: with replacement any
-        n, balanced c = 2 a multiple of m_i/2 (often not of C(m_i, 2), so the
-        remainder rows run) and single_course a multiple of m_i."""
-        a = int(rng.integers(2, 6))
-        if trial % 3 == 0:
-            m = tuple(int(v) for v in rng.choice([2, 4, 6, 8], size=a))
-            return AssignmentPolicy.with_replacement(2), m, tuple(int(v) for v in rng.integers(1, 40, size=a))
-        if trial % 3 == 1:  # m_i > c, so within_schools can estimate the student level
-            m = tuple(int(v) for v in rng.choice([4, 6, 8], size=a))
-            return AssignmentPolicy.balanced(2), m, tuple(m_i // 2 * int(rng.integers(1, 13)) for m_i in m)
-        m = tuple(int(v) for v in rng.choice([2, 4, 6, 8], size=a))
-        return AssignmentPolicy.single_course(), m, tuple(m_i * int(rng.integers(1, 6)) for m_i in m)
+    def _check_padded_engine(config):
+        """The engine's information of every replicate against the public
+        path, the first replicate's against dense inverses of each school's
+        covariance, and zero design and precision rows for padded teachers."""
+        m, count = config.layout.m, config.replicates
+        infos = simulator._replicate_information(config, replicate_streams(config, 0), count)
+        for rep in range(count):
+            ds, xs = public_draws(config, rep)
+            expected = (
+                teacher_information(xs, config.teacher_vc).entries,
+                student_information(xs, ds, config.student_vc).entries,
+            )
+            for got, want in zip(infos[:, rep], expected):
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        ds, xs = public_draws(config, 0)
+        t_covs = [teacher_cov(m_i, 1.6, 14.4) for m_i in m]
+        s_covs = [student_cov(d, 1.6, 14.4, 14.4) for d in ds]
+        for got, want in zip(infos[:, 0], (dense_info(xs, t_covs), dense_student_info(xs, ds, s_covs))):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+        x = simulator._design_chunk(config, replicate_streams(config, 0), count)
+        stream = replicate_streams(config, 0).assignment
+        gram = simulator._assignment_gram(config.policy, config.layout, stream, count)
+        g = _gram_precision(gram, config.student_vc)
+        for i, m_i in enumerate(m):
+            assert np.all(x[:, i, m_i:] == 0.0)
+            assert np.all(g[:, i, m_i:] == 0.0) and np.all(g[:, i, :, m_i:] == 0.0)
 
     def test_padded_engine_matches_public_path(self):
-        # per-school m in {2, 4, 6, 8}, varied n and all three policies: the
-        # engine pads schools with idle teachers, the public path takes one
-        # D per school
+        # per-school m in {2, 4, 6, 8} and varied n: the engine pads schools
+        # with idle teachers, the public path takes one D per school
         rng = np.random.default_rng(20240601)
-        remainder_rows = False
-        for trial in range(18):
-            policy, m, n = self._trial_layout(trial, rng)
-            a = len(m)
-            design = (D1, D2, D3)[trial // 3 % 3] if a % 2 == 0 else (D2, D3)[trial // 3 % 2]
-            if policy.kind is PolicyKind.BALANCED:
-                remainder_rows |= any(n_i % math.comb(m_i, 2) for m_i, n_i in zip(m, n))
+        for trial in range(12):
+            a = int(rng.integers(2, 6))
+            m = tuple(int(v) for v in rng.choice([2, 4, 6, 8], size=a))
+            n = tuple(int(v) for v in rng.integers(1, 40, size=a))
             config = make_config(
                 layout=StudyLayout(a=a, m=m, n=n),
-                design=design,
-                policy=policy,
+                design=(D1, D2, D3)[trial % 3] if a % 2 == 0 else (D2, D3)[trial % 2],
                 q=0.3 if trial % 4 == 0 else 0.0,
                 replicates=6,
                 seed=trial,
             )
-            reps = range(config.replicates)
-            infos = simulator._replicate_information(config, replicate_streams(config, 0), reps)
-            for rep in reps:
-                ds, xs = public_draws(config, rep)
-                expected = (
-                    teacher_information(xs, config.teacher_vc).entries,
-                    student_information(xs, ds, config.student_vc).entries,
-                )
-                for got, want in zip(infos[:, rep], expected):
-                    scale = np.abs(want).max()
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
-            # and the first replicate against dense inverses of each school's covariance
-            ds, xs = public_draws(config, 0)
-            t_covs = [teacher_cov(m_i, 1.6, 14.4) for m_i in m]
-            s_covs = [student_cov(d, 1.6, 14.4, 14.4) for d in ds]
-            for got, want in zip(infos[:, 0], (dense_info(xs, t_covs), dense_student_info(xs, ds, s_covs))):
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+            self._check_padded_engine(config)
 
-            # a padded teacher has no design row and an exactly zero precision row
-            x = simulator._design_chunk(config, replicate_streams(config, 0), len(reps))
-            stream = replicate_streams(config, 0).assignment
-            gram = simulator._assignment_gram(config.policy, config.layout, stream, len(reps))
-            g = _gram_precision(gram, config.student_vc)
-            for i, m_i in enumerate(m):
-                assert np.all(x[:, i, m_i:] == 0.0)
-                assert np.all(g[:, i, m_i:] == 0.0) and np.all(g[:, i, :, m_i:] == 0.0)
+        # balanced c = 2 on n_i a multiple of m_i / 2 (often not of
+        # C(m_i, 2), so the remainder rows run; m_i > 2, so within_schools
+        # can estimate the student level) and single_course on multiples of
+        # m_i; trial 8 of each is crd with contamination
+        remainder_rows = False
+        for policy, low in ((AssignmentPolicy.balanced(2), 4), (AssignmentPolicy.single_course(), 2)):
+            rng = np.random.default_rng(20240602)
+            for trial in range(12):
+                a = int(rng.integers(2, 6))
+                m = tuple(int(v) for v in rng.choice(range(low, 10, 2), size=a))
+                k = rng.integers(1, 13 if policy.c == 2 else 6, size=a)
+                n = tuple(int(m_i // policy.c * k_i) for m_i, k_i in zip(m, k))
+                if policy.kind is PolicyKind.BALANCED:
+                    remainder_rows |= any(n_i % math.comb(m_i, 2) for m_i, n_i in zip(m, n))
+                config = make_config(
+                    layout=StudyLayout(a=a, m=m, n=n),
+                    design=(D1 if a % 2 == 0 else D3, D2, D3)[trial % 3],
+                    policy=policy,
+                    q=0.3 if trial % 4 == 0 else 0.0,
+                    replicates=6,
+                    seed=trial,
+                )
+                self._check_padded_engine(config)
         assert remainder_rows
 
     @pytest.mark.parametrize(
@@ -539,7 +548,7 @@ class TestHeterogeneousLayouts:
         # counts exactly what the ordered picks count, padded teachers included
         layout = StudyLayout(a=len(m), m=m, n=n)
         u = np.random.default_rng(sum(n)).random((5, simulator._assignment_uniforms(policy, m, n)))
-        want = simulator._pick_gram(simulator._picks(policy, m, n, u), layout)
+        want = simulator._pick_gram(simulator._picks(policy, m, n, u), n, max(m))
         got = simulator._assignment_gram(policy, layout, np.random.default_rng(sum(n)), 5)
         assert np.array_equal(got, want)
 
@@ -684,7 +693,7 @@ class TestEstimatorVarianceStudy:
         config = make_config(**{"replicates": 12, "effect_size_diff": 1.0, **overrides})
         beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
         streams = replicate_streams(config, 0)
-        got = simulator._study_chunk(config, streams, range(config.replicates), beta, 2.0 * beta)
+        got = simulator._study_chunk(config, streams, config.replicates, beta, 2.0 * beta)
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses

@@ -91,9 +91,8 @@ class TreatmentVariance(NamedTuple):
 class TeacherVarianceComponents:
     """Variance components of the teacher model: school effect and residual.
 
-    sigma_eps2 = 0 is representable (response generation stays exact) but
-    every covariance inversion requires it to be positive; check_invertible
-    says so.
+    sigma_eps2 = 0 is representable but every covariance inversion requires
+    it to be positive; check_invertible says so.
     """
 
     sigma_v2: float
@@ -236,22 +235,6 @@ def _spectral_norm(entries: np.ndarray) -> np.ndarray:
     return spectral
 
 
-@dataclass(frozen=True, eq=False)
-class InformationMatrix:
-    """Symmetric PSD information matrix over the design-matrix columns
-    (intercept, treatment at TREATMENT_COLUMN, optional contamination)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"information matrix must be square, got {entries.shape}")
-        _check_symmetric(entries)
-        _spectral_norm(entries)
-        object.__setattr__(self, "entries", entries)
-
-
 def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:
     """Per-school fixed-effect matrices [1 r] or [1 r c] from an assignment."""
     xs = []
@@ -271,9 +254,22 @@ def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    vc.check_invertible()
-    shrink = vc.sigma_v2 / (vc.sigma_eps2 * (vc.sigma_eps2 + vc.sigma_v2 * m))
+    shrink = _teacher_shrink(m, vc)
     return np.eye(m) / vc.sigma_eps2 - shrink * np.ones((m, m))
+
+
+def _teacher_shrink(m: int, vc: TeacherVarianceComponents) -> float:
+    """The J coefficient of teacher_precision; a FieldError when its
+    denominator underflows to 0 although sigma_eps2 > 0."""
+    vc.check_invertible()
+    denominator = vc.sigma_eps2 * (vc.sigma_eps2 + vc.sigma_v2 * m)
+    if denominator == 0.0:
+        raise FieldError(
+            "teacher_vc.sigma_eps2",
+            f"sigma_eps2 * (sigma_eps2 + sigma_v2 * m) underflows to 0 at sigma_eps2 = "
+            f"{vc.sigma_eps2:g}, sigma_v2 = {vc.sigma_v2:g}, m = {m}",
+        )
+    return vc.sigma_v2 / denominator
 
 
 def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
@@ -372,20 +368,21 @@ def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
 
 def teacher_information(
     xs: Sequence[np.ndarray], vc: TeacherVarianceComponents
-) -> InformationMatrix:
-    """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision."""
+) -> np.ndarray:
+    """Sum of X_i' V_i^-1 X_i over schools, via the closed-form precision:
+    the symmetric p x p information that treatment_variance takes."""
     x, g, _ = _school_stack(xs, vc)
-    return InformationMatrix(_information(x, g))
+    return _information(x, g)
 
 
 def student_information(
     xs: Sequence[np.ndarray],
     d: Sequence[np.ndarray],
     vc: StudentVarianceComponents,
-) -> InformationMatrix:
-    """Sum of X_i' D_i' Sigma_i^-1 D_i X_i over schools."""
+) -> np.ndarray:
+    """Sum of X_i' D_i' Sigma_i^-1 D_i X_i over schools, p x p and symmetric."""
     x, g, _ = _school_stack(xs, vc, d)
-    return InformationMatrix(_information(x, g))
+    return _information(x, g)
 
 
 def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -438,15 +435,17 @@ def treatment_variance(info) -> TreatmentVariance:
 
     Returns the (TREATMENT_COLUMN, TREATMENT_COLUMN) entry of the inverse
     information, computed as the reciprocal pivot of the treatment direction
-    after eliminating the other parameters.  ``info`` is an InformationMatrix
-    or a plain 2 x 2 or 3 x 3 array over the columns [1 r] or [1 r c].
+    after eliminating the other parameters.  ``info`` is a 2 x 2 or 3 x 3
+    array over the columns [1 r] or [1 r c]; a ValueError says why one that
+    is not square, finite, symmetric (to SYMMETRY_RTOL) and PSD is refused.
     Raises NonEstimableError when the treatment direction is singular.
     """
-    if isinstance(info, InformationMatrix):
-        entries = info.entries
-    else:
-        entries = np.asarray(info, dtype=float)
-        _check_symmetric(entries)
+    entries = np.asarray(info, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"information matrix must be square, got shape {entries.shape}")
+    if not np.isfinite(entries).all():
+        raise ValueError("information matrix has a non-finite entry")
+    _check_symmetric(entries)
     pivot = float(_treatment_pivot(entries))
     if np.isnan(pivot):
         raise NonEstimableError("the treatment direction of the information matrix is singular")

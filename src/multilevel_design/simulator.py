@@ -13,11 +13,11 @@ variances.  Each purpose has one stream keyed by (seed, purpose) of which a
 replicate takes K uniforms from offset r*K; a run makes each stream once and
 draws its chunks in order, so chunking changes no result.
 
-A second path generates synthetic responses on the same draws and
-GLS-estimates them per chunk, which validates the analytic anticipated
-variances against the Monte Carlo variance of an actual estimator.  It pairs
-each response with its row of D, so it keeps the ordered picks, as does
-draw_assignment.
+A second path, _study_chunk, synthesizes responses from Box-Muller normals
+of the responses stream on the same draws and GLS-estimates them per chunk,
+which validates the analytic anticipated variances against the Monte Carlo
+variance of an actual estimator.  It pairs each response with its row of D,
+so it keeps the ordered picks, as does draw_assignment.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .model_core import (
     _school_stack,
     _symmetric,
     _teacher_precisions,
+    _teacher_shrink,
     _treatment_pivot,
     check_integer,
 )
@@ -262,7 +263,8 @@ class SimulationConfig:
 
     Construction rejects, with a FieldError naming the config field, any
     config whose replicates would all fail, in this order: a singular
-    covariance at either level, a design parity violation, q outside the
+    covariance at either level (or a teacher precision whose shrink
+    denominator underflows to 0), a design parity violation, q outside the
     design's range, q = 1 under within-school randomization, a policy that
     cannot fill the layout, balanced c = m under within-school
     randomization, or a replicate over _REPLICATE_BYTES_LIMIT.
@@ -285,7 +287,8 @@ class SimulationConfig:
         check_alpha(self.alpha)
         if self.effect_size_diff is not None and not np.isfinite(self.effect_size_diff):
             raise FieldError("effect_size_diff", "effect_size_diff must be finite")
-        self.teacher_vc.check_invertible()
+        for m_i in set(self.layout.m):
+            _teacher_shrink(m_i, self.teacher_vc)
         self.student_vc.check_invertible()
         self.design.check(self.layout.a, self.layout.m, self.q)
         for m_i, n_i in zip(self.layout.m, self.layout.n):
@@ -582,18 +585,18 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
 
 
 def _teacher_slots(m: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Where each school's v_i and its m_i eps_ij start in the normals of
-    generate_teacher_responses, which takes them school by school, and
-    their count."""
+    """Where each school's v_i and its m_i eps_ij start in a replicate's
+    teacher block of normals, which takes them school by school, and their
+    count."""
     m = np.asarray(m)
     v = np.cumsum(m + 1) - (m + 1)
     return v, v + 1, int(np.sum(m + 1))
 
 
 def _student_slots(m: Sequence[int], n: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Where each school's m_i t_ij, s_i and n_i eta_is start in the normals
-    of generate_student_responses, which takes them school by school, and
-    their count."""
+    """Where each school's m_i t_ij, s_i and n_i eta_is start in a
+    replicate's student block of normals, which follows the teacher block
+    and takes them school by school, and their count."""
     m, n = np.asarray(m), np.asarray(n)
     t = np.cumsum(m + 1 + n) - (m + 1 + n)
     return t, t + m, t + m + 1, int(np.sum(m + 1 + n))
@@ -611,41 +614,6 @@ def _normals(u: np.ndarray, k: int) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log1p(-pairs[..., 0]))
     angle = 2.0 * np.pi * pairs[..., 1]
     return (radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], -1)).reshape(u.shape)[..., :k]
-
-
-def generate_teacher_responses(
-    xs: Sequence[np.ndarray],
-    vc: TeacherVarianceComponents,
-    beta: np.ndarray,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Draw T_i = X_i beta + 1 v_i + eps_i per school."""
-    beta = np.asarray(beta, dtype=float)
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    v, eps, size = _teacher_slots([len(x) for x in xs])
-    z = _normals(rng.random(_paired(size)), size)
-    sd_v, sd_eps = np.sqrt(vc.sigma_v2), np.sqrt(vc.sigma_eps2)
-    return [x @ beta + sd_v * z[v_i] + sd_eps * z[e : e + len(x)] for x, v_i, e in zip(xs, v, eps)]
-
-
-def generate_student_responses(
-    xs: Sequence[np.ndarray],
-    ds: Sequence[np.ndarray],
-    vc: StudentVarianceComponents,
-    theta: np.ndarray,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Draw Y_i = D_i (X_i theta + t_i) + 1 s_i + eta_i per school."""
-    theta = np.asarray(theta, dtype=float)
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    ds = [np.asarray(d, dtype=float) for d in ds]
-    t, s, eta, size = _student_slots([len(x) for x in xs], [len(d) for d in ds])
-    z = _normals(rng.random(_paired(size)), size)
-    sd_t, sd_s, sd_eta = np.sqrt(vc.sigma_t2), np.sqrt(vc.sigma_s2), np.sqrt(vc.sigma_eta2)
-    return [
-        d @ (x @ theta + sd_t * z[t_i : t_i + len(x)]) + sd_s * z[s_i] + sd_eta * z[e : e + len(d)]
-        for x, d, t_i, s_i, e in zip(xs, ds, t, s, eta)
-    ]
 
 
 def gls_estimate(
@@ -688,9 +656,10 @@ def _study_chunk(
     theta: np.ndarray,
 ):
     """Per level, the treatment coefficients and anticipated variances (2, 2, R)
-    of GLS fits to the response generators' T = X beta + v + eps and
-    Y = D(X theta + t) + s + eta on the next ``count`` replicates of
-    ``streams``, D(.) a sum over the picks; NaN where not estimable."""
+    of GLS fits to T = X beta + v + eps and Y = D(X theta + t) + s + eta
+    on the next ``count`` replicates of ``streams``, D(.) a sum over the
+    picks; NaN where not estimable.  A replicate's responses uniforms give
+    a teacher block and then a student block of Box-Muller normals."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)

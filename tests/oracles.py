@@ -1,5 +1,6 @@
-"""Independent brute-force oracles: dense matrix algebra and exhaustive
-enumeration only, no imports from the package under test."""
+"""Independent brute-force oracles: dense matrix algebra, exhaustive
+enumeration and loops over the documented stream layout only, no imports
+from the package under test."""
 
 import itertools
 import math
@@ -167,4 +168,48 @@ def with_replacement_assignment_loop(m, n, c, rng):
     for s in range(n):
         for j in range(c):
             out[s, int(u[s, j] * m)] += 1.0
+    return out
+
+
+def box_muller_normals(rng, k):
+    """k standard normals from 2 ceil(k/2) uniforms of ``rng``, taken in
+    pairs (u1, u2): sqrt(-2 log(1 - u1)) cos(2 pi u2), then the same radius
+    times sin(2 pi u2); an odd k drops the last sine."""
+    u = rng.random(k + k % 2)
+    u1, u2 = u[0::2], u[1::2]
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.empty(u.size)
+    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return z[:k]
+
+
+def generate_teacher_responses(xs, vc, beta, rng):
+    """T_i = X_i beta + 1 v_i + eps_i per school, from one block of normals
+    laid out school by school: v_i, then the school's m_i eps_ij."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    z = box_muller_normals(rng, sum(len(x) + 1 for x in xs))
+    out, k = [], 0
+    for x in xs:
+        m = len(x)
+        v, eps = z[k], z[k + 1 : k + 1 + m]
+        out.append(x @ beta + math.sqrt(vc.sigma_v2) * v + math.sqrt(vc.sigma_eps2) * eps)
+        k += m + 1
+    return out
+
+
+def generate_student_responses(xs, ds, vc, theta, rng):
+    """Y_i = D_i (X_i theta + t_i) + 1 s_i + eta_i per school, from one block
+    of normals laid out school by school: the school's m_i t_ij, s_i, then
+    its n_i eta_is."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    ds = [np.asarray(d, dtype=float) for d in ds]
+    z = box_muller_normals(rng, sum(len(x) + 1 + len(d) for x, d in zip(xs, ds)))
+    out, k = [], 0
+    for x, d in zip(xs, ds):
+        m, n = len(x), len(d)
+        t, s, eta = z[k : k + m], z[k + m], z[k + m + 1 : k + m + 1 + n]
+        teacher = x @ theta + math.sqrt(vc.sigma_t2) * t
+        out.append(d @ teacher + math.sqrt(vc.sigma_s2) * s + math.sqrt(vc.sigma_eta2) * eta)
+        k += m + 1 + n
     return out

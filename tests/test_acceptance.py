@@ -105,10 +105,10 @@ class TestCriterion1ClosedFormEquivalence:
                     expected2 = expected_teacher_information(D2, layout, vc)
                     for _ in range(5):
                         x1 = design_matrices(draw_randomization(D1, layout, rng))
-                        v1 = teacher_information(x1, vc).entries[1, 1]
+                        v1 = teacher_information(x1, vc)[1, 1]
                         assert v1 == pytest.approx(expected1, rel=1e-9)
                         x2 = design_matrices(draw_randomization(D2, layout, rng))
-                        v2 = teacher_information(x2, vc).entries[1, 1]
+                        v2 = teacher_information(x2, vc)[1, 1]
                         assert v2 == pytest.approx(expected2, rel=1e-9)
                     assert table[m] == pytest.approx(expected1 / a, rel=1e-9)
 
@@ -172,7 +172,7 @@ class TestCriterion3SpecialCases:
             for _ in range(10):
                 xs = design_matrices(draw_randomization(D2, layout, rng))
                 info = student_information(xs, ds, PILOT_STUDENT)
-                assert info.entries[1, 1] == 0.0
+                assert info[1, 1] == 0.0
                 with pytest.raises(NonEstimableError):
                     treatment_variance(info)
 

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multilevel_design
 from multilevel_design import DensityEstimate, FieldError, PolicyKind
 from multilevel_design.cli import (
     emit_density_svg,
@@ -458,6 +460,8 @@ class TestErrorContract:
     ZERO_ETA = {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 0.0}
     BALANCED_C_EQUALS_M = {"policy": "balanced", "c": 4}
     NEGATIVE_V = {"sigma_v2": -1.0, "sigma_eps2": 14.4}
+    # sigma_eps2 * (sigma_eps2 + sigma_v2 * m) underflows to 0.0
+    UNDERFLOW_EPS = {"sigma_v2": 1e-300, "sigma_eps2": 1e-300}
     NEGATIVE_T = {"sigma_s2": 1.6, "sigma_t2": -1.0, "sigma_eta2": 14.4}
     BALANCED_C_ABOVE_M = {"policy": "balanced", "c": 5}
     SINGLE_COURSE_C2 = {"policy": "single_course", "c": 2}
@@ -508,6 +512,11 @@ class TestErrorContract:
             ("simulate", {"designs": []}, "designs"),
             ("simulate", {"designs": ["crd", "crd"]}, "designs"),
             ("simulate", {"assignment": {"policy": "balanced"}}, "assignment.c"),
+            (
+                "simulate",
+                {"designs": ["within_schools"], "schools": 6, "teacher_vc": UNDERFLOW_EPS},
+                "teacher_vc.sigma_eps2",
+            ),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -547,6 +556,7 @@ class TestErrorContract:
             "simulate-designs_empty",
             "simulate-design_twice",
             "simulate-balanced_without_c",
+            "simulate-teacher_precision_underflow",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):
@@ -622,3 +632,10 @@ class TestDensitySvg:
         with pytest.raises(ValueError):
             emit_density_svg({}, path)
         assert not path.exists()
+
+
+class TestVersion:
+    def test_pyproject_version_is_package_version(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            assert tomllib.load(f)["project"]["version"] == multilevel_design.__version__

@@ -166,7 +166,7 @@ class TestExpectedTeacherInformation:
         for _ in range(20):
             xs = design_matrices(draw_randomization(D1, layout, rng))
             info = teacher_information(xs, PILOT_TEACHER)
-            assert info.entries[1, 1] == pytest.approx(expected, rel=1e-12)
+            assert info[1, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_ordering_design2_above_design3_above_design1(self):
         rng = np.random.default_rng(21)
@@ -246,7 +246,7 @@ class TestExpectedStudentInformationGivenD:
         values = []
         for realization in enumerate_randomizations(name, m, a):
             xs = [np.column_stack([np.ones(m), r]) for r in realization]
-            values.append(student_information(xs, ds, vc).entries[1, 1])
+            values.append(student_information(xs, ds, vc)[1, 1])
         assert np.mean(values) == pytest.approx(
             expected_student_information_given_D(kind, ds, vc), rel=1e-9
         )

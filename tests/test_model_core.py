@@ -5,7 +5,6 @@ import pytest
 
 from multilevel_design import (
     FieldError,
-    InformationMatrix,
     NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
@@ -127,13 +126,18 @@ class TestDomainTypes:
         assert len(ok.r) == len(ok.c) == 1
 
     def test_information_matrix_validation(self):
-        with pytest.raises(ValueError):
-            InformationMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
-        with pytest.raises(ValueError):
-            InformationMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(ValueError):
-            InformationMatrix(np.ones((2, 3)))
-        ok = InformationMatrix(np.diag([2.0, 3.0]))
+        # treatment_variance is the one check of an information matrix
+        rejected = [
+            (np.array([[1.0, 0.5], [0.4, 1.0]]), "asymmetric"),
+            (np.array([[1.0, 0.0], [0.0, -1.0]]), "not PSD"),
+            (np.ones((2, 3)), "square"),
+            (np.stack([np.eye(2), np.eye(2)]), "square"),
+            (np.array([[1.0, 0.0], [0.0, np.nan]]), "non-finite"),
+        ]
+        for info, message in rejected:
+            with pytest.raises(ValueError, match=message):
+                treatment_variance(info)
+        ok = np.diag([2.0, 3.0])
         assert treatment_variance(ok).variance == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
@@ -172,20 +176,20 @@ class TestTeacherInformation:
         xs = design_matrices(design2_realization(16, 8))
         info = teacher_information(xs, PILOT_TEACHER)
         np.testing.assert_allclose(
-            info.entries, np.diag([4.70588, 8.88889]), atol=1e-4
+            info, np.diag([4.70588, 8.88889]), atol=1e-4
         )
         dense = sum(x.T @ np.linalg.solve(teacher_cov(8, 1.6, 14.4), x) for x in xs)
-        np.testing.assert_allclose(info.entries, dense, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(info, dense, rtol=1e-10, atol=1e-12)
 
     def test_design1_realization(self):
         xs = design_matrices(design1_realization(16, 8))
         info = teacher_information(xs, PILOT_TEACHER)
-        np.testing.assert_allclose(info.entries, 4.70588 * np.eye(2), atol=1e-4)
+        np.testing.assert_allclose(info, 4.70588 * np.eye(2), atol=1e-4)
 
     def test_iid_case(self):
         xs = design_matrices(design2_realization(4, 4))
         info = teacher_information(xs, TeacherVarianceComponents(0.0, 2.0))
-        np.testing.assert_allclose(info.entries, (16 / 2.0) * np.eye(2), rtol=1e-12)
+        np.testing.assert_allclose(info, (16 / 2.0) * np.eye(2), rtol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -199,7 +203,7 @@ class TestTeacherInformation:
         info = teacher_information(design_matrices(assignment), PILOT_TEACHER)
         x = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
         dense = x.T @ np.linalg.solve(teacher_cov(2, 1.6, 14.4), x)
-        np.testing.assert_allclose(info.entries, dense, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(info, dense, rtol=1e-12, atol=1e-15)
 
 
 class TestSolveStudentSystem:
@@ -263,8 +267,8 @@ class TestStudentInformation:
         ds = [np.ones((n, m)) for _ in range(a)]
         xs = design_matrices(design2_realization(a, m))
         info = student_information(xs, ds, PILOT_STUDENT)
-        assert info.entries[1, 1] == 0.0
-        assert info.entries[0, 1] == 0.0
+        assert info[1, 1] == 0.0
+        assert info[0, 1] == 0.0
 
     def test_balanced_design1_anchor(self):
         # one balanced school block reused across 16 schools
@@ -273,7 +277,7 @@ class TestStudentInformation:
         ds = [d] * a
         xs = design_matrices(design1_realization(a, m))
         info = student_information(xs, ds, PILOT_STUDENT)
-        assert info.entries[1, 1] == pytest.approx(7.2137, abs=1e-3)
+        assert info[1, 1] == pytest.approx(7.2137, abs=1e-3)
 
     @pytest.mark.parametrize(
         "blocks,comps",
@@ -304,7 +308,7 @@ class TestStudentInformation:
         info = student_information(xs, ds, vc)
         covs = [student_cov(d, *comps) for d in ds]
         dense = dense_student_info(xs, ds, covs)
-        np.testing.assert_allclose(info.entries, dense, rtol=1e-9)
+        np.testing.assert_allclose(info, dense, rtol=1e-9)
 
         # the student GLS fit against dense solves of the same system
         y = [rng.normal(size=len(d)) for d in ds]
@@ -330,7 +334,7 @@ class TestStudentInformation:
         for r1 in patterns:
             for r2 in patterns:
                 xs = [np.column_stack([np.ones(m), r]) for r in (r1, r2)]
-                total += student_information(xs, ds, vc).entries[1, 1]
+                total += student_information(xs, ds, vc)[1, 1]
                 count += 1
         closed = a * n / (comps[1] * n / m + comps[2])
         assert total / count == pytest.approx(closed, rel=1e-9)
@@ -372,7 +376,7 @@ class TestTreatmentVariance:
         r = np.array([1.0, 1.0, 1.0, -1.0])
         x2 = np.column_stack([np.ones(4), r])
         x3 = np.column_stack([x2, np.zeros(4)])
-        expected = np.linalg.inv(teacher_information([x2, x2], PILOT_TEACHER).entries)[1, 1]
+        expected = np.linalg.inv(teacher_information([x2, x2], PILOT_TEACHER))[1, 1]
         info3 = teacher_information([x3, x3], PILOT_TEACHER)
         assert treatment_variance(info3).variance == pytest.approx(expected, rel=1e-12)
         _, cov = gls_estimate([r, -r], [x3, x3], PILOT_TEACHER)
@@ -409,8 +413,8 @@ class TestInformationProperties:
                 float(rng.uniform(0, 5)), float(rng.uniform(0, 5)), float(rng.uniform(0.2, 5))
             )
             for info in (teacher_information(xs, tvc), student_information(xs, ds, svc)):
-                np.testing.assert_allclose(info.entries, info.entries.T, atol=1e-12)
-                eigs = np.linalg.eigvalsh(info.entries)
+                np.testing.assert_allclose(info, info.T, atol=1e-12)
+                eigs = np.linalg.eigvalsh(info)
                 assert eigs.min() >= -1e-10 * np.abs(eigs).max()
 
     def test_design1_student_info_realization_invariant(self):
@@ -425,5 +429,5 @@ class TestInformationProperties:
                 np.full(m, 1.0 if i in treated else -1.0) for i in range(a)
             )
             xs = design_matrices(TreatmentAssignment(r=r))
-            values.append(student_information(xs, ds, PILOT_STUDENT).entries[1, 1])
+            values.append(student_information(xs, ds, PILOT_STUDENT)[1, 1])
         np.testing.assert_allclose(values, values[0], rtol=1e-12)

@@ -21,8 +21,6 @@ from multilevel_design import (
     draw_randomization,
     empirical_power,
     estimator_variance_study,
-    generate_student_responses,
-    generate_teacher_responses,
     gls_estimate,
     kde_density,
     replicate_streams,
@@ -38,6 +36,8 @@ from oracles import (
     balanced_assignment_loop,
     dense_info,
     dense_student_info,
+    generate_student_responses,
+    generate_teacher_responses,
     student_cov,
     teacher_cov,
     with_replacement_assignment_loop,
@@ -448,6 +448,13 @@ class TestChunkedEngine:
         t_resp = generate_teacher_responses(xs, PILOT_TEACHER, np.zeros(2), rng)
         assert [len(t) for t in t_resp] == [2, 3]
         assert rng.random() == u[8]
+        # the engine's replicate of that layout takes the same 8 uniforms for
+        # its teacher block, then 12 for its 7 + 4 student normals
+        config = make_config(layout=StudyLayout(a=2, m=(2, 3), n=(2, 2)), design=D1, replicates=1)
+        assert simulator._stream_sizes(config).responses == 8 + 12
+        streams = replicate_streams(config, 0)
+        simulator._study_chunk(config, streams, 1, np.zeros(2), np.zeros(2))
+        assert streams.responses.random() == replicate_streams(config, 0).responses.random(21)[20]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
     def test_chunk_gram_stays_under_cap(self, m):
@@ -470,8 +477,8 @@ class TestHeterogeneousLayouts:
         for rep in range(count):
             ds, xs = public_draws(config, rep)
             expected = (
-                teacher_information(xs, config.teacher_vc).entries,
-                student_information(xs, ds, config.student_vc).entries,
+                teacher_information(xs, config.teacher_vc),
+                student_information(xs, ds, config.student_vc),
             )
             for got, want in zip(infos[:, rep], expected):
                 scale = np.abs(want).max()
@@ -688,8 +695,9 @@ class TestEstimatorVarianceStudy:
         ids=["within-q0.5", "heterogeneous-crd", "some_non_estimable"],
     )
     def test_chunk_matches_public_path(self, overrides):
-        # the chunked fits against generate_*_responses and gls_estimate on
-        # the same draws and response stream, one replicate at a time
+        # the chunked fits against the oracle generate_*_responses and
+        # gls_estimate on the same draws and response stream, one replicate
+        # at a time
         config = make_config(**{"replicates": 12, "effect_size_diff": 1.0, **overrides})
         beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
         streams = replicate_streams(config, 0)

@@ -47,9 +47,9 @@ from .simulator import (
     PolicyKind,
     SimulationConfig,
     SimulationResult,
+    _simulate_designs,
     check_alpha,
     estimator_variance_study,
-    simulate_anticipated_variance,
 )
 
 MODES = ("closed-form", "simulate", "compare", "validate")
@@ -253,7 +253,7 @@ def _with_flags(data, **flags):
 
 def _fmt(value) -> str:
     """A CSV cell: empty for None and non-finite floats."""
-    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return ""
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -401,25 +401,26 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
 
 def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     """Per design and level the samples and density CSVs, then the summary
-    and one SVG; a NaN (non-estimable) value writes an empty cell.  Returns
-    2 when some design and level has no estimable replicate."""
-    results = [(sim.design.value, simulate_anticipated_variance(sim)) for sim in sim_configs]
+    and one SVG; a NaN (non-estimable) value writes an empty cell.  The
+    designs run in lockstep on one assignment draw.  Returns 2 when some
+    design and level has no estimable replicate."""
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
-    for design, result in results:
+    for result in _simulate_designs(sim_configs):
+        design = result.config.design.value
         for level in LEVELS:
             res, dens = result.level(level), result.level(level).density
             _write_csv(
                 out / f"samples_{design}_{level}.csv",
                 ("replicate", "level", "design", "variance", "estimable"),
-                [(r, level, design, float(v), int(np.isfinite(v)))
-                 for r, v in enumerate(res.variances)],
+                [(r, level, design, v, int(math.isfinite(v)))
+                 for r, v in enumerate(res.variances.tolist())],
             )
             density_rows = []
             if dens is not None:
                 series[f"{design} {level}"] = dens
-                curve = [] if dens.is_point_mass else zip(dens.grid, dens.density)
-                density_rows = [(level, design, float(x), float(y)) for x, y in curve] or [
+                curve = [] if dens.is_point_mass else zip(dens.grid.tolist(), dens.density.tolist())
+                density_rows = [(level, design, x, y) for x, y in curve] or [
                     (level, design, dens.point_mass, None)
                 ]
             _write_csv(

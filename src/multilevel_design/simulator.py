@@ -3,15 +3,19 @@
 Replicates run in chunks under a memory cap.  A replicate only draws, into
 arrays: its assignment uniforms and each teacher's +-1 randomization and
 contamination, schools padded to the largest.  Per chunk, each school's Gram
-[1 D]'[1 D] comes without an n x m D: with replacement from bincounts over
-the students' teacher picks; balanced and single_course from the slot Gram
-of the layout's fixed balanced rows, cached once and carried onto teachers
-through each replicate's slot table in O(m^2), since reordering students
-leaves the Gram unchanged.  One kernel call gives the student precisions and
-one contraction per level the information; one pivot per run gives the
-variances.  Each purpose has one stream keyed by (seed, purpose) of which a
-replicate takes K uniforms from offset r*K; a run makes each stream once and
-draws its chunks in order, so chunking changes no result.
+[1 D]'[1 D] comes without an n x m D: with replacement from one bincount of
+the codes of each student's teacher-pick pairs, which also gives each
+teacher's count; balanced and single_course from the slot Gram of the
+layout's fixed balanced rows, cached once and carried onto teachers through
+each replicate's slot table in O(m^2), since reordering students leaves the
+Gram unchanged.  One kernel call gives the student precisions and one
+contraction per level the information; one pivot per design gives the
+variances.  Each purpose has one stream keyed by (seed, purpose), not by
+design, of which a replicate takes K uniforms from offset r*K; a run makes
+each stream once and draws its chunks in order, so chunking changes no
+result.  A run's designs therefore share their assignment draws, common
+random numbers: they run in lockstep, one Gram and one student precision
+serving every design of a chunk.
 
 A second path, _study_chunk, synthesizes responses from Box-Muller normals
 of the responses stream on the same draws and GLS-estimates them per chunk,
@@ -26,7 +30,7 @@ import functools
 import itertools
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -146,7 +150,7 @@ def draw_assignment(
     """
     policy.check_school(m, n)
     u = rng.random((1, _assignment_uniforms(policy, (m,), (n,))))
-    cells = (np.arange(n)[:, None] * m + _picks(policy, (m,), (n,), u)[0].T).ravel()
+    cells = (np.arange(n)[:, None] * m + _picks(policy, (m,), (n,), u)[0]).ravel()
     return np.bincount(cells, minlength=n * m).reshape(n, m).astype(float)
 
 
@@ -159,23 +163,23 @@ def _assignment_uniforms(policy: AssignmentPolicy, m: Sequence[int], n: Sequence
 
 
 def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
-    """The (R, c, sum n) teacher indices ("picks") of every student from the
-    uniforms ``u`` (R, K) laid out school by school; row s of D counts
-    student s's picks.  With replacement a pick is floor(u m_i); otherwise
+    """The (R, sum n, c) teacher indices ("picks") of every student, student
+    by student, from the uniforms ``u`` (R, K) laid out school by school;
+    row s of D counts student s's picks.  With replacement a pick is
+    floor(u m_i) of one of the student's c consecutive uniforms; otherwise
     a stable argsort of uniform keys orders the students, who take the
     balanced rows through the replicate's slot table.  Only draw_assignment
     and validate pair a student with its row of D; information takes
     balanced Grams from _assignment_gram, with no student order."""
     c, ms, ns = policy.c, np.asarray(m), np.asarray(n)
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        u = np.swapaxes(u.reshape(len(u), -1, c), -1, -2) * np.repeat(ms, ns)
-        return u.astype(np.intp, order="C")  # truncation is floor here
+        u = u.reshape(len(u), -1, c) * np.repeat(ms, ns)[:, None]
+        return u.astype(np.intp)  # truncation is floor here
     keys = _school_keys(u, np.cumsum(1 + ms + ns) - ns, ns, ns.max())
     order = np.argsort(keys, axis=-1, kind="stable")
     school = np.repeat(np.arange(len(ms)), ns)
     slots = _balanced_slots(m, n, c)[school, order[:, np.arange(ns.max()) < ns[:, None]]]
-    picks = _slot_table(m, n, u)[np.arange(len(u))[:, None, None], school[:, None], slots]
-    return np.ascontiguousarray(np.swapaxes(picks, -1, -2))
+    return _slot_table(m, n, u)[np.arange(len(u))[:, None, None], school[:, None], slots]
 
 
 def _slot_table(m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
@@ -222,7 +226,7 @@ def _slot_gram(m: tuple, n: tuple, c: int) -> np.ndarray:
     for i, (m_i, n_i) in enumerate(zip(m, n)):
         rows = _balanced_slots(m, n, c)[i, :n_i] % top  # each half's slots as 0..max m
         split = n_i - n_i % math.comb(m_i, c)
-        gram[:, i] = _pick_gram(rows.T[None], (split, n_i - split), top)[0]
+        gram[:, i] = _pick_gram(rows[None], (split, n_i - split), top)[0]
     gram.setflags(write=False)  # cached: every caller shares it
     return gram
 
@@ -372,7 +376,7 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
     h = 0.9 * scale * samples.size ** (-0.2)
     grid = np.linspace(samples.min() - 3.0 * h, samples.max() + 3.0 * h, 256)
     dens = np.zeros(grid.size)
-    chunk = max(1, int(4e6) // samples.size)
+    chunk = max(1, _CHUNK_BYTES // (8 * samples.size))  # rows of one block's temporaries
     inv = 1.0 / (h * np.sqrt(2.0 * np.pi))
     for start in range(0, grid.size, chunk):
         z = (grid[start : start + chunk, None] - samples[None, :]) / h
@@ -484,10 +488,12 @@ _REPLICATE_BYTES_LIMIT = 2**30
 
 def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     """Bytes one replicate adds to a chunk's largest arrays, sized by the
-    students and by the teachers: the picks and pick-pair codes (2c +
-    c(c-1)/2 integers a student) and about eight arrays the size of every
-    school's Gram (pair counts, Gram, its scaled copies, the solve and G,
-    each at most (max m + 2)^2 per school).  Balanced and single_course
+    students and by the teachers: its assignment uniforms, picks and
+    pick-pair codes (2c + c(c-1)/2 numbers a student) and about eight arrays
+    the size of every school's Gram (pair counts, Gram, its scaled copies,
+    the solve and G, each at most (max m + 2)^2 per school).  A chunk holds
+    one Gram and one G for all of a run's designs; each design adds only
+    its (max m, p) design rows a school.  Balanced and single_course
     information makes no picks and no pair counts: it gathers the Gram
     straight from the cached slot Gram, whose bytes _slot_gram_bytes
     counts once a run."""
@@ -530,42 +536,73 @@ def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: in
 def _pick_gram(
     picks: np.ndarray, n: Sequence[int], m: int, y: np.ndarray | None = None
 ) -> np.ndarray:
-    """Every school's Gram [1 D]'[1 D (y)], (R, a, m+1, m+1[+1]), by bincount
-    over picks (R, c, sum n) of the n_i students of each school in turn,
-    padded to m teachers: D'D = P + P' + diag(1'D), 1'D counting each
-    teacher's picks and P each student's pick pairs (j < k); D'y and 1'y are
-    y-weighted counts.  A padded teacher is never picked: a zero row."""
-    reps, c, _ = picks.shape
+    """Every school's Gram [1 D]'[1 D (y)], (R, a, m+1, m+1[+1]), from picks
+    (R, sum n, c) of the n_i students of each school in turn, padded to m
+    teachers: D'D = P + P' + diag(1'D), P counting each student's pick
+    pairs (j < k) by one bincount of their codes (replicate, school, p_j,
+    p_k).  A pick sits in c - 1 pairs, so 1'D is a row sum of P + P' over
+    c - 1; for c = 1 one bincount of the picks gives it.  D'y and 1'y are
+    y-weighted counts, added pick by pick as draw order has them.  A padded
+    teacher is never picked: a zero row."""
+    reps, _, c = picks.shape
     a = len(n)
     school = np.arange(reps)[:, None] * a + np.repeat(np.arange(a), n)
-    teacher = school[:, None] * m + picks
-    col = np.bincount(teacher.ravel(), minlength=reps * a * m).reshape(reps, a, m)
-    pairs = np.zeros((reps, a, m, m))
-    for j, k in itertools.combinations(range(c), 2):
-        codes = (teacher[:, j] * m + picks[:, k]).ravel()
-        pairs += np.bincount(codes, minlength=reps * a * m * m).reshape(reps, a, m, m)
     gram = np.zeros((reps, a, m + 1, m + 1 + (y is not None)))
-    gram[..., 1 : m + 1, 1 : m + 1] = pairs + np.swapaxes(pairs, -1, -2)
+    if c == 1:
+        codes = (school * m + picks[..., 0]).ravel()
+        col = np.bincount(codes, minlength=reps * a * m).reshape(reps, a, m)
+    else:
+        j, k = np.triu_indices(c, 1)
+        codes = ((school[..., None] * m + picks[..., j]) * m + picks[..., k]).ravel()
+        pairs = np.bincount(codes, minlength=reps * a * m * m).reshape(reps, a, m, m)
+        pairs += np.swapaxes(pairs, -1, -2)
+        col = pairs.sum(-1) // (c - 1)
+        gram[..., 1 : m + 1, 1 : m + 1] = pairs
     gram[..., range(1, m + 1), range(1, m + 1)] += col
     gram[..., 0, 0] = n
     gram[..., 0, 1 : m + 1] = gram[..., 1 : m + 1, 0] = col
     if y is not None:
         gram[..., 0, -1] = np.bincount(school.ravel(), y.ravel(), reps * a).reshape(reps, a)
-        weights = np.broadcast_to(y[:, None], teacher.shape).ravel()
-        gram[..., 1:, -1] = np.bincount(teacher.ravel(), weights, reps * a * m).reshape(reps, a, m)
+        teacher = np.empty((reps, c, y.shape[-1]), dtype=np.intp)
+        np.add(school[:, None] * m, np.swapaxes(picks, -1, -2), out=teacher)
+        weights = np.repeat(y[:, None], c, axis=1)
+        gram[..., 1:, -1] = np.bincount(teacher.ravel(), weights.ravel(), reps * a * m).reshape(
+            reps, a, m
+        )
     return gram
 
 
-def _replicate_information(
-    config: SimulationConfig, streams: ReplicateStreams, count: int
-) -> np.ndarray:
-    """Both levels' p x p information, (2, R, p, p), of the next ``count``
-    replicates of ``streams``."""
-    x = _design_chunk(config, streams, count)
-    gram = _assignment_gram(config.policy, config.layout, streams.assignment, count)
-    g_s = _symmetric(_gram_precision(gram, config.student_vc))
-    g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-    return np.stack([_information(x, g_t), _information(x, g_s)])
+def _informations(configs: Sequence[SimulationConfig]) -> list[np.ndarray]:
+    """Each config's two levels' p x p information, (2, R, p, p), of all its
+    replicates.  The configs differ only in their design, so they share the
+    assignment stream: per chunk one draw, one Gram and one student
+    precision serve every design, each of which draws its own randomization
+    and contamination.  Raises ValueError for configs that differ in more."""
+    first = configs[0]
+    if any(replace(c, design=first.design) != first for c in configs):
+        raise ValueError("the configs of one run may differ only in their design")
+    streams = [replicate_streams(config, 0) for config in configs]
+    g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
+    infos = [[] for _ in configs]
+    for count in _chunks(first):
+        gram = _assignment_gram(first.policy, first.layout, streams[0].assignment, count)
+        g_s = _symmetric(_gram_precision(gram, first.student_vc))
+        for config, design_streams, chunks in zip(configs, streams, infos):
+            x = _design_chunk(config, design_streams, count)
+            chunks.append(np.stack([_information(x, g_t), _information(x, g_s)]))
+    return [np.concatenate(chunks, axis=1) for chunks in infos]
+
+
+def _simulate_designs(configs: Sequence[SimulationConfig]) -> list[SimulationResult]:
+    """simulate_anticipated_variance of every config, in lockstep on one
+    assignment draw (see _informations); each design gets its own pivot and
+    summaries, equal bit for bit to a run of that design alone."""
+    results = []
+    for config, infos in zip(configs, _informations(configs)):
+        variances = 1.0 / _treatment_pivot(infos)
+        levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
+        results.append(SimulationResult(config, *levels))
+    return results
 
 
 def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
@@ -575,13 +612,7 @@ def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
     uniforms of each purpose's stream.  One pivot per run gives every variance, NaN for a
     replicate whose treatment direction is singular.
     """
-    streams = replicate_streams(config, 0)
-    infos = np.concatenate(
-        [_replicate_information(config, streams, count) for count in _chunks(config)], axis=1
-    )
-    variances = 1.0 / _treatment_pivot(infos)
-    levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
-    return SimulationResult(config, *levels)
+    return _simulate_designs([config])[0]
 
 
 def _teacher_slots(m: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -654,12 +685,14 @@ def _study_chunk(
     count: int,
     beta: np.ndarray,
     theta: np.ndarray,
+    g_t: np.ndarray,
 ):
     """Per level, the treatment coefficients and anticipated variances (2, 2, R)
     of GLS fits to T = X beta + v + eps and Y = D(X theta + t) + s + eta
     on the next ``count`` replicates of ``streams``, D(.) a sum over the
-    picks; NaN where not estimable.  A replicate's responses uniforms give
-    a teacher block and then a student block of Box-Muller normals."""
+    picks, with the run's teacher precisions ``g_t``; NaN where not
+    estimable.  A replicate's responses uniforms give a teacher block and
+    then a student block of Box-Muller normals."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
@@ -680,9 +713,12 @@ def _study_chunk(
     t_resp = x @ beta + sd_v * z_t[:, v, None] + sd_eps * z_t[:, eps]
     u = x @ theta + np.sqrt(svc.sigma_t2) * z_s[:, t]
     school = np.repeat(np.arange(layout.a), layout.n)
-    y = u[np.arange(count)[:, None, None], school, picks].sum(axis=1)
+    # summed pick by pick, in draw order
+    reps = np.arange(count)[:, None]
+    y = u[reps, school, picks[..., 0]]
+    for j in range(1, config.policy.c):
+        y += u[reps, school, picks[..., j]]
     y = y + np.sqrt(svc.sigma_s2) * z_s[:, s][:, school] + np.sqrt(svc.sigma_eta2) * z_s[:, eta]
-    g_t = _teacher_precisions(layout.m, tvc)
     g_z = _gram_precision(_pick_gram(picks, layout.n, max(layout.m), y), svc)
     fits = [
         _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, t_resp)),
@@ -728,8 +764,10 @@ def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLev
     beta = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
 
     streams = replicate_streams(config, 0)
-    chunks = _chunks(config)
-    fits = np.concatenate([_study_chunk(config, streams, k, beta, beta) for k in chunks], axis=-1)
+    g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
+    fits = np.concatenate(
+        [_study_chunk(config, streams, k, beta, beta, g_t) for k in _chunks(config)], axis=-1
+    )
     out = {}
     for level, (coefs, anticipated) in zip(LEVELS, fits):
         used = ~np.isnan(coefs)

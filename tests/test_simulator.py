@@ -30,7 +30,7 @@ from multilevel_design import (
     treatment_variance,
 )
 from multilevel_design import simulator
-from multilevel_design.model_core import _gram_precision
+from multilevel_design.model_core import _gram_precision, _teacher_precisions
 
 from oracles import (
     balanced_assignment_loop,
@@ -431,7 +431,7 @@ class TestChunkedEngine:
         ms = tuple(m for m in ms if m <= 2**31)
         top = np.full((1, len(ms)), np.nextafter(1.0, 0.0))
         picks = simulator._picks(AssignmentPolicy.with_replacement(1), ms, (1,) * len(ms), top)
-        np.testing.assert_array_equal(picks[0, 0], np.array(ms) - 1)
+        np.testing.assert_array_equal(picks[0, :, 0], np.array(ms) - 1)
 
     def test_box_muller_finite_at_the_ends(self):
         # log(1 - u) is 0 at u = 0 and about -36.7 at the largest uniform
@@ -453,7 +453,8 @@ class TestChunkedEngine:
         config = make_config(layout=StudyLayout(a=2, m=(2, 3), n=(2, 2)), design=D1, replicates=1)
         assert simulator._stream_sizes(config).responses == 8 + 12
         streams = replicate_streams(config, 0)
-        simulator._study_chunk(config, streams, 1, np.zeros(2), np.zeros(2))
+        g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
+        simulator._study_chunk(config, streams, 1, np.zeros(2), np.zeros(2), g_t)
         assert streams.responses.random() == replicate_streams(config, 0).responses.random(21)[20]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
@@ -473,7 +474,7 @@ class TestHeterogeneousLayouts:
         path, the first replicate's against dense inverses of each school's
         covariance, and zero design and precision rows for padded teachers."""
         m, count = config.layout.m, config.replicates
-        infos = simulator._replicate_information(config, replicate_streams(config, 0), count)
+        infos = simulator._informations([config])[0]
         for rep in range(count):
             ds, xs = public_draws(config, rep)
             expected = (
@@ -558,6 +559,110 @@ class TestHeterogeneousLayouts:
         want = simulator._pick_gram(simulator._picks(policy, m, n, u), n, max(m))
         got = simulator._assignment_gram(policy, layout, np.random.default_rng(sum(n)), 5)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "m, n, policy",
+        [
+            ((3, 5, 2), (7, 4, 9), AssignmentPolicy.with_replacement(1)),
+            ((3, 5, 2), (7, 4, 9), AssignmentPolicy.with_replacement(2)),
+            ((4, 4), (6, 6), AssignmentPolicy.with_replacement(2)),
+            ((2, 6, 3), (5, 8, 1), AssignmentPolicy.with_replacement(3)),
+            ((3, 5), (6, 9), AssignmentPolicy.with_replacement(4)),
+            ((4, 6, 8), (12, 9, 20), AssignmentPolicy.balanced(2)),
+            ((6, 4), (14, 8), AssignmentPolicy.balanced(3)),
+            ((8, 5), (20, 5), AssignmentPolicy.balanced(4)),
+            ((5, 7), (15, 21), AssignmentPolicy.single_course()),
+        ],
+    )
+    def test_pick_gram_matches_dense_gram(self, m, n, policy):
+        # the pair-code counts against [1 D]'[1 D y] of the oracle's D, from
+        # the same uniforms; a padded teacher has a zero row and column
+        c, top, reps = policy.c, max(m), 4
+        u = np.random.default_rng(sum(n) + c).random(
+            (reps, simulator._assignment_uniforms(policy, m, n))
+        )
+        y = np.random.default_rng(c).standard_normal((reps, sum(n)))
+        got = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top, y)
+        rng = np.random.default_rng(sum(n) + c)
+        for rep in range(reps):
+            ys = np.split(y[rep], np.cumsum(n)[:-1])
+            for i, (m_i, n_i) in enumerate(zip(m, n)):
+                if policy.kind is PolicyKind.WITH_REPLACEMENT:
+                    d = with_replacement_assignment_loop(m_i, n_i, c, rng)
+                else:
+                    d = balanced_assignment_loop(m_i, n_i, c, rng)
+                a_mat = np.zeros((n_i, top + 1))
+                a_mat[:, 0], a_mat[:, 1 : m_i + 1] = 1.0, d
+                want = a_mat.T @ np.column_stack([a_mat, ys[i]])
+                assert np.array_equal(got[rep, i, :, :-1], want[:, :-1])
+                np.testing.assert_allclose(got[rep, i, :, -1], want[:, -1], rtol=1e-12, atol=1e-12)
+
+
+class TestLockstepEngine:
+    LAYOUTS = {
+        "homogeneous": StudyLayout(a=4, m=4, n=8),
+        "heterogeneous": StudyLayout(a=4, m=(2, 4, 6, 8), n=(5, 17, 30, 11)),
+        "odd_schools": StudyLayout(a=3, m=(4, 6, 8), n=(12, 9, 20)),
+    }
+    POLICIES = {
+        "with_replacement_1": AssignmentPolicy.with_replacement(1),
+        "with_replacement_2": AssignmentPolicy.with_replacement(2),
+        "with_replacement_3": AssignmentPolicy.with_replacement(3),
+        "balanced_2": AssignmentPolicy.balanced(2),
+        "single_course": AssignmentPolicy.single_course(),
+    }
+
+    @staticmethod
+    def _configs(**overrides):
+        """A config of every design the overrides admit."""
+        configs = []
+        for design in (D1, D2, D3):
+            try:
+                configs.append(make_config(design=design, **overrides))
+            except FieldError:
+                continue
+        return configs
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_lockstep_equals_one_design_at_a_time(self, layout, policy, q, monkeypatch):
+        # the designs share the assignment draw, Gram and student precision
+        # of each chunk but draw their own randomization and contamination,
+        # so every variance equals a run of that design alone, bit for bit
+        layout, policy = self.LAYOUTS[layout], self.POLICIES[policy]
+        if policy.kind is not PolicyKind.WITH_REPLACEMENT and any(
+            n_i % m_i for m_i, n_i in zip(layout.m, layout.n)
+        ):
+            layout = StudyLayout(a=layout.a, m=layout.m, n=tuple(2 * m_i for m_i in layout.m))
+        configs = self._configs(layout=layout, policy=policy, q=q, replicates=23)
+        assert len(configs) >= 2
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
+        assert len(simulator._chunks(configs[0])) == 4
+        results = simulator._simulate_designs(configs)
+        assert [result.config for result in results] == configs
+        for config, result in zip(configs, results):
+            alone = simulate_anticipated_variance(config)
+            for level in ("teacher", "student"):
+                got, want = result.level(level), alone.level(level)
+                np.testing.assert_array_equal(got.variances, want.variances)
+                assert (got.mean, got.sd, got.power) == (want.mean, want.sd, want.power)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=1),
+            dict(replicates=59),
+            dict(q=0.3),
+            dict(policy=AssignmentPolicy.balanced(2)),
+            dict(student_vc=StudentVarianceComponents(1.6, 14.4, 1.0)),
+            dict(effect_size_diff=1.0),
+        ],
+    )
+    def test_rejects_configs_that_differ_beyond_the_design(self, change):
+        configs = [make_config(design=D1), make_config(design=D3, **change)]
+        with pytest.raises(ValueError, match="only in their design"):
+            simulator._simulate_designs(configs)
 
 
 class TestResponseGenerators:
@@ -701,7 +806,8 @@ class TestEstimatorVarianceStudy:
         config = make_config(**{"replicates": 12, "effect_size_diff": 1.0, **overrides})
         beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
         streams = replicate_streams(config, 0)
-        got = simulator._study_chunk(config, streams, config.replicates, beta, 2.0 * beta)
+        g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
+        got = simulator._study_chunk(config, streams, config.replicates, beta, 2.0 * beta, g_t)
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses
@@ -787,3 +893,14 @@ class TestKdeDensity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kde_density(np.array([]))
+
+    def test_block_size_changes_no_density(self, monkeypatch):
+        # a grid row's mean runs over all samples whatever rows share its
+        # block, so the cap on a block's temporaries changes no density
+        samples = np.random.default_rng(14).standard_normal(3_000)
+        densities = []
+        for cap in (1, 100 * 8 * samples.size, 2**40):  # 1 row, 100 rows, one block
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", cap)
+            densities.append(kde_density(samples).density)
+        for density in densities[1:]:
+            np.testing.assert_array_equal(density, densities[0])

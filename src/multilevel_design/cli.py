@@ -31,7 +31,6 @@ from .closed_forms import BalancedSpec, _balanced_school_traces
 from .designs import DesignKind, _teacher_traces
 from .model_core import (
     FieldError,
-    NonEstimableError,
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
@@ -48,8 +47,8 @@ from .simulator import (
     SimulationConfig,
     SimulationResult,
     _simulate_designs,
+    _study_designs,
     check_alpha,
-    estimator_variance_study,
 )
 
 MODES = ("closed-form", "simulate", "compare", "validate")
@@ -442,15 +441,15 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
 
 
 def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
+    """validate.csv's rows, the designs in lockstep on one draw; a design
+    with too few estimable replicates at a level to estimate a variance
+    fails both its rows with empty cells.  Returns 2 when a row fails."""
     rows = []
-    for sim in sim_configs:
-        try:
-            study = estimator_variance_study(sim)
-        except NonEstimableError:
-            # too few estimable replicates to estimate a variance: a failure
-            rows.extend((sim.design.value, level, None, None, None, 0) for level in LEVELS)
-            continue
+    for sim, study in zip(sim_configs, _study_designs(sim_configs)):
         for level, res in study.items():
+            if None in study.values():
+                rows.append((sim.design.value, level, None, None, None, 0))
+                continue
             low, high = variance_ratio_band(res.n_used)
             ok = low <= res.variance_ratio <= high and res.mean_error_z <= 3.0
             cells = (res.anticipated_mean, res.coef_variance, res.variance_ratio, int(ok))

@@ -17,11 +17,13 @@ result.  A run's designs therefore share their assignment draws, common
 random numbers: they run in lockstep, one Gram and one student precision
 serving every design of a chunk.
 
-A second path, _study_chunk, synthesizes responses from Box-Muller normals
-of the responses stream on the same draws and GLS-estimates them per chunk,
-which validates the analytic anticipated variances against the Monte Carlo
-variance of an actual estimator.  It pairs each response with its row of D,
-so it keeps the ordered picks, as does draw_assignment.
+A second consumer of the same run loop (_lockstep), _study_chunk,
+synthesizes responses from Box-Muller normals of the responses stream on the
+same draws and GLS-estimates them per chunk, which validates the analytic
+anticipated variances against the Monte Carlo variance of an actual
+estimator.  Its designs share each chunk's picks and normals, and each fits
+its own GLS.  It pairs each response with its row of D, so it keeps the
+ordered picks, as does draw_assignment.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def _slot_table(m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
     return np.concatenate([relabel, np.take_along_axis(relabel, shift, -1)], -1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
     """Every school's (max n, c) balanced rows as slots of _slot_table: full
     passes over the c-subsets, then the remainder's (c*j + k) mod m_i in
@@ -254,11 +256,6 @@ def _assignment_gram(
     gram = rest[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]
     gram += full
     return gram
-
-
-def _within_school(n: Sequence[int]) -> np.ndarray:
-    """Each student's index in its school's run of the sum n students."""
-    return np.arange(sum(n)) - np.repeat(np.cumsum(n) - n, n)
 
 
 @dataclass(frozen=True)
@@ -454,30 +451,16 @@ def _summarize_level(
     effect_size_diff: float | None,
     alpha: float,
 ) -> LevelResult:
-    mask = np.isfinite(variances)
-    samples = variances[mask]
-    non_estimable = int(variances.size - samples.size)
+    samples = variances[np.isfinite(variances)]
+    mean = sd = float("nan")
+    density = power = None
     if samples.size:
         mean = float(samples.mean())
         sd = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
         density = kde_density(samples)
-        power = None
         if effect_size_diff is not None:
             power = empirical_power(2.0 * np.sqrt(samples), effect_size_diff, alpha)
-    else:
-        mean = float("nan")
-        sd = float("nan")
-        density = None
-        power = None
-    return LevelResult(
-        variances=variances,
-        samples=samples,
-        non_estimable=non_estimable,
-        mean=mean,
-        sd=sd,
-        density=density,
-        power=power,
-    )
+    return LevelResult(variances, samples, variances.size - samples.size, mean, sd, density, power)
 
 
 #: cap on the bytes of a chunk of replicates' largest arrays (see _replicate_bytes)
@@ -493,9 +476,10 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     the size of every school's Gram (pair counts, Gram, its scaled copies,
     the solve and G, each at most (max m + 2)^2 per school).  A chunk holds
     one Gram and one G for all of a run's designs; each design adds only
-    its (max m, p) design rows a school.  Balanced and single_course
-    information makes no picks and no pair counts: it gathers the Gram
-    straight from the cached slot Gram, whose bytes _slot_gram_bytes
+    its (max m, p) design rows a school.  A validate chunk holds the shared
+    picks and normals and fits its designs one at a time.  Balanced and
+    single_course information makes no picks and no pair counts: it gathers
+    the Gram straight from the cached slot Gram, whose bytes _slot_gram_bytes
     counts once a run."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
@@ -572,23 +556,32 @@ def _pick_gram(
     return gram
 
 
-def _informations(configs: Sequence[SimulationConfig]) -> list[np.ndarray]:
-    """Each config's two levels' p x p information, (2, R, p, p), of all its
-    replicates.  The configs differ only in their design, so they share the
-    assignment stream: per chunk one draw, one Gram and one student
-    precision serve every design, each of which draws its own randomization
-    and contamination.  Raises ValueError for configs that differ in more."""
+def _lockstep(configs: Sequence[SimulationConfig]):
+    """The one run loop: per chunk of the configs' replicates, the first
+    config's streams, the chunk's count and every config's design matrices.
+    The configs differ only in their design, so they share the assignment
+    and responses streams, common random numbers, and each design draws its
+    own randomization and contamination.  Raises ValueError for configs
+    that differ in more."""
     first = configs[0]
     if any(replace(c, design=first.design) != first for c in configs):
         raise ValueError("the configs of one run may differ only in their design")
     streams = [replicate_streams(config, 0) for config in configs]
+    for count in _chunks(first):
+        yield streams[0], count, [_design_chunk(c, s, count) for c, s in zip(configs, streams)]
+
+
+def _informations(configs: Sequence[SimulationConfig]) -> list[np.ndarray]:
+    """Each config's two levels' p x p information, (2, R, p, p), of all its
+    replicates, in lockstep: per chunk one assignment draw, one Gram and
+    one student precision serve every design."""
+    first = configs[0]
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
     infos = [[] for _ in configs]
-    for count in _chunks(first):
-        gram = _assignment_gram(first.policy, first.layout, streams[0].assignment, count)
+    for streams, count, xs in _lockstep(configs):
+        gram = _assignment_gram(first.policy, first.layout, streams.assignment, count)
         g_s = _symmetric(_gram_precision(gram, first.student_vc))
-        for config, design_streams, chunks in zip(configs, streams, infos):
-            x = _design_chunk(config, design_streams, count)
+        for x, chunks in zip(xs, infos):
             chunks.append(np.stack([_information(x, g_t), _information(x, g_s)]))
     return [np.concatenate(chunks, axis=1) for chunks in infos]
 
@@ -683,21 +676,21 @@ def _study_chunk(
     config: SimulationConfig,
     streams: ReplicateStreams,
     count: int,
+    xs: Sequence[np.ndarray],
     beta: np.ndarray,
-    theta: np.ndarray,
     g_t: np.ndarray,
 ):
-    """Per level, the treatment coefficients and anticipated variances (2, 2, R)
-    of GLS fits to T = X beta + v + eps and Y = D(X theta + t) + s + eta
-    on the next ``count`` replicates of ``streams``, D(.) a sum over the
-    picks, with the run's teacher precisions ``g_t``; NaN where not
-    estimable.  A replicate's responses uniforms give a teacher block and
-    then a student block of Box-Muller normals."""
+    """Per design of ``xs`` and per level, the treatment coefficients and
+    anticipated variances (D, 2, 2, R) of GLS fits to T = X beta + v + eps
+    and Y = D(X beta + t) + s + eta on the next ``count`` replicates of
+    ``streams``, D(.) a sum over the picks, beta cut to each design's
+    columns, with the run's teacher precisions ``g_t``; NaN where not
+    estimable.  The designs share the picks and the normals: a replicate's
+    responses uniforms give a teacher block and then a student block."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
     sizes = _stream_sizes(config)
-    x = _design_chunk(config, streams, count)
     picks = _picks(
         config.policy, layout.m, layout.n, streams.assignment.random((count, sizes.assignment))
     )
@@ -706,26 +699,32 @@ def _study_chunk(
     z_s = _normals(u[:, _paired(t_size) :], s_size)
     # each teacher's and student's offset in its school's run; a padded
     # teacher (zero intercept) rereads its school's first slot
-    teacher = (np.arange(x.shape[2]) * x[0, ..., 0]).astype(int)
-    student = _within_school(layout.n)
+    teacher = (np.arange(xs[0].shape[2]) * xs[0][0, ..., 0]).astype(int)
+    student = np.arange(sum(layout.n)) - np.repeat(np.cumsum(layout.n) - layout.n, layout.n)
     eps, t, eta = eps[:, None] + teacher, t[:, None] + teacher, np.repeat(eta, layout.n) + student
-    sd_v, sd_eps = np.sqrt(tvc.sigma_v2), np.sqrt(tvc.sigma_eps2)
-    t_resp = x @ beta + sd_v * z_t[:, v, None] + sd_eps * z_t[:, eps]
-    u = x @ theta + np.sqrt(svc.sigma_t2) * z_s[:, t]
     school = np.repeat(np.arange(layout.a), layout.n)
-    # summed pick by pick, in draw order
-    reps = np.arange(count)[:, None]
-    y = u[reps, school, picks[..., 0]]
-    for j in range(1, config.policy.c):
-        y += u[reps, school, picks[..., j]]
-    y = y + np.sqrt(svc.sigma_s2) * z_s[:, s][:, school] + np.sqrt(svc.sigma_eta2) * z_s[:, eta]
-    g_z = _gram_precision(_pick_gram(picks, layout.n, max(layout.m), y), svc)
-    fits = [
-        _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, t_resp)),
-        _gls_fit(x, g_z[..., :-1], g_z[..., -1]),
-    ]
-    k = TREATMENT_COLUMN
-    return np.array([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
+    v_noise = np.sqrt(tvc.sigma_v2) * z_t[:, v, None]
+    eps_noise = np.sqrt(tvc.sigma_eps2) * z_t[:, eps]
+    t_noise = np.sqrt(svc.sigma_t2) * z_s[:, t]
+    s_noise = np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
+    eta_noise = np.sqrt(svc.sigma_eta2) * z_s[:, eta]
+    reps, k = np.arange(count)[:, None], TREATMENT_COLUMN
+    out = []
+    for x in xs:
+        x_beta = x @ beta[: x.shape[-1]]
+        u = x_beta + t_noise
+        # summed pick by pick, in draw order
+        y = u[reps, school, picks[..., 0]]
+        for j in range(1, config.policy.c):
+            y += u[reps, school, picks[..., j]]
+        y = y + s_noise + eta_noise
+        g_z = _gram_precision(_pick_gram(picks, layout.n, max(layout.m), y), svc)
+        fits = [
+            _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, x_beta + v_noise + eps_noise)),
+            _gls_fit(x, g_z[..., :-1], g_z[..., -1]),
+        ]
+        out.append([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -749,6 +748,33 @@ class EstimatorLevelStudy:
         return abs(self.coef_mean - self.truth) / se
 
 
+def _study_designs(configs: Sequence[SimulationConfig]) -> list[dict[str, EstimatorLevelStudy | None]]:
+    """estimator_variance_study of every config, in lockstep on one draw of
+    the picks and the normals (see _lockstep), a level None where fewer
+    than two replicates are estimable; each design equals, bit for bit, a
+    run of that design alone."""
+    first = configs[0]
+    delta = first.effect_size_diff if first.effect_size_diff is not None else 1.0
+    beta = np.array([0.0, delta / 2.0, -delta / 4.0])
+    g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
+    fits = np.concatenate(
+        [_study_chunk(first, *chunk, beta, g_t) for chunk in _lockstep(configs)], axis=-1
+    )
+    studies = []
+    for design_fits in fits:
+        studies.append({})
+        for level, (coefs, anticipated) in zip(LEVELS, design_fits):
+            used = ~np.isnan(coefs)
+            studies[-1][level] = None if used.sum() < 2 else EstimatorLevelStudy(
+                truth=float(beta[TREATMENT_COLUMN]),
+                coef_mean=float(coefs[used].mean()),
+                coef_variance=float(coefs[used].var(ddof=1)),
+                anticipated_mean=float(anticipated[used].mean()),
+                n_used=int(used.sum()),
+            )
+    return studies
+
+
 def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLevelStudy]:
     """Generate synthetic responses per replicate and GLS-estimate them.
 
@@ -757,27 +783,11 @@ def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLev
     anticipated variance, read from the covariance of the same GLS fit.
     Both levels take the coefficients (0, delta/2[, -delta/4]), delta the
     effect size (1 when unset).  Replicates whose treatment direction is
-    singular at a level are skipped.
+    singular at a level are skipped; fewer than two left at a level raise
+    NonEstimableError.
     """
-    delta = config.effect_size_diff if config.effect_size_diff is not None else 1.0
-    p = 3 if config.effective_q > 0.0 else 2
-    beta = np.array([0.0, delta / 2.0, -delta / 4.0][:p])
-
-    streams = replicate_streams(config, 0)
-    g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-    fits = np.concatenate(
-        [_study_chunk(config, streams, k, beta, beta, g_t) for k in _chunks(config)], axis=-1
-    )
-    out = {}
-    for level, (coefs, anticipated) in zip(LEVELS, fits):
-        used = ~np.isnan(coefs)
-        if used.sum() < 2:
+    study = _study_designs([config])[0]
+    for level, res in study.items():
+        if res is None:
             raise NonEstimableError(f"not enough estimable replicates at the {level} level")
-        out[level] = EstimatorLevelStudy(
-            truth=float(beta[TREATMENT_COLUMN]),
-            coef_mean=float(coefs[used].mean()),
-            coef_variance=float(coefs[used].var(ddof=1)),
-            anticipated_mean=float(anticipated[used].mean()),
-            n_used=int(used.sum()),
-        )
-    return out
+    return study

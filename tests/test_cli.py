@@ -291,9 +291,10 @@ class TestCompareMode:
 
 class TestGoldenValues:
     """summary.csv's mean_var and sd_var of two small compares as 0.2.0 first
-    wrote them: a change to the engine must reproduce them to 1e-12
-    relative.  An sd of identical variances is rounding noise, so it is
-    compared on the scale of its mean."""
+    wrote them, and validate.csv's analytic_var and empirical_var of two
+    small validates as 0.3.0 first wrote them: a change to the engine must
+    reproduce them to 1e-12 relative.  An sd of identical variances is
+    rounding noise, so it is compared on the scale of its mean."""
 
     GOLDEN = {
         "balanced_q0.5": (
@@ -334,6 +335,50 @@ class TestGoldenValues:
             assert float(mean) == pytest.approx(want_mean, rel=1e-12, abs=0.0)
             assert float(sd) == pytest.approx(want_sd, rel=1e-12, abs=1e-12 * want_mean)
 
+    VALIDATE = {
+        "balanced_q0.5": (
+            {"assignment": {"policy": "balanced", "c": 2}, "q": 0.5},
+            {
+                ("randomize_schools", "teacher"): (1.2999999999999998, 1.3108510071626067),
+                ("randomize_schools", "student"): (1.1124999999999998, 1.2744136347915669),
+                ("within_schools", "teacher"): (1.6419719234520707, 1.7683100177912268),
+                ("within_schools", "student"): (2.2311124634807578, 1.7293452682840273),
+                ("crd", "teacher"): (1.4452066777273442, 1.6531148730827225),
+                ("crd", "student"): (1.7698488992163217, 2.251860475722033),
+            },
+        ),
+        "heterogeneous_with_replacement": (
+            {
+                "teachers_per_school": [2, 4, 6, 8],
+                "students_per_school": [5, 17, 30, 11],
+                "assignment": {"policy": "with_replacement", "c": 2},
+            },
+            {
+                ("randomize_schools", "teacher"): (1.2112812196648097, 1.2794448740593243),
+                ("randomize_schools", "student"): (0.9916765506417843, 0.7706068511395411),
+                ("within_schools", "teacher"): (0.7200000000000002, 0.7565568597638224),
+                ("within_schools", "student"): (0.9574259697535653, 0.786485587788442),
+                ("crd", "teacher"): (0.767474511196352, 0.7469747260033965),
+                ("crd", "student"): (0.9522877519523216, 0.7648486405377511),
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", VALIDATE)
+    def test_validate_matches_recorded_values(self, tmp_path, name):
+        # the designs run in lockstep, so a moved draw would show here; at
+        # q = 0.5 randomize_schools fits p = 2 beside p = 3
+        overrides, golden = self.VALIDATE[name]
+        out = tmp_path / "out"
+        data = base_config(out_dir=str(out), mode="validate", **overrides)
+        assert run(parse_config_data(data)) == 0
+        rows = [line.split(",") for line in (out / "validate.csv").read_text().splitlines()[1:]]
+        assert {(row[0], row[1]) for row in rows} == set(golden)
+        for design, level, analytic, empirical, *_ in rows:
+            want = golden[design, level]
+            assert float(analytic) == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert float(empirical) == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
 
 class TestValidateMode:
     def test_validate_passes_and_writes_csv(self, tmp_path):
@@ -359,17 +404,17 @@ class TestValidateMode:
         # 30 synthetic data sets put the ratio band at about [0.35, 2.10]: a
         # teacher ratio 1% above it fails its row and the run, one 1% below
         # passes (a fixed 10% band would fail both)
-        real = cli.estimator_variance_study
+        real = cli._study_designs
         for scale, code, flag in ((1.01, 2, ",0"), (0.99, 0, ",1")):
-            def study(sim, scale=scale):
-                levels = real(sim)
+            def study(sims, scale=scale):
+                (levels,) = real(sims)
                 res = levels["teacher"]
                 ratio = scale * variance_ratio_band(res.n_used)[1]
                 variance = ratio * res.anticipated_mean
                 levels["teacher"] = dataclasses.replace(res, coef_variance=variance)
-                return levels
+                return [levels]
 
-            monkeypatch.setattr(cli, "estimator_variance_study", study)
+            monkeypatch.setattr(cli, "_study_designs", study)
             out = tmp_path / f"out{code}"
             data = base_config(
                 designs=["within_schools"],

@@ -176,6 +176,13 @@ class TestDrawAssignment:
                 expected = with_replacement_assignment_loop(m, n, c, np.random.default_rng(seed))
                 np.testing.assert_array_equal(got, expected)
 
+    def test_balanced_slots_cache_keeps_the_last_layout(self):
+        # a large layout's balanced slots must not outlive the next layout's draw
+        rng = np.random.default_rng(0)
+        draw_assignment(AssignmentPolicy.balanced(2), 4, 8, rng)
+        draw_assignment(AssignmentPolicy.balanced(2), 6, 9, rng)
+        assert simulator._balanced_slots.cache_info().currsize == 1
+
 
 class TestReplicateStreams:
     def test_deterministic_per_replicate(self):
@@ -454,7 +461,8 @@ class TestChunkedEngine:
         assert simulator._stream_sizes(config).responses == 8 + 12
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-        simulator._study_chunk(config, streams, 1, np.zeros(2), np.zeros(2), g_t)
+        xs = [simulator._design_chunk(config, streams, 1)]
+        simulator._study_chunk(config, streams, 1, xs, np.zeros(2), g_t)
         assert streams.responses.random() == replicate_streams(config, 0).responses.random(21)[20]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
@@ -623,13 +631,9 @@ class TestLockstepEngine:
                 continue
         return configs
 
-    @pytest.mark.parametrize("q", [0.0, 0.3])
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_lockstep_equals_one_design_at_a_time(self, layout, policy, q, monkeypatch):
-        # the designs share the assignment draw, Gram and student precision
-        # of each chunk but draw their own randomization and contamination,
-        # so every variance equals a run of that design alone, bit for bit
+    def _lockstep_configs(self, layout, policy, q):
+        """23 replicates of every design of a named layout and policy, with
+        students doubled where balanced sections need n divisible by m."""
         layout, policy = self.LAYOUTS[layout], self.POLICIES[policy]
         if policy.kind is not PolicyKind.WITH_REPLACEMENT and any(
             n_i % m_i for m_i, n_i in zip(layout.m, layout.n)
@@ -637,6 +641,16 @@ class TestLockstepEngine:
             layout = StudyLayout(a=layout.a, m=layout.m, n=tuple(2 * m_i for m_i in layout.m))
         configs = self._configs(layout=layout, policy=policy, q=q, replicates=23)
         assert len(configs) >= 2
+        return configs
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_lockstep_equals_one_design_at_a_time(self, layout, policy, q, monkeypatch):
+        # the designs share the assignment draw, Gram and student precision
+        # of each chunk but draw their own randomization and contamination,
+        # so every variance equals a run of that design alone, bit for bit
+        configs = self._lockstep_configs(layout, policy, q)
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
         assert len(simulator._chunks(configs[0])) == 4
         results = simulator._simulate_designs(configs)
@@ -647,6 +661,27 @@ class TestLockstepEngine:
                 got, want = result.level(level), alone.level(level)
                 np.testing.assert_array_equal(got.variances, want.variances)
                 assert (got.mean, got.sd, got.power) == (want.mean, want.sd, want.power)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_study_equals_one_design_at_a_time(self, layout, policy, q, monkeypatch):
+        # validate's designs share each chunk's picks and normals but fit
+        # their own GLS, so every summary equals a study of that design
+        # alone; at q = 0.3 randomize_schools fits p = 2 beside p = 3
+        configs = self._lockstep_configs(layout, policy, q)
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
+        assert len(simulator._chunks(configs[0])) == 4
+        for config, study in zip(configs, simulator._study_designs(configs), strict=True):
+            if None in study.values():
+                with pytest.raises(NonEstimableError):
+                    estimator_variance_study(config)
+                continue
+            alone = estimator_variance_study(config)
+            for level in ("teacher", "student"):
+                got, want = study[level], alone[level]
+                assert (got.coef_mean, got.coef_variance) == (want.coef_mean, want.coef_variance)
+                assert (got.anticipated_mean, got.n_used) == (want.anticipated_mean, want.n_used)
 
     @pytest.mark.parametrize(
         "change",
@@ -661,8 +696,9 @@ class TestLockstepEngine:
     )
     def test_rejects_configs_that_differ_beyond_the_design(self, change):
         configs = [make_config(design=D1), make_config(design=D3, **change)]
-        with pytest.raises(ValueError, match="only in their design"):
-            simulator._simulate_designs(configs)
+        for engine in (simulator._simulate_designs, simulator._study_designs):
+            with pytest.raises(ValueError, match="only in their design"):
+                engine(configs)
 
 
 class TestResponseGenerators:
@@ -807,12 +843,13 @@ class TestEstimatorVarianceStudy:
         beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-        got = simulator._study_chunk(config, streams, config.replicates, beta, 2.0 * beta, g_t)
+        xs = [simulator._design_chunk(config, streams, config.replicates)]
+        got = simulator._study_chunk(config, streams, config.replicates, xs, beta, g_t)[0]
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses
             t_resp = generate_teacher_responses(xs, config.teacher_vc, beta, rng)
-            s_resp = generate_student_responses(xs, ds, config.student_vc, 2.0 * beta, rng)
+            s_resp = generate_student_responses(xs, ds, config.student_vc, beta, rng)
             fits = [(t_resp, config.teacher_vc, None), (s_resp, config.student_vc, ds)]
             for level, (resp, vc, level_ds) in enumerate(fits):
                 try:

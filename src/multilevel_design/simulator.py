@@ -21,9 +21,10 @@ A second consumer of the same run loop (_lockstep), _study_chunk,
 synthesizes responses from Box-Muller normals of the responses stream on the
 same draws and GLS-estimates them per chunk, which validates the analytic
 anticipated variances against the Monte Carlo variance of an actual
-estimator.  Its designs share each chunk's picks and normals, and each fits
-its own GLS.  It pairs each response with its row of D, so it keeps the
-ordered picks, as does draw_assignment.
+estimator.  Its designs share each chunk's picks and normals, one pair
+count and one student solve, in which each design's responses are one more
+column; each fits its own GLS.  It pairs each response with its row of D,
+so it keeps the ordered picks, as does draw_assignment.
 """
 
 from __future__ import annotations
@@ -476,8 +477,9 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     the size of every school's Gram (pair counts, Gram, its scaled copies,
     the solve and G, each at most (max m + 2)^2 per school).  A chunk holds
     one Gram and one G for all of a run's designs; each design adds only
-    its (max m, p) design rows a school.  A validate chunk holds the shared
-    picks and normals and fits its designs one at a time.  Balanced and
+    its (max m, p) design rows a school.  A validate chunk shares its picks,
+    normals, pair count and student solve among its designs; each design adds
+    a response column to the Gram, weighted a column at a time.  Balanced and
     single_course information makes no picks and no pair counts: it gathers
     the Gram straight from the cached slot Gram, whose bytes _slot_gram_bytes
     counts once a run."""
@@ -520,18 +522,19 @@ def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: in
 def _pick_gram(
     picks: np.ndarray, n: Sequence[int], m: int, y: np.ndarray | None = None
 ) -> np.ndarray:
-    """Every school's Gram [1 D]'[1 D (y)], (R, a, m+1, m+1[+1]), from picks
+    """Every school's Gram [1 D]'[1 D y], (R, a, m+1, m+1+cols), from picks
     (R, sum n, c) of the n_i students of each school in turn, padded to m
-    teachers: D'D = P + P' + diag(1'D), P counting each student's pick
-    pairs (j < k) by one bincount of their codes (replicate, school, p_j,
-    p_k).  A pick sits in c - 1 pairs, so 1'D is a row sum of P + P' over
-    c - 1; for c = 1 one bincount of the picks gives it.  D'y and 1'y are
-    y-weighted counts, added pick by pick as draw order has them.  A padded
-    teacher is never picked: a zero row."""
+    teachers, and response columns y (R, sum n, cols), none if omitted:
+    D'D = P + P' + diag(1'D), P counting each student's pick pairs (j < k)
+    by one bincount of their codes (replicate, school, p_j, p_k).  A pick
+    sits in c - 1 pairs, so 1'D is a row sum of P + P' over c - 1; for
+    c = 1 one bincount of the picks gives it.  D'y and 1'y are y-weighted
+    counts, a column at a time, added pick by pick as draw order has them.
+    A padded teacher is never picked: a zero row."""
     reps, _, c = picks.shape
-    a = len(n)
+    a, cols = len(n), 0 if y is None else y.shape[-1]
     school = np.arange(reps)[:, None] * a + np.repeat(np.arange(a), n)
-    gram = np.zeros((reps, a, m + 1, m + 1 + (y is not None)))
+    gram = np.zeros((reps, a, m + 1, m + 1 + cols))
     if c == 1:
         codes = (school * m + picks[..., 0]).ravel()
         col = np.bincount(codes, minlength=reps * a * m).reshape(reps, a, m)
@@ -545,14 +548,14 @@ def _pick_gram(
     gram[..., range(1, m + 1), range(1, m + 1)] += col
     gram[..., 0, 0] = n
     gram[..., 0, 1 : m + 1] = gram[..., 1 : m + 1, 0] = col
-    if y is not None:
-        gram[..., 0, -1] = np.bincount(school.ravel(), y.ravel(), reps * a).reshape(reps, a)
-        teacher = np.empty((reps, c, y.shape[-1]), dtype=np.intp)
+    if cols:
+        teacher = np.empty((reps, c, y.shape[1]), dtype=np.intp)
         np.add(school[:, None] * m, np.swapaxes(picks, -1, -2), out=teacher)
-        weights = np.repeat(y[:, None], c, axis=1)
-        gram[..., 1:, -1] = np.bincount(teacher.ravel(), weights.ravel(), reps * a * m).reshape(
-            reps, a, m
-        )
+    for d in range(cols):
+        g_y, y_d = gram[..., m + 1 + d], y[..., d]
+        g_y[..., 0] = np.bincount(school.ravel(), y_d.ravel(), reps * a).reshape(reps, a)
+        weights = np.repeat(y_d[:, None], c, axis=1).ravel()
+        g_y[..., 1:] = np.bincount(teacher.ravel(), weights, reps * a * m).reshape(reps, a, m)
     return gram
 
 
@@ -686,7 +689,10 @@ def _study_chunk(
     ``streams``, D(.) a sum over the picks, beta cut to each design's
     columns, with the run's teacher precisions ``g_t``; NaN where not
     estimable.  The designs share the picks and the normals: a replicate's
-    responses uniforms give a teacher block and then a student block."""
+    responses uniforms give a teacher block and then a student block.  One
+    pair count and one student solve serve them all, design d's y the
+    column m + d of the kernel's D' Sigma^-1 [D y]; each design then runs
+    its own teacher and student GLS fits."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
@@ -708,21 +714,19 @@ def _study_chunk(
     t_noise = np.sqrt(svc.sigma_t2) * z_s[:, t]
     s_noise = np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
     eta_noise = np.sqrt(svc.sigma_eta2) * z_s[:, eta]
-    reps, k = np.arange(count)[:, None], TREATMENT_COLUMN
+    reps, k, m = np.arange(count)[:, None], TREATMENT_COLUMN, max(layout.m)
+    x_beta = np.stack([x @ beta[: x.shape[-1]] for x in xs], -1)
+    u = x_beta + t_noise[..., None]
+    # every design's y, a column each, summed pick by pick, in draw order
+    y = u[reps, school, picks[..., 0]]
+    for j in range(1, config.policy.c):
+        y += u[reps, school, picks[..., j]]
+    y = y + s_noise[..., None] + eta_noise[..., None]
+    g_z = _gram_precision(_pick_gram(picks, layout.n, m, y), svc)
     out = []
-    for x in xs:
-        x_beta = x @ beta[: x.shape[-1]]
-        u = x_beta + t_noise
-        # summed pick by pick, in draw order
-        y = u[reps, school, picks[..., 0]]
-        for j in range(1, config.policy.c):
-            y += u[reps, school, picks[..., j]]
-        y = y + s_noise + eta_noise
-        g_z = _gram_precision(_pick_gram(picks, layout.n, max(layout.m), y), svc)
-        fits = [
-            _gls_fit(x, g_t, np.einsum("kij,...kj->...ki", g_t, x_beta + v_noise + eps_noise)),
-            _gls_fit(x, g_z[..., :-1], g_z[..., -1]),
-        ]
+    for d, x in enumerate(xs):
+        rhs = np.einsum("kij,...kj->...ki", g_t, x_beta[..., d] + v_noise + eps_noise)
+        fits = [_gls_fit(x, g_t, rhs), _gls_fit(x, g_z[..., :m], g_z[..., m + d])]
         out.append([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
     return np.array(out)
 

@@ -584,13 +584,20 @@ class TestHeterogeneousLayouts:
     )
     def test_pick_gram_matches_dense_gram(self, m, n, policy):
         # the pair-code counts against [1 D]'[1 D y] of the oracle's D, from
-        # the same uniforms; a padded teacher has a zero row and column
+        # the same uniforms, for a block of three y columns; each column
+        # equals, bit for bit, a one-column call; a padded teacher has a
+        # zero row and column
         c, top, reps = policy.c, max(m), 4
         u = np.random.default_rng(sum(n) + c).random(
             (reps, simulator._assignment_uniforms(policy, m, n))
         )
-        y = np.random.default_rng(c).standard_normal((reps, sum(n)))
-        got = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top, y)
+        y = np.random.default_rng(c).standard_normal((reps, sum(n), 3))
+        picks = simulator._picks(policy, m, n, u)
+        got = simulator._pick_gram(picks, n, top, y)
+        for col in range(3):
+            alone = simulator._pick_gram(picks, n, top, y[..., col : col + 1])
+            assert np.array_equal(got[..., : top + 1], alone[..., :-1])
+            assert np.array_equal(got[..., top + 1 + col], alone[..., -1])
         rng = np.random.default_rng(sum(n) + c)
         for rep in range(reps):
             ys = np.split(y[rep], np.cumsum(n)[:-1])
@@ -602,8 +609,38 @@ class TestHeterogeneousLayouts:
                 a_mat = np.zeros((n_i, top + 1))
                 a_mat[:, 0], a_mat[:, 1 : m_i + 1] = 1.0, d
                 want = a_mat.T @ np.column_stack([a_mat, ys[i]])
-                assert np.array_equal(got[rep, i, :, :-1], want[:, :-1])
-                np.testing.assert_allclose(got[rep, i, :, -1], want[:, -1], rtol=1e-12, atol=1e-12)
+                assert np.array_equal(got[rep, i, :, : top + 1], want[:, : top + 1])
+                np.testing.assert_allclose(
+                    got[rep, i, :, top + 1 :], want[:, top + 1 :], rtol=1e-12, atol=1e-12
+                )
+
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            AssignmentPolicy.with_replacement(2),
+            AssignmentPolicy.balanced(2),
+            AssignmentPolicy.single_course(),
+        ],
+    )
+    def test_gram_precision_columns_are_independent(self, policy):
+        # the student kernel solves each right-hand column on its own, so one
+        # call on the m + 3 columns of three y's gives, column for column and
+        # bit for bit, the m + 1 column call of each y alone: validate's
+        # designs share one solve without changing a digit
+        m, n, reps = (2, 4, 6, 8), (6, 16, 30, 16), 5
+        rng = np.random.default_rng(20261019)
+        u = rng.random((reps, simulator._assignment_uniforms(policy, m, n)))
+        y = rng.standard_normal((reps, sum(n), 3))
+        top = max(m)
+        gram = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top, y)
+        shared = _gram_precision(gram, PILOT_STUDENT)
+        assert shared.shape == (reps, len(m), top, top + 3)
+        for col in range(3):
+            one_y = gram[..., list(range(top + 1)) + [top + 1 + col]]
+            alone = _gram_precision(one_y, PILOT_STUDENT)
+            assert np.array_equal(shared[..., :top], alone[..., :top])
+            assert np.array_equal(shared[..., top + col], alone[..., top])
 
 
 class TestLockstepEngine:
@@ -682,6 +719,25 @@ class TestLockstepEngine:
                 got, want = study[level], alone[level]
                 assert (got.coef_mean, got.coef_variance) == (want.coef_mean, want.coef_variance)
                 assert (got.anticipated_mean, got.n_used) == (want.anticipated_mean, want.n_used)
+
+    def test_one_pair_count_and_one_solve_per_chunk(self, monkeypatch):
+        # a validate chunk counts its picks and solves the student kernel
+        # once for all its designs, each design a y column of that one call
+        configs = self._lockstep_configs("heterogeneous", "with_replacement_2", 0.3)
+        assert len(configs) == 3
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
+        chunks = len(simulator._chunks(configs[0]))
+        assert chunks >= 2
+        calls = {"_pick_gram": 0, "_gram_precision": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _inner=getattr(simulator, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(simulator, name, counted)
+        simulator._study_designs(configs)
+        assert calls == {"_pick_gram": chunks, "_gram_precision": chunks}
 
     @pytest.mark.parametrize(
         "change",

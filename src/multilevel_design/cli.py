@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -278,6 +277,12 @@ def _line(x1, y1, x2, y2, stroke: str = "black", width: float = 1, dash: str = "
     return f'<line {coords} stroke="{stroke}" stroke-width="{width}"{dash}/>'
 
 
+def _escape(text: str) -> str:
+    """XML-escape ``&``, ``<`` and ``>`` as ``xml.sax.saxutils.escape`` does,
+    without importing ``xml.sax`` (whose import pulls in the network stack)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _text(x, y, size: int, body: str, attrs: str = "") -> str:
     return f'<text x="{x}" y="{y}" font-size="{size}"{attrs}>{body}</text>'
 
@@ -342,7 +347,7 @@ def emit_density_svg(series: Mapping[str, DensityEstimate], path: str | Path) ->
                          f'points="{points}"/>')
         ly = top + 12 + 18 * i
         legend += [_line(lx, ly - 4, lx + 24, ly - 4, color, 2, dash)]
-        legend += [_text(lx + 30, ly, 12, escape(label))]
+        legend += [_text(lx + 30, ly, 12, _escape(label))]
     _write_atomic(path, "\n".join(parts + legend + ["</svg>"]) + "\n")
     return path
 

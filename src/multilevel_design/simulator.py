@@ -355,12 +355,25 @@ class DensityEstimate:
         return self.point_mass is not None
 
 
+def _quantile(x: np.ndarray, q: float) -> float:
+    """Quantile ``q`` of the sorted ``x``, equal bit for bit to ``np.percentile``'s
+    linear rule, which imports ``numpy.ma`` on its first call."""
+    v = (x.size - 1) * q
+    j = int(v)
+    t = v - j
+    a, b = float(x[j]), float(x[min(j + 1, x.size - 1)])
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+
+
 def kde_density(samples: np.ndarray) -> DensityEstimate:
     """Gaussian-kernel density with the Silverman rule-of-thumb bandwidth.
 
     h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on a uniform grid of 256
-    points over [min - 3h, max + 3h].  Degenerate inputs (all samples
-    identical) return a point-mass marker instead of a grid.
+    points over [min - 3h, max + 3h].  The quartiles use numpy's default
+    linear rule (Hyndman-Fan type 7) on the sorted samples: virtual index
+    v = (n - 1) q, j = floor(v), t = v - j, a = x[j], b = x[j + 1], then
+    a + (b - a) t for t < 0.5, else b - (b - a)(1 - t).  Degenerate inputs (all
+    samples identical) return a point-mass marker instead of a grid.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
@@ -368,8 +381,8 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
     if np.all(samples == samples[0]):
         return DensityEstimate(grid=None, density=None, point_mass=float(samples[0]))
     sd = float(np.std(samples, ddof=1))
-    q75, q25 = np.percentile(samples, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    ordered = np.sort(samples)
+    iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     h = 0.9 * scale * samples.size ** (-0.2)
     grid = np.linspace(samples.min() - 3.0 * h, samples.max() + 3.0 * h, 256)

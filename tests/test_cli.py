@@ -672,6 +672,11 @@ class TestDensitySvg:
         assert "<polyline" not in text
         assert "0.2125" in text
 
+    def test_legend_label_is_escaped(self, tmp_path):
+        path = tmp_path / "d.svg"
+        emit_density_svg({"a&b <c>": self._grid(0.0)}, path)
+        assert ">a&amp;b &lt;c&gt;</text>" in path.read_text()
+
     def test_empty_series_rejected(self, tmp_path):
         path = tmp_path / "d.svg"
         with pytest.raises(ValueError):

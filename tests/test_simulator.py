@@ -1,6 +1,10 @@
 """Tests for assignment draws, the Monte Carlo engine, GLS validation, KDE."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +83,20 @@ def public_draws(config, rep):
             assignment, config.effective_q, streams.contamination, kind=config.design
         )
     return ds, design_matrices(assignment)
+
+
+def fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's package
+    and return the last line of its standard output."""
+    src = os.path.dirname(os.path.dirname(simulator.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return done.stdout.strip().splitlines()[-1]
 
 
 class TestAssignmentPolicy:
@@ -938,25 +956,22 @@ class TestEmpiricalPower:
 
     def test_import_leaves_scipy_unloaded(self):
         # power needs only the normal CDF and quantile from the standard library
-        import os
-        import subprocess
-        import sys
-
-        import multilevel_design
-
-        src = os.path.dirname(os.path.dirname(multilevel_design.__file__))
         code = (
             "import sys, multilevel_design; "
             "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env=dict(os.environ, PYTHONPATH=src),
+        assert fresh_interpreter(code) == "False"
+
+    def test_import_leaves_network_stack_unloaded(self):
+        # the SVG legend's escaping needs three str.replace calls, not
+        # xml.sax.saxutils, whose import pulls in urllib.request, http.client,
+        # email, ssl and socket; urllib.parse alone comes with pathlib
+        code = (
+            "import sys, multilevel_design, multilevel_design.cli; "
+            "print(sorted(set(sys.modules) & "
+            "{'xml', 'urllib.request', 'http', 'email', 'ssl', 'socket'}))"
         )
-        assert done.stdout.strip() == "False"
+        assert fresh_interpreter(code) == "[]"
 
 
 class TestKdeDensity:
@@ -986,6 +1001,63 @@ class TestKdeDensity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kde_density(np.array([]))
+
+    def test_quartiles_equal_numpy_percentile(self):
+        rng = np.random.default_rng(15)
+        samples = []
+        for n in range(2, 601):
+            samples += [
+                rng.standard_normal(n),
+                rng.standard_t(1.5, n),  # heavy tails
+                np.round(rng.standard_normal(n), 2),  # ties
+            ]
+        samples.append(rng.standard_normal(10_000))
+        for x in samples:
+            ordered = np.sort(x)
+            got = [simulator._quantile(ordered, 0.75), simulator._quantile(ordered, 0.25)]
+            np.testing.assert_array_equal(got, np.percentile(x, [75.0, 25.0]))
+
+    def test_density_equals_percentile_reference(self, monkeypatch):
+        rng12, rng13 = np.random.default_rng(12), np.random.default_rng(13)
+        cases = [
+            np.array([-1.0, 1.0] * 500),
+            rng12.standard_normal(10_000),
+            rng13.standard_normal(500),
+            rng13.exponential(2.0, 800),
+            np.random.default_rng(14).standard_normal(3_000),
+        ]
+        estimates = [kde_density(x) for x in cases]
+        monkeypatch.setattr(
+            simulator, "_quantile", lambda x, q: float(np.percentile(x, 100.0 * q))
+        )
+        for x, est in zip(cases, estimates):
+            reference = kde_density(x)
+            np.testing.assert_array_equal(est.grid, reference.grid)
+            np.testing.assert_array_equal(est.density, reference.density)
+
+    def test_compare_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.percentile's index bookkeeping (np.unique) imports numpy.ma
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "schools": 2,
+            "teachers_per_school": 2,
+            "students_per_school": 4,
+            "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
+            "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
+            "designs": ["randomize_schools", "within_schools", "crd"],
+            "seed": 20090216,
+            "replicates": 30,
+            "effect_size_diff": 1.0,
+            "mode": "compare",
+            "out_dir": str(tmp_path / "out"),
+        }))
+        code = (
+            "import sys; from multilevel_design import cli; "
+            f"code = cli.main(['compare', '--config', {str(config)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        assert fresh_interpreter(code) == "0 False"
+        assert (tmp_path / "out" / "density.svg").is_file()
 
     def test_block_size_changes_no_density(self, monkeypatch):
         # a grid row's mean runs over all samples whatever rows share its

@@ -53,11 +53,10 @@ from .simulator import (
     estimator_variance_study,
     gls_estimate,
     kde_density,
-    replicate_streams,
     simulate_anticipated_variance,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AssignmentPolicy",
@@ -93,7 +92,6 @@ __all__ = [
     "expected_teacher_information",
     "gls_estimate",
     "kde_density",
-    "replicate_streams",
     "simulate_anticipated_variance",
     "student_inflation_design2",
     "student_information",

@@ -44,10 +44,9 @@ from .simulator import (
     DensityEstimate,
     PolicyKind,
     SimulationConfig,
-    SimulationResult,
-    _simulate_designs,
-    _study_designs,
     check_alpha,
+    estimator_variance_study,
+    simulate_anticipated_variance,
 )
 
 MODES = ("closed-form", "simulate", "compare", "validate")
@@ -410,7 +409,7 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     design and level has no estimable replicate."""
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
-    for result in _simulate_designs(sim_configs):
+    for result in simulate_anticipated_variance(sim_configs):
         design = result.config.design.value
         for level in LEVELS:
             res, dens = result.level(level), result.level(level).density
@@ -433,7 +432,7 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
                 density_rows,
             )
             se_diff = 2.0 * float(np.sqrt(res.mean))
-            frac = res.non_estimable / result.replicates
+            frac = res.non_estimable / res.variances.size
             summary_rows.append((design, level, res.mean, res.sd, se_diff, res.power, frac))
     _write_csv(
         out / "summary.csv",
@@ -450,7 +449,7 @@ def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
     with too few estimable replicates at a level to estimate a variance
     fails both its rows with empty cells.  Returns 2 when a row fails."""
     rows = []
-    for sim, study in zip(sim_configs, _study_designs(sim_configs)):
+    for sim, study in zip(sim_configs, estimator_variance_study(sim_configs)):
         for level, res in study.items():
             if None in study.values():
                 rows.append((sim.design.value, level, None, None, None, 0))

@@ -288,7 +288,14 @@ def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarr
     w_t = scale[:, None] * gram
     k = vc.sigma_eta2 * np.eye(m + 1) + w_t[..., : m + 1] * scale
     w_d = np.swapaxes(w_t[..., 1 : m + 1], -1, -2)
-    return (gram[..., 1:, 1:] - w_d @ np.linalg.solve(k, w_t[..., 1:])) / vc.sigma_eta2
+    try:
+        return (gram[..., 1:, 1:] - w_d @ np.linalg.solve(k, w_t[..., 1:])) / vc.sigma_eta2
+    except np.linalg.LinAlgError as err:  # K singular in floating point
+        raise SingularCovarianceError(
+            "student_vc.sigma_eta2",
+            f"sigma_eta2 = {vc.sigma_eta2} is too small next to sigma_s2 and sigma_t2: "
+            "the student covariance is numerically singular",
+        ) from err
 
 
 def _symmetric(g: np.ndarray) -> np.ndarray:

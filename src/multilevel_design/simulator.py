@@ -1,5 +1,12 @@
 """Monte Carlo engine for the anticipated-variance distribution.
 
+The engine has two entries, one per mode: simulate_anticipated_variance
+(simulate and compare) and estimator_variance_study (validate).  Each takes
+a run's SimulationConfigs, which differ only in their design, runs them in
+lockstep through one run loop (_lockstep) and returns one result per config,
+in order.  Neither raises for a non-estimable replicate: its variance is NaN,
+and a study level with fewer than two estimable replicates is None.
+
 Replicates run in chunks under a memory cap.  A replicate only draws, into
 arrays: its assignment uniforms and each teacher's +-1 randomization and
 contamination, schools padded to the largest.  Per chunk, each school's Gram
@@ -14,17 +21,17 @@ variances.  Each purpose has one stream keyed by (seed, purpose), not by
 design, of which a replicate takes K uniforms from offset r*K; a run makes
 each stream once and draws its chunks in order, so chunking changes no
 result.  A run's designs therefore share their assignment draws, common
-random numbers: they run in lockstep, one Gram and one student precision
-serving every design of a chunk.
+random numbers: one Gram and one student precision serve every design of a
+chunk.
 
-A second consumer of the same run loop (_lockstep), _study_chunk,
-synthesizes responses from Box-Muller normals of the responses stream on the
-same draws and GLS-estimates them per chunk, which validates the analytic
-anticipated variances against the Monte Carlo variance of an actual
-estimator.  Its designs share each chunk's picks and normals, one pair
-count and one student solve, in which each design's responses are one more
-column; each fits its own GLS.  It pairs each response with its row of D,
-so it keeps the ordered picks, as does draw_assignment.
+The study's chunks (_study_chunk) synthesize responses from Box-Muller
+normals of the responses stream on the same draws and GLS-estimate them,
+which validates the analytic anticipated variances against the Monte Carlo
+variance of an actual estimator.  Its designs share each chunk's picks and
+normals, one pair count and one student solve, in which each design's
+responses are one more column; each fits its own GLS.  It pairs each
+response with its row of D, so it keeps the ordered picks, as does
+draw_assignment.
 """
 
 from __future__ import annotations
@@ -448,10 +455,6 @@ class SimulationResult:
     teacher: LevelResult
     student: LevelResult
 
-    @property
-    def replicates(self) -> int:
-        return self.config.replicates
-
     def level(self, name: str) -> LevelResult:
         if name == TEACHER:
             return self.teacher
@@ -577,51 +580,48 @@ def _lockstep(configs: Sequence[SimulationConfig]):
     config's streams, the chunk's count and every config's design matrices.
     The configs differ only in their design, so they share the assignment
     and responses streams, common random numbers, and each design draws its
-    own randomization and contamination.  Raises ValueError for configs
-    that differ in more."""
+    own randomization and contamination.  Raises ValueError, before any
+    draw, for no configs or for configs that differ in more."""
+    if not configs:
+        raise ValueError("a run needs at least one config")
     first = configs[0]
     if any(replace(c, design=first.design) != first for c in configs):
         raise ValueError("the configs of one run may differ only in their design")
     streams = [replicate_streams(config, 0) for config in configs]
-    for count in _chunks(first):
-        yield streams[0], count, [_design_chunk(c, s, count) for c, s in zip(configs, streams)]
+    return (
+        (streams[0], count, [_design_chunk(c, s, count) for c, s in zip(configs, streams)])
+        for count in _chunks(first)
+    )
 
 
-def _informations(configs: Sequence[SimulationConfig]) -> list[np.ndarray]:
-    """Each config's two levels' p x p information, (2, R, p, p), of all its
-    replicates, in lockstep: per chunk one assignment draw, one Gram and
-    one student precision serve every design."""
+def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[SimulationResult]:
+    """Distribution of the anticipated treatment variance at both levels, one
+    result per config, in order.
+
+    The configs differ only in their design and run in lockstep (see
+    _lockstep): per chunk one assignment draw, one Gram and one student
+    precision serve every design, and each design gets its own pivot and
+    summaries, equal bit for bit to a run of that design alone.
+    Deterministic given (seed, config): replicate r always consumes the same
+    uniforms of each purpose's stream.  A replicate whose treatment
+    direction is singular at a level is NaN there and counts as
+    non-estimable; nothing is raised for it.
+    """
+    chunks = _lockstep(configs)
     first = configs[0]
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
     infos = [[] for _ in configs]
-    for streams, count, xs in _lockstep(configs):
+    for streams, count, xs in chunks:
         gram = _assignment_gram(first.policy, first.layout, streams.assignment, count)
         g_s = _symmetric(_gram_precision(gram, first.student_vc))
-        for x, chunks in zip(xs, infos):
-            chunks.append(np.stack([_information(x, g_t), _information(x, g_s)]))
-    return [np.concatenate(chunks, axis=1) for chunks in infos]
-
-
-def _simulate_designs(configs: Sequence[SimulationConfig]) -> list[SimulationResult]:
-    """simulate_anticipated_variance of every config, in lockstep on one
-    assignment draw (see _informations); each design gets its own pivot and
-    summaries, equal bit for bit to a run of that design alone."""
+        for x, design_infos in zip(xs, infos):
+            design_infos.append(np.stack([_information(x, g_t), _information(x, g_s)]))
     results = []
-    for config, infos in zip(configs, _informations(configs)):
-        variances = 1.0 / _treatment_pivot(infos)
+    for config, design_infos in zip(configs, infos):
+        variances = 1.0 / _treatment_pivot(np.concatenate(design_infos, axis=1))
         levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
         results.append(SimulationResult(config, *levels))
     return results
-
-
-def simulate_anticipated_variance(config: SimulationConfig) -> SimulationResult:
-    """Distribution of the anticipated treatment variance at both levels.
-
-    Deterministic given (seed, config): replicate i always consumes the same
-    uniforms of each purpose's stream.  One pivot per run gives every variance, NaN for a
-    replicate whose treatment direction is singular.
-    """
-    return _simulate_designs([config])[0]
 
 
 def _teacher_slots(m: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -765,18 +765,28 @@ class EstimatorLevelStudy:
         return abs(self.coef_mean - self.truth) / se
 
 
-def _study_designs(configs: Sequence[SimulationConfig]) -> list[dict[str, EstimatorLevelStudy | None]]:
-    """estimator_variance_study of every config, in lockstep on one draw of
-    the picks and the normals (see _lockstep), a level None where fewer
-    than two replicates are estimable; each design equals, bit for bit, a
-    run of that design alone."""
+def estimator_variance_study(
+    configs: Sequence[SimulationConfig],
+) -> list[dict[str, EstimatorLevelStudy | None]]:
+    """Generate synthetic responses per replicate and GLS-estimate them, one
+    {level: study} per config, in order.
+
+    Uses the draws of the anticipated-variance path, so the Monte Carlo
+    variance of the treatment coefficient compares 1:1 with the mean
+    anticipated variance, read from the covariance of the same GLS fit.
+    Both levels take the coefficients (0, delta/2[, -delta/4]), delta the
+    effect size (1 when unset).  The configs differ only in their design and
+    run in lockstep on one draw of the picks and the normals (see
+    _lockstep); each design equals, bit for bit, a run of that design alone.
+    Replicates whose treatment direction is singular at a level are
+    skipped; a level with fewer than two left is None.
+    """
+    chunks = _lockstep(configs)
     first = configs[0]
     delta = first.effect_size_diff if first.effect_size_diff is not None else 1.0
     beta = np.array([0.0, delta / 2.0, -delta / 4.0])
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
-    fits = np.concatenate(
-        [_study_chunk(first, *chunk, beta, g_t) for chunk in _lockstep(configs)], axis=-1
-    )
+    fits = np.concatenate([_study_chunk(first, *chunk, beta, g_t) for chunk in chunks], axis=-1)
     studies = []
     for design_fits in fits:
         studies.append({})
@@ -790,21 +800,3 @@ def _study_designs(configs: Sequence[SimulationConfig]) -> list[dict[str, Estima
                 n_used=int(used.sum()),
             )
     return studies
-
-
-def estimator_variance_study(config: SimulationConfig) -> dict[str, EstimatorLevelStudy]:
-    """Generate synthetic responses per replicate and GLS-estimate them.
-
-    Uses the draws of the anticipated-variance path, so the Monte Carlo
-    variance of the treatment coefficient compares 1:1 with the mean
-    anticipated variance, read from the covariance of the same GLS fit.
-    Both levels take the coefficients (0, delta/2[, -delta/4]), delta the
-    effect size (1 when unset).  Replicates whose treatment direction is
-    singular at a level are skipped; fewer than two left at a level raise
-    NonEstimableError.
-    """
-    study = _study_designs([config])[0]
-    for level, res in study.items():
-        if res is None:
-            raise NonEstimableError(f"not enough estimable replicates at the {level} level")
-    return study

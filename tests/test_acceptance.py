@@ -256,7 +256,7 @@ class TestCriterion5PaperAnchors:
             replicates=10_000,
             seed=20090305,
         )
-        result = simulate_anticipated_variance(config)
+        result = simulate_anticipated_variance([config])[0]
         assert result.teacher.non_estimable == 0
         np.testing.assert_allclose(result.teacher.samples, 0.2125, rtol=1e-12)
         se_sim_teacher = 2.0 * np.sqrt(result.teacher.mean)
@@ -283,7 +283,7 @@ def _mean_teacher_variance(tvc, design, q, replicates, seed):
         seed=seed,
         q=q,
     )
-    return simulate_anticipated_variance(config)
+    return simulate_anticipated_variance([config])[0]
 
 
 class TestCriterion6DensityOrderings:
@@ -325,7 +325,7 @@ class TestCriterion6DensityOrderings:
                 seed=seed,
                 q=q,
             )
-            return simulate_anticipated_variance(config).student.mean
+            return simulate_anticipated_variance([config])[0].student.mean
 
         student_ratio = student_run(0.5, 20090310) / student_run(0.0, 20090310)
         assert student_ratio == pytest.approx(1.5152, rel=0.02)
@@ -338,9 +338,9 @@ class TestCriterion6DensityOrderings:
 
 class TestCriterion7EstimatorValidation:
     def test_gls_variance_matches_anticipated(self):
-        lines = []
-        for design in DesignKind:
-            config = SimulationConfig(
+        # the three designs run in lockstep, one engine call
+        configs = [
+            SimulationConfig(
                 layout=StudyLayout(a=16, m=8, n=50),
                 teacher_vc=PILOT_TEACHER,
                 student_vc=PILOT_STUDENT,
@@ -350,7 +350,10 @@ class TestCriterion7EstimatorValidation:
                 seed=20090311,
                 effect_size_diff=1.0,
             )
-            study = estimator_variance_study(config)
+            for design in DesignKind
+        ]
+        lines = []
+        for design, study in zip(DesignKind, estimator_variance_study(configs), strict=True):
             for level in ("teacher", "student"):
                 res = study[level]
                 assert res.n_used >= 2000

@@ -404,7 +404,7 @@ class TestValidateMode:
         # 30 synthetic data sets put the ratio band at about [0.35, 2.10]: a
         # teacher ratio 1% above it fails its row and the run, one 1% below
         # passes (a fixed 10% band would fail both)
-        real = cli._study_designs
+        real = cli.estimator_variance_study
         for scale, code, flag in ((1.01, 2, ",0"), (0.99, 0, ",1")):
             def study(sims, scale=scale):
                 (levels,) = real(sims)
@@ -414,7 +414,7 @@ class TestValidateMode:
                 levels["teacher"] = dataclasses.replace(res, coef_variance=variance)
                 return [levels]
 
-            monkeypatch.setattr(cli, "_study_designs", study)
+            monkeypatch.setattr(cli, "estimator_variance_study", study)
             out = tmp_path / f"out{code}"
             data = base_config(
                 designs=["within_schools"],
@@ -457,6 +457,25 @@ class TestValidateMode:
         assert main(["validate", "--config", str(config_path), "--out", str(out)]) == 2
         lines = (out / "validate.csv").read_text().splitlines()
         assert lines[1:] == ["crd,teacher,,,,0", "crd,student,,,,0"]
+
+
+class TestEngineCalls:
+    def test_one_public_engine_call_per_run(self, tmp_path, monkeypatch):
+        # compare and validate hand all three designs to the engine's public
+        # entry in one call, the name the benchmark's engine layer wraps
+        calls = {"simulate_anticipated_variance": [], "estimator_variance_study": []}
+        for name in calls:
+
+            def counted(configs, _name=name, _inner=getattr(cli, name)):
+                calls[_name].append(len(configs))
+                return _inner(configs)
+
+            monkeypatch.setattr(cli, name, counted)
+        for mode in ("compare", "validate"):
+            out = tmp_path / mode
+            data = base_config(mode=mode, replicates=20, effect_size_diff=1.0, out_dir=str(out))
+            run(parse_config(write_config(tmp_path, data)))
+        assert calls == {"simulate_anticipated_variance": [3], "estimator_variance_study": [3]}
 
 
 class TestMainEntry:
@@ -611,12 +630,43 @@ class TestErrorContract:
         self._assert_rejected(capsys, argv, field)
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {
+                "schools": 2,
+                "teachers_per_school": 1,
+                "students_per_school": 1,
+                "assignment": {"policy": "single_course"},
+                "designs": ["crd"],
+                "q": 0.5,
+                "student_vc": {"sigma_s2": 1e8, "sigma_t2": 1e8, "sigma_eta2": 1e-10},
+                "seed": 65,
+                "replicates": 2,
+            },
+            {
+                "schools": 2,
+                "teachers_per_school": 2,
+                "students_per_school": 4,
+                "designs": ["crd"],
+                "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 1e-300},
+            },
+        ],
+        ids=["rank_one_kernel", "sigma_eta2_1e-300"],
+    )
+    def test_singular_student_kernel_names_sigma_eta2(self, tmp_path, capsys, overrides):
+        # sigma_eta2 > 0 passes every config check, but the student kernel
+        # K = sigma_eta2 I + W'W is singular in floating point
+        config_path = write_config(tmp_path, base_config(**overrides))
+        argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        self._assert_rejected(capsys, argv, "student_vc.sigma_eta2")
+
     @staticmethod
     def _assert_rejected(capsys, argv, field):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"'{field}'" in err
+        assert err.startswith(f"multilevel-design: '{field}': ")
 
     @pytest.mark.parametrize(
         "text", [json.dumps([base_config()]), "{not json"], ids=["top_level_array", "not_json"]

@@ -75,6 +75,14 @@ class TestDomainTypes:
         with pytest.raises(np.linalg.LinAlgError):
             student_precision(np.ones((3, 2)), degenerate)
 
+    def test_numerically_singular_kernel_names_sigma_eta2(self):
+        # sigma_eta2 > 0 passes check_invertible, but K = sigma_eta2 I + W'W
+        # is rank one plus 1e-10 here, singular in floating point
+        tiny = StudentVarianceComponents(1e8, 1e8, 1e-10)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            student_precision(np.ones((1, 1)), tiny)
+        assert err.value.field == "student_vc.sigma_eta2"
+
     def test_layout_normalizes_scalars(self):
         layout = StudyLayout(a=3, m=4, n=10)
         assert layout.m == (4, 4, 4)

@@ -27,14 +27,19 @@ from multilevel_design import (
     estimator_variance_study,
     gls_estimate,
     kde_density,
-    replicate_streams,
     simulate_anticipated_variance,
     student_information,
     teacher_information,
     treatment_variance,
 )
 from multilevel_design import simulator
-from multilevel_design.model_core import _gram_precision, _teacher_precisions
+from multilevel_design.model_core import (
+    _gram_precision,
+    _information,
+    _symmetric,
+    _teacher_precisions,
+)
+from multilevel_design.simulator import replicate_streams
 
 from oracles import (
     balanced_assignment_loop,
@@ -229,7 +234,7 @@ class TestReplicateStreams:
 class TestSimulate:
     def test_design1_teacher_point_mass(self):
         config = make_config(design=D1, replicates=40)
-        result = simulate_anticipated_variance(config)
+        result = simulate_anticipated_variance([config])[0]
         expected = (14.4 + 1.6 * 4) / (4 * 4)
         np.testing.assert_allclose(result.teacher.samples, expected, rtol=1e-12)
         assert result.teacher.sd == 0.0
@@ -242,10 +247,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match="never estimable"):
             make_config(design=D2, policy=AssignmentPolicy.balanced(4))
         # the other designs keep treatment information between schools
-        for design in (D1, D3):
-            result = simulate_anticipated_variance(
-                make_config(design=design, policy=AssignmentPolicy.balanced(4), replicates=30)
-            )
+        configs = [
+            make_config(design=design, policy=AssignmentPolicy.balanced(4), replicates=30)
+            for design in (D1, D3)
+        ]
+        for result in simulate_anticipated_variance(configs):
             assert result.teacher.non_estimable == 0
             assert result.student.non_estimable < 30
 
@@ -256,14 +262,14 @@ class TestSimulate:
             replicates=6000,
             seed=31415,
         )
-        result = simulate_anticipated_variance(config)
+        result = simulate_anticipated_variance([config])[0]
         mean_info = np.mean(1.0 / result.teacher.samples)
         assert mean_info == pytest.approx(8.394832998816323, rel=0.01)
 
     def test_deterministic_given_seed(self):
         config = make_config(replicates=50, q=0.5)
-        r1 = simulate_anticipated_variance(config)
-        r2 = simulate_anticipated_variance(config)
+        r1 = simulate_anticipated_variance([config])[0]
+        r2 = simulate_anticipated_variance([config])[0]
         np.testing.assert_array_equal(r1.teacher.variances, r2.teacher.variances)
         np.testing.assert_array_equal(r1.student.variances, r2.student.variances)
 
@@ -292,7 +298,7 @@ class TestSimulate:
             replicates=600,
             seed=99,
         )
-        result = simulate_anticipated_variance(config)
+        result = simulate_anticipated_variance([config])[0]
         keys = np.array(sorted(support))
         for sample in result.teacher.samples:
             assert np.isclose(keys, sample, rtol=1e-9).any()
@@ -306,23 +312,23 @@ class TestSimulate:
     def test_contamination_monotone_design2_design3(self):
         for design, q_hi in ((D2, 0.5), (D3, 0.5)):
             base = simulate_anticipated_variance(
-                make_config(design=design, replicates=400, q=0.0)
-            )
+                [make_config(design=design, replicates=400, q=0.0)]
+            )[0]
             contaminated = simulate_anticipated_variance(
-                make_config(design=design, replicates=400, q=q_hi)
-            )
+                [make_config(design=design, replicates=400, q=q_hi)]
+            )[0]
             assert contaminated.teacher.mean >= base.teacher.mean
             assert contaminated.student.mean >= base.student.mean
 
     def test_contamination_no_effect_design1(self):
-        base = simulate_anticipated_variance(make_config(design=D1, replicates=60, q=0.0))
-        shifted = simulate_anticipated_variance(make_config(design=D1, replicates=60, q=0.5))
+        base = simulate_anticipated_variance([make_config(design=D1, replicates=60, q=0.0)])[0]
+        shifted = simulate_anticipated_variance([make_config(design=D1, replicates=60, q=0.5)])[0]
         np.testing.assert_array_equal(base.teacher.variances, shifted.teacher.variances)
         np.testing.assert_array_equal(base.student.variances, shifted.student.variances)
 
     def test_power_reported_with_effect_size(self):
         config = make_config(replicates=50, effect_size_diff=2.0)
-        result = simulate_anticipated_variance(config)
+        result = simulate_anticipated_variance([config])[0]
         assert 0.0 < result.teacher.power < 1.0
         assert 0.0 < result.student.power < 1.0
 
@@ -361,7 +367,7 @@ class TestSimulate:
         # the batched engine against teacher/student_information plus
         # treatment_variance on the same draws, one replicate at a time
         config = make_config(**{"replicates": 20, **overrides})
-        result = simulate_anticipated_variance(config)
+        result = simulate_anticipated_variance([config])[0]
         expected = {"teacher": [], "student": []}
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
@@ -422,10 +428,10 @@ class TestChunkedEngine:
         for chunk in (1, 7, config.replicates):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", chunk * simulator._replicate_bytes(config))
             assert simulator._chunks(config)[0] == chunk
-            runs.append(simulate_anticipated_variance(config))
-            studies.append(estimator_variance_study(config))
+            runs.append(simulate_anticipated_variance([config])[0])
+            studies.append(estimator_variance_study([config])[0])
         monkeypatch.undo()
-        short = simulate_anticipated_variance(make_config(replicates=9, **self.CONFIGS[name]))
+        short = simulate_anticipated_variance([make_config(replicates=9, **self.CONFIGS[name])])[0]
         for level in ("teacher", "student"):
             full = runs[0].level(level).variances
             for run in runs[1:]:
@@ -500,7 +506,12 @@ class TestHeterogeneousLayouts:
         path, the first replicate's against dense inverses of each school's
         covariance, and zero design and precision rows for padded teachers."""
         m, count = config.layout.m, config.replicates
-        infos = simulator._informations([config])[0]
+        x = simulator._design_chunk(config, replicate_streams(config, 0), count)
+        stream = replicate_streams(config, 0).assignment
+        gram = simulator._assignment_gram(config.policy, config.layout, stream, count)
+        g = _gram_precision(gram, config.student_vc)
+        g_t = _teacher_precisions(m, config.teacher_vc)
+        infos = np.stack([_information(x, g_t), _information(x, _symmetric(g))])
         for rep in range(count):
             ds, xs = public_draws(config, rep)
             expected = (
@@ -516,10 +527,6 @@ class TestHeterogeneousLayouts:
         for got, want in zip(infos[:, 0], (dense_info(xs, t_covs), dense_student_info(xs, ds, s_covs))):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
-        x = simulator._design_chunk(config, replicate_streams(config, 0), count)
-        stream = replicate_streams(config, 0).assignment
-        gram = simulator._assignment_gram(config.policy, config.layout, stream, count)
-        g = _gram_precision(gram, config.student_vc)
         for i, m_i in enumerate(m):
             assert np.all(x[:, i, m_i:] == 0.0)
             assert np.all(g[:, i, m_i:] == 0.0) and np.all(g[:, i, :, m_i:] == 0.0)
@@ -708,10 +715,10 @@ class TestLockstepEngine:
         configs = self._lockstep_configs(layout, policy, q)
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
         assert len(simulator._chunks(configs[0])) == 4
-        results = simulator._simulate_designs(configs)
+        results = simulate_anticipated_variance(configs)
         assert [result.config for result in results] == configs
         for config, result in zip(configs, results):
-            alone = simulate_anticipated_variance(config)
+            alone = simulate_anticipated_variance([config])[0]
             for level in ("teacher", "student"):
                 got, want = result.level(level), alone.level(level)
                 np.testing.assert_array_equal(got.variances, want.variances)
@@ -727,14 +734,13 @@ class TestLockstepEngine:
         configs = self._lockstep_configs(layout, policy, q)
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
         assert len(simulator._chunks(configs[0])) == 4
-        for config, study in zip(configs, simulator._study_designs(configs), strict=True):
-            if None in study.values():
-                with pytest.raises(NonEstimableError):
-                    estimator_variance_study(config)
-                continue
-            alone = estimator_variance_study(config)
+        for config, study in zip(configs, estimator_variance_study(configs), strict=True):
+            alone = estimator_variance_study([config])[0]
             for level in ("teacher", "student"):
                 got, want = study[level], alone[level]
+                if want is None:
+                    assert got is None
+                    continue
                 assert (got.coef_mean, got.coef_variance) == (want.coef_mean, want.coef_variance)
                 assert (got.anticipated_mean, got.n_used) == (want.anticipated_mean, want.n_used)
 
@@ -754,7 +760,7 @@ class TestLockstepEngine:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(simulator, name, counted)
-        simulator._study_designs(configs)
+        estimator_variance_study(configs)
         assert calls == {"_pick_gram": chunks, "_gram_precision": chunks}
 
     @pytest.mark.parametrize(
@@ -770,9 +776,29 @@ class TestLockstepEngine:
     )
     def test_rejects_configs_that_differ_beyond_the_design(self, change):
         configs = [make_config(design=D1), make_config(design=D3, **change)]
-        for engine in (simulator._simulate_designs, simulator._study_designs):
+        for engine in (simulate_anticipated_variance, estimator_variance_study):
             with pytest.raises(ValueError, match="only in their design"):
                 engine(configs)
+
+
+class TestPublicSurface:
+    def test_all_lists_every_public_name(self):
+        import types
+
+        import multilevel_design
+
+        bound = [
+            name
+            for name, value in vars(multilevel_design).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        ]
+        assert sorted(multilevel_design.__all__) == sorted(bound)
+        assert "replicate_streams" not in bound
+
+    @pytest.mark.parametrize("engine", [simulate_anticipated_variance, estimator_variance_study])
+    def test_engine_rejects_no_configs(self, engine):
+        with pytest.raises(ValueError, match="at least one config"):
+            engine([])
 
 
 class TestResponseGenerators:
@@ -892,7 +918,7 @@ class TestEstimatorVarianceStudy:
             effect_size_diff=1.0,
             seed=90125,
         )
-        study = estimator_variance_study(config)
+        study = estimator_variance_study([config])[0]
         for level in ("teacher", "student"):
             res = study[level]
             assert res.n_used == 500

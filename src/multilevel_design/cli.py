@@ -26,8 +26,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .closed_forms import BalancedSpec, _balanced_school_traces
-from .designs import DesignKind, _teacher_traces
+from .designs import (
+    AssignmentPolicy,
+    BalancedSpec,
+    DesignKind,
+    PolicyKind,
+    _balanced_school_traces,
+    _teacher_traces,
+)
 from .model_core import (
     FieldError,
     StudentVarianceComponents,
@@ -40,9 +46,7 @@ from .simulator import (
     LEVELS,
     STUDENT,
     TEACHER,
-    AssignmentPolicy,
     DensityEstimate,
-    PolicyKind,
     SimulationConfig,
     check_alpha,
     estimator_variance_study,
@@ -467,18 +471,28 @@ def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one mode and write its artifacts under ``config.out_dir``."""
+    """Execute one mode and write its artifacts under ``config.out_dir``.
+
+    When the mode raises before writing anything, the directories this run
+    created are removed again; one that existed before is never removed."""
     plan = _plan(config)
     out = Path(config.out_dir)
+    created = [path for path in (out, *out.parents) if not path.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise FieldError("out_dir", str(err)) from err
-    if config.mode == "closed-form":
-        return _run_closed_form(config, plan, out)
-    if config.mode == "validate":
-        return _run_validate(plan, out)
-    return _run_simulate(plan, out)
+    try:
+        if config.mode == "closed-form":
+            return _run_closed_form(config, plan, out)
+        if config.mode == "validate":
+            return _run_validate(plan, out)
+        return _run_simulate(plan, out)
+    except BaseException:
+        if created and not any(out.iterdir()):
+            for path in created:
+                path.rmdir()
+        raise
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,4 +1,5 @@
-"""The three randomization designs: draws, moments, and expected information.
+"""The two choices a study makes, a design and an assignment policy, and
+every closed form they lead to.
 
 Design 1 assigns half of the schools (with all their teachers) to treatment,
 design 2 assigns half of the teachers within every school, and design 3
@@ -13,16 +14,19 @@ is Cov(R_i) = alpha*J + beta*(m I - J) with
 Every closed form follows from that one rule.  With G_i the per-school
 precision of either response level, the expected treatment information is
 E[R_i' G_i R_i] = tr(G_i Cov(R_i)) = alpha*t_J + beta*w, where t_J = tr(G_i J)
-and w = tr(G_i (m I - J)) are the only two traces any closed form needs.
+and w = tr(G_i (m I - J)) are the only two traces any closed form needs;
+under a balanced assignment (BalancedSpec) both student traces are rational
+functions of the variance components.
 
 Contamination marks control teachers that adopt the treatment anyway: within
 school i each control teacher independently flips its indicator to 1 with
 probability (1'R_i + m)*q/m, so a school full of controls under design 1
-never contaminates.
+never contaminates.  Every draw is made in simulator.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -34,9 +38,8 @@ from .model_core import (
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
-    TreatmentAssignment,
     _check_symmetric,
-    _padded,
+    check_integer,
     student_precision,
 )
 
@@ -134,48 +137,70 @@ def check_identifiable(q: float) -> None:
         )
 
 
-def draw_randomization(
-    kind: DesignKind, layout: StudyLayout, rng: np.random.Generator
-) -> TreatmentAssignment:
-    """Draw one equiprobable balanced realization of the design."""
-    kind.check_parity(layout.a, layout.m)
-    signs = _randomization_signs(kind, layout.m, rng.random(_sign_uniforms(kind, layout.m)))
-    return TreatmentAssignment(r=tuple(row[:m_i] for row, m_i in zip(signs, layout.m)))
+class PolicyKind(Enum):
+    BALANCED = "balanced"
+    WITH_REPLACEMENT = "with_replacement"
+    SINGLE_COURSE = "single_course"
 
 
-def _sign_uniforms(kind: DesignKind, m: Sequence[int]) -> int:
-    """Uniforms one realization consumes: a key per school under
-    randomize_schools, a key per teacher otherwise."""
-    return len(m) if kind is DesignKind.RANDOMIZE_SCHOOLS else sum(m)
+@dataclass(frozen=True)
+class AssignmentPolicy:
+    """How students pick their c teachers: balanced sections, uniform draws
+    with replacement, or a single course each."""
 
+    kind: PolicyKind
+    c: int = 1
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each key's 0-based rank along the last axis, ties in slot order."""
-    return np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
+    def __post_init__(self):
+        check_integer(self.c, "assignment.c")
+        if self.kind is PolicyKind.SINGLE_COURSE and self.c != 1:
+            raise FieldError("assignment.c", "single_course implies c = 1")
 
+    @classmethod
+    def balanced(cls, c: int) -> "AssignmentPolicy":
+        return cls(PolicyKind.BALANCED, c)
 
-def _school_keys(u: np.ndarray, starts, counts, width: int) -> np.ndarray:
-    """Each school's run of ``counts[i]`` uniforms from ``starts[i]`` of ``u``'s
-    last axis as (..., a, width) sort keys, +inf (last) beyond the run."""
-    slots = np.arange(width)
-    keys = u[..., np.minimum(np.asarray(starts)[:, None] + slots, u.shape[-1] - 1)]
-    return np.where(slots < np.asarray(counts)[:, None], keys, np.inf)
+    @classmethod
+    def with_replacement(cls, c: int) -> "AssignmentPolicy":
+        return cls(PolicyKind.WITH_REPLACEMENT, c)
 
+    @classmethod
+    def single_course(cls) -> "AssignmentPolicy":
+        return cls(PolicyKind.SINGLE_COURSE, 1)
 
-def _randomization_signs(kind: DesignKind, m: Sequence[int], u: np.ndarray) -> np.ndarray:
-    """Realizations as (..., a, max m) +-1 signs, 0 beyond each school's m_i,
-    from uniform keys ``u`` (..., _sign_uniforms): the half of the schools,
-    of each school's teachers or of all teachers with the smallest is treated."""
-    m = np.asarray(m)
-    real = np.arange(m.max()) < m[:, None]
-    if kind is DesignKind.RANDOMIZE_SCHOOLS:
-        treated = (_ranks(u) < len(m) // 2)[..., None]
-    elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
-        treated = _ranks(_school_keys(u, np.cumsum(m) - m, m, m.max())) < m[:, None] // 2
-    else:
-        treated = np.zeros(u.shape[:-1] + real.shape, dtype=bool)
-        treated[..., real] = _ranks(u) < m.sum() // 2
-    return np.where(real, np.where(treated, 1.0, -1.0), 0.0)
+    def check_school(self, m: int, n: int) -> None:
+        """Raise a FieldError when the policy cannot produce its exact counts
+        for (m, n); the balanced rule is also BalancedSpec's."""
+        if self.kind is PolicyKind.BALANCED:
+            if self.c > m:
+                raise FieldError("assignment.c", f"balanced needs c <= m, got c={self.c}, m={m}")
+            if (n * self.c) % m != 0:
+                raise FieldError(
+                    "assignment.c",
+                    f"balanced needs n*c divisible by m, got n={n}, c={self.c}, m={m}",
+                )
+        elif self.kind is PolicyKind.SINGLE_COURSE and n % m != 0:
+            raise FieldError(
+                "assignment", f"single_course needs n divisible by m, got n={n}, m={m}"
+            )
+
+    def check_student_estimable(self, design: DesignKind, m: Sequence[int]) -> None:
+        """Raise when no replicate can carry student-level treatment information.
+
+        Balanced c = m gives every student every teacher, so D_i = J and
+        D_i r_i = (1'r_i) 1, which within-school randomization makes 0 in
+        every school.
+        """
+        if (
+            self.kind is PolicyKind.BALANCED
+            and design is DesignKind.RANDOMIZE_WITHIN_SCHOOLS
+            and all(m_i == self.c for m_i in m)
+        ):
+            raise FieldError(
+                "assignment.c",
+                f"balanced c = m = {self.c} under within_schools gives every student "
+                "every teacher, so the student level is never estimable"
+            )
 
 
 def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
@@ -221,38 +246,6 @@ def expected_student_information_given_D(
     t_js = [float(g.sum()) for g in gs]
     w = sum(m * float(np.trace(g)) - t_j for g, t_j in zip(gs, t_js))
     return kind.information(m, a, sum(t_js), w)
-
-
-def draw_contamination(
-    assignment: TreatmentAssignment,
-    q: float,
-    rng: np.random.Generator,
-    kind: DesignKind,
-) -> TreatmentAssignment:
-    """Attach Bernoulli contamination indicators to control teachers.
-
-    Within school i every control teacher independently contaminates with
-    probability (1'R_i + m_i)*q/m_i.  Treated teachers never contaminate.
-    """
-    validate_contamination(kind, q)
-    r = assignment.r
-    signs = _padded(r, (max(ri.size for ri in r),))
-    flags = _contamination_flags(signs, q, rng.random(sum(ri.size for ri in r)))
-    return TreatmentAssignment(r=r, c=tuple(f[: ri.size] for f, ri in zip(flags, r)))
-
-
-def _contamination_flags(signs: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
-    """0/1 contamination flags for (..., a, max m) signs (0 marks a padded
-    slot) from one uniform per teacher (..., sum m), school by school: a
-    control teacher contaminates when its uniform is below the probability,
-    which is at most 1 wherever q is admissible for the design that drew
-    the signs."""
-    real, controls = signs != 0.0, signs == -1.0
-    m = real.sum(axis=-1)
-    prob = (signs.sum(axis=-1) + m) * q / m
-    keys = np.ones(signs.shape)
-    keys[real] = u.ravel()
-    return (controls & (keys < prob[..., None])).astype(float)
 
 
 def expected_contamination(
@@ -326,3 +319,105 @@ def contaminated_expected_moment_matrix(g: np.ndarray, q: float) -> tuple[np.nda
         ]
     )
     return e, inflation / t_c
+
+
+@dataclass(frozen=True)
+class BalancedSpec:
+    """Homogeneous balanced layout: m teachers, n students, c courses, a schools."""
+
+    m: int
+    n: int
+    c: int
+    a: int
+
+    def __post_init__(self):
+        StudyLayout(self.a, self.m, self.n)
+        AssignmentPolicy.balanced(self.c).check_school(self.m, self.n)
+
+
+def _balanced_school_traces(
+    spec: BalancedSpec, vc: StudentVarianceComponents
+) -> tuple[float, float]:
+    """(t_J, w) = (tr(G J), tr(G (m I - J))) of a balanced G = D' Sigma^-1 D:
+
+    t_J = m n c^2 / (m n sigma_s2 + n c^2 sigma_t2 + m sigma_eta2)
+    w   = m(m-1)nc(m-c) / (m(m-1) sigma_eta2 + nc(m-c) sigma_t2), exactly 0 at c = m
+    """
+    m, n, c = spec.m, spec.n, spec.c
+    denom = m * n * vc.sigma_s2 + n * c**2 * vc.sigma_t2 + m * vc.sigma_eta2
+    if denom <= 0.0:
+        raise ValueError("at least one variance component must be positive")
+    trace_j = m * n * c**2 / denom
+    if c == m:
+        return trace_j, 0.0
+    w = (
+        m * (m - 1) * n * c * (m - c)
+        / (m * (m - 1) * vc.sigma_eta2 + n * c * (m - c) * vc.sigma_t2)
+    )
+    return trace_j, w
+
+
+def balanced_traces(
+    spec: BalancedSpec, vc: StudentVarianceComponents
+) -> tuple[float, float]:
+    """Per-school traces (tr(D' Sigma^-1 D J), tr(D' Sigma^-1 D)) in closed form,
+    that is (t_J, (t_J + w)/m)."""
+    trace_j, w = _balanced_school_traces(spec, vc)
+    return trace_j, (trace_j + w) / spec.m
+
+
+def balanced_student_information(
+    kind: DesignKind, spec: BalancedSpec, vc: StudentVarianceComponents
+) -> float:
+    """Expected treatment information of the student model for a balanced layout,
+    a * (alpha t_J + beta w); with c = m the within-school value is exactly 0
+    because D R_i vanishes for every balanced realization.
+    """
+    kind.check_parity(spec.a, (spec.m,) * spec.a)
+    return spec.a * kind.information(spec.m, spec.a, *_balanced_school_traces(spec, vc))
+
+
+def efficiency_condition(spec: BalancedSpec, vc: StudentVarianceComponents) -> bool:
+    """True iff within-school randomization is at least as informative as
+    randomizing schools for the student model:
+
+        n (m - c) sigma_s2 >= m (c - 1) sigma_eta2
+
+    Ties count as true.
+    """
+    return (
+        spec.n * (spec.m - spec.c) * vc.sigma_s2
+        >= spec.m * (spec.c - 1) * vc.sigma_eta2
+    )
+
+
+def teacher_inflation_design2(
+    q: float, m: int, vc: TeacherVarianceComponents
+) -> float:
+    """Variance inflation of the teacher treatment effect under contamination.
+
+    1 + q/(2(1-q)) * (1 - sigma_v2/(sigma_eps2 + m*sigma_v2))^-1
+    """
+    return _within_school_inflation(q, m, *_teacher_traces(m, vc))
+
+
+def student_inflation_design2(
+    q: float, spec: BalancedSpec, vc: StudentVarianceComponents
+) -> float:
+    """Variance inflation of the student treatment effect under contamination.
+
+    Equals 1 + q/(2(1-q)) * t_C/t_G where t_C = tr(D' Sigma^-1 D Cov(R)) and
+    t_G = tr(D' Sigma^-1 D) for a balanced D; in the variance components,
+
+        t_C/t_G = (m n sigma_s2 + n c^2 sigma_t2 + m sigma_eta2)
+                  / ((m-1) n sigma_s2 + n c^2 sigma_t2
+                     + m (m-1)/(m-c) sigma_eta2).
+
+    Rejected for c = m, where the uncontaminated information is already 0.
+    """
+    if spec.c == spec.m:
+        raise ValueError(
+            "c = m gives zero within-school information, so an inflation factor "
+            "is meaningless"
+        )
+    return _within_school_inflation(q, spec.m, *_balanced_school_traces(spec, vc))

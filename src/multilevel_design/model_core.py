@@ -220,21 +220,6 @@ def _check_symmetric(entries: np.ndarray) -> None:
         raise ValueError(f"matrix is asymmetric (max deviation {asym:g})")
 
 
-def _spectral_norm(entries: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of symmetric matrices, after the PSD check.
-
-    Raises ValueError when any matrix has an eigenvalue below -SINGULAR_RTOL
-    times its spectral norm.
-    """
-    eigs = np.linalg.eigvalsh(entries)
-    spectral = np.abs(eigs).max(axis=-1, initial=0.0)
-    lowest = eigs.min(axis=-1, initial=0.0)
-    bad = lowest < -SINGULAR_RTOL * spectral
-    if np.any(bad):
-        raise ValueError(f"information matrix is not PSD (min eigenvalue {lowest[bad].min():g})")
-    return spectral
-
-
 def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:
     """Per-school fixed-effect matrices [1 r] or [1 r c] from an assignment."""
     xs = []
@@ -416,21 +401,29 @@ def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(full, b0 * solved0 + b1 * solved1, rank1)
 
 
-def _treatment_pivot(entries: np.ndarray) -> np.ndarray:
+def _treatment_pivot(entries: np.ndarray, field: str | None = None) -> np.ndarray:
     """Schur-complement pivot of the treatment direction after eliminating the others.
 
     ``entries`` is one p x p information matrix or a stack (..., p, p) over
     [1 r] (p = 2) or [1 r c] (p = 3); the others block is eliminated in
-    closed form.  One eigvalsh per matrix serves the PSD check (ValueError)
-    and the threshold: a pivot at or below ``SINGULAR_RTOL`` times the
-    spectral norm, which covers singular information matrices and directions
-    absorbed by collinear columns, is returned as NaN.
+    closed form.  One eigvalsh per matrix serves the PSD check, a ValueError
+    for an eigenvalue below -SINGULAR_RTOL times the spectral norm (a
+    FieldError of ``field``, if given, the residual component too small next
+    to the others), and the threshold: a pivot at or below ``SINGULAR_RTOL``
+    times the spectral norm, which covers singular information matrices and
+    directions absorbed by collinear columns, is returned as NaN.
     """
     entries = np.asarray(entries, dtype=float)
     p, k = entries.shape[-1], TREATMENT_COLUMN
     if not 2 <= p <= 3:
         raise ValueError(f"the treatment pivot takes 2 or 3 parameters, got {p}")
-    spectral = _spectral_norm(entries)
+    eigs = np.linalg.eigvalsh(entries)
+    spectral = np.abs(eigs).max(axis=-1, initial=0.0)
+    lowest = eigs.min(axis=-1, initial=0.0)
+    bad = lowest < -SINGULAR_RTOL * spectral
+    if np.any(bad):
+        message = f"information matrix is not PSD (min eigenvalue {lowest[bad].min():g})"
+        raise ValueError(message) if field is None else FieldError(field, f"too small: {message}")
     others = [j for j in range(p) if j != k]
     block = entries[..., others, :][..., others]
     pivot = entries[..., k, k] - _explained(block, entries[..., others, k])

@@ -7,22 +7,25 @@ lockstep through one run loop (_lockstep) and returns one result per config,
 in order.  Neither raises for a non-estimable replicate: its variance is NaN,
 and a study level with fewer than two estimable replicates is None.
 
+This is the one module that decodes stream layout v2.  Each purpose has
+one stream keyed by (seed, purpose), not by design, of which a replicate
+takes K uniforms from offset r*K, school by school; _school_keys reads each
+school's run, and the one-school draws (draw_assignment,
+draw_randomization, draw_contamination) decode the same uniforms from any
+Generator.  A run makes each stream once and draws its chunks in order, so
+chunking changes no result, and its designs share their assignment draws,
+common random numbers.
+
 Replicates run in chunks under a memory cap.  A replicate only draws, into
 arrays: its assignment uniforms and each teacher's +-1 randomization and
 contamination, schools padded to the largest.  Per chunk, each school's Gram
 [1 D]'[1 D] comes without an n x m D: with replacement from one bincount of
-the codes of each student's teacher-pick pairs, which also gives each
-teacher's count; balanced and single_course from the slot Gram of the
-layout's fixed balanced rows, cached once and carried onto teachers through
-each replicate's slot table in O(m^2), since reordering students leaves the
-Gram unchanged.  One kernel call gives the student precisions and one
-contraction per level the information; one pivot per design gives the
-variances.  Each purpose has one stream keyed by (seed, purpose), not by
-design, of which a replicate takes K uniforms from offset r*K; a run makes
-each stream once and draws its chunks in order, so chunking changes no
-result.  A run's designs therefore share their assignment draws, common
-random numbers: one Gram and one student precision serve every design of a
-chunk.
+the codes of each student's teacher-pick pairs; balanced and single_course
+from the slot Gram of the layout's fixed balanced rows, cached once and
+carried onto teachers through each replicate's slot table in O(m^2).  One
+Gram and one kernel call give every design of a chunk its student
+precisions, one contraction per level the information and one pivot per
+design the variances.
 
 The study's chunks (_study_chunk) synthesize responses from Box-Muller
 normals of the responses stream on the same draws and GLS-estimate them,
@@ -41,18 +44,11 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .designs import (
-    DesignKind,
-    _contamination_flags,
-    _randomization_signs,
-    _school_keys,
-    _sign_uniforms,
-)
+from .designs import AssignmentPolicy, DesignKind, PolicyKind, validate_contamination
 from .model_core import (
     TREATMENT_COLUMN,
     FieldError,
@@ -60,8 +56,10 @@ from .model_core import (
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    TreatmentAssignment,
     _gram_precision,
     _information,
+    _padded,
     _school_stack,
     _symmetric,
     _teacher_precisions,
@@ -73,72 +71,8 @@ from .model_core import (
 TEACHER = "teacher"
 STUDENT = "student"
 LEVELS = (TEACHER, STUDENT)
-
-
-class PolicyKind(Enum):
-    BALANCED = "balanced"
-    WITH_REPLACEMENT = "with_replacement"
-    SINGLE_COURSE = "single_course"
-
-
-@dataclass(frozen=True)
-class AssignmentPolicy:
-    """How students pick their c teachers: balanced sections, uniform draws
-    with replacement, or a single course each."""
-
-    kind: PolicyKind
-    c: int = 1
-
-    def __post_init__(self):
-        check_integer(self.c, "assignment.c")
-        if self.kind is PolicyKind.SINGLE_COURSE and self.c != 1:
-            raise FieldError("assignment.c", "single_course implies c = 1")
-
-    @classmethod
-    def balanced(cls, c: int) -> "AssignmentPolicy":
-        return cls(PolicyKind.BALANCED, c)
-
-    @classmethod
-    def with_replacement(cls, c: int) -> "AssignmentPolicy":
-        return cls(PolicyKind.WITH_REPLACEMENT, c)
-
-    @classmethod
-    def single_course(cls) -> "AssignmentPolicy":
-        return cls(PolicyKind.SINGLE_COURSE, 1)
-
-    def check_school(self, m: int, n: int) -> None:
-        """Raise a FieldError when the policy cannot produce its exact counts
-        for (m, n); the balanced rule is also BalancedSpec's."""
-        if self.kind is PolicyKind.BALANCED:
-            if self.c > m:
-                raise FieldError("assignment.c", f"balanced needs c <= m, got c={self.c}, m={m}")
-            if (n * self.c) % m != 0:
-                raise FieldError(
-                    "assignment.c",
-                    f"balanced needs n*c divisible by m, got n={n}, c={self.c}, m={m}",
-                )
-        elif self.kind is PolicyKind.SINGLE_COURSE and n % m != 0:
-            raise FieldError(
-                "assignment", f"single_course needs n divisible by m, got n={n}, m={m}"
-            )
-
-    def check_student_estimable(self, design: DesignKind, m: Sequence[int]) -> None:
-        """Raise when no replicate can carry student-level treatment information.
-
-        Balanced c = m gives every student every teacher, so D_i = J and
-        D_i r_i = (1'r_i) 1, which within-school randomization makes 0 in
-        every school.
-        """
-        if (
-            self.kind is PolicyKind.BALANCED
-            and design is DesignKind.RANDOMIZE_WITHIN_SCHOOLS
-            and all(m_i == self.c for m_i in m)
-        ):
-            raise FieldError(
-                "assignment.c",
-                f"balanced c = m = {self.c} under within_schools gives every student "
-                "every teacher, so the student level is never estimable"
-            )
+#: the residual component that a level's indefinite information names
+_RESIDUAL = {TEACHER: "teacher_vc.sigma_eps2", STUDENT: "student_vc.sigma_eta2"}
 
 
 def draw_assignment(
@@ -162,6 +96,82 @@ def draw_assignment(
     u = rng.random((1, _assignment_uniforms(policy, (m,), (n,))))
     cells = (np.arange(n)[:, None] * m + _picks(policy, (m,), (n,), u)[0]).ravel()
     return np.bincount(cells, minlength=n * m).reshape(n, m).astype(float)
+
+
+def draw_randomization(
+    kind: DesignKind, layout: StudyLayout, rng: np.random.Generator
+) -> TreatmentAssignment:
+    """Draw one equiprobable balanced realization of the design."""
+    kind.check_parity(layout.a, layout.m)
+    signs = _randomization_signs(kind, layout.m, rng.random(_sign_uniforms(kind, layout.m)))
+    return TreatmentAssignment(r=tuple(row[:m_i] for row, m_i in zip(signs, layout.m)))
+
+
+def _sign_uniforms(kind: DesignKind, m: Sequence[int]) -> int:
+    """Uniforms one realization consumes: a key per school under
+    randomize_schools, a key per teacher otherwise."""
+    return len(m) if kind is DesignKind.RANDOMIZE_SCHOOLS else sum(m)
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each key's 0-based rank along the last axis, ties in slot order."""
+    return np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
+
+
+def _school_keys(u: np.ndarray, starts, counts, width: int, fill=np.inf) -> np.ndarray:
+    """Each school's run of ``counts[i]`` values from ``starts[i]`` of ``u``'s
+    last axis (uniforms, normals or flags laid out school by school) as
+    (..., a, width), ``fill`` beyond the run: by default +inf, last as a
+    sort key.  The one reader of a school-by-school run."""
+    slots = np.arange(width)
+    keys = u[..., np.minimum(np.asarray(starts)[:, None] + slots, u.shape[-1] - 1)]
+    return np.where(slots < np.asarray(counts)[:, None], keys, fill)
+
+
+def _randomization_signs(kind: DesignKind, m: Sequence[int], u: np.ndarray) -> np.ndarray:
+    """Realizations as (..., a, max m) +-1 signs, 0 beyond each school's m_i,
+    from uniform keys ``u`` (..., _sign_uniforms): the half of the schools,
+    of each school's teachers or of all teachers with the smallest is treated."""
+    m = np.asarray(m)
+    real = np.arange(m.max()) < m[:, None]
+    if kind is DesignKind.RANDOMIZE_SCHOOLS:
+        treated = (_ranks(u) < len(m) // 2)[..., None]
+    elif kind is DesignKind.RANDOMIZE_WITHIN_SCHOOLS:
+        treated = _ranks(_school_keys(u, np.cumsum(m) - m, m, m.max())) < m[:, None] // 2
+    else:
+        treated = _school_keys(_ranks(u) < m.sum() // 2, np.cumsum(m) - m, m, m.max(), False)
+    return np.where(real, np.where(treated, 1.0, -1.0), 0.0)
+
+
+def draw_contamination(
+    assignment: TreatmentAssignment,
+    q: float,
+    rng: np.random.Generator,
+    kind: DesignKind,
+) -> TreatmentAssignment:
+    """Attach Bernoulli contamination indicators to control teachers.
+
+    Within school i every control teacher independently contaminates with
+    probability (1'R_i + m_i)*q/m_i.  Treated teachers never contaminate.
+    """
+    validate_contamination(kind, q)
+    r = assignment.r
+    signs = _padded(r, (max(ri.size for ri in r),))
+    flags = _contamination_flags(signs, q, rng.random(sum(ri.size for ri in r)))
+    return TreatmentAssignment(r=r, c=tuple(f[: ri.size] for f, ri in zip(flags, r)))
+
+
+def _contamination_flags(signs: np.ndarray, q: float, u: np.ndarray) -> np.ndarray:
+    """0/1 contamination flags for (..., a, max m) signs (0 marks a padded
+    slot) from one uniform per teacher (..., sum m), school by school: a
+    control teacher contaminates when its uniform is below the probability,
+    which is at most 1 wherever q is admissible for the design that drew
+    the signs."""
+    m = np.count_nonzero(signs, axis=-1)
+    prob = (signs.sum(axis=-1) + m) * q / m
+    m = m.reshape(-1, m.shape[-1])[0]  # every replicate has the layout's m_i
+    keys = _school_keys(u, np.cumsum(m) - m, m, signs.shape[-1], 1.0)
+    return ((signs == -1.0) & (keys < prob[..., None])).astype(float)
 
 
 def _assignment_uniforms(policy: AssignmentPolicy, m: Sequence[int], n: Sequence[int]) -> int:
@@ -618,7 +628,8 @@ def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[S
             design_infos.append(np.stack([_information(x, g_t), _information(x, g_s)]))
     results = []
     for config, design_infos in zip(configs, infos):
-        variances = 1.0 / _treatment_pivot(np.concatenate(design_infos, axis=1))
+        by_level = zip(LEVELS, np.concatenate(design_infos, axis=1))
+        variances = [1.0 / _treatment_pivot(info, _RESIDUAL[level]) for level, info in by_level]
         levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
         results.append(SimulationResult(config, *levels))
     return results
@@ -678,12 +689,13 @@ def gls_estimate(
     return coef, cov
 
 
-def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray, field: str | None = None):
     """GLS coefficients and covariance from stacked X_i, G_i and z_i, for one
-    fit or a stack of replicates; NaN where treatment is singular."""
+    fit or a stack of replicates; NaN where treatment is singular.  An
+    indefinite information raises as _treatment_pivot does with ``field``."""
     info = _information(x, g)
     cov = np.full(info.shape, np.nan)
-    ok = ~np.isnan(_treatment_pivot(info))
+    ok = ~np.isnan(_treatment_pivot(info, field))
     cov[ok] = np.linalg.pinv(info[ok], hermitian=True)
     return (cov @ np.einsum("...kip,...ki->...p", x, z)[..., None])[..., 0], cov
 
@@ -707,6 +719,7 @@ def _study_chunk(
     column m + d of the kernel's D' Sigma^-1 [D y]; each design then runs
     its own teacher and student GLS fits."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
+    m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
     sizes = _stream_sizes(config)
@@ -716,18 +729,16 @@ def _study_chunk(
     u = streams.responses.random((count, sizes.responses))
     z_t = _normals(u[:, : _paired(t_size)], t_size)
     z_s = _normals(u[:, _paired(t_size) :], s_size)
-    # each teacher's and student's offset in its school's run; a padded
-    # teacher (zero intercept) rereads its school's first slot
-    teacher = (np.arange(xs[0].shape[2]) * xs[0][0, ..., 0]).astype(int)
+    # each student's offset in its school's run; a padded teacher's noise is
+    # 0, as it has no precision row and no student
     student = np.arange(sum(layout.n)) - np.repeat(np.cumsum(layout.n) - layout.n, layout.n)
-    eps, t, eta = eps[:, None] + teacher, t[:, None] + teacher, np.repeat(eta, layout.n) + student
     school = np.repeat(np.arange(layout.a), layout.n)
     v_noise = np.sqrt(tvc.sigma_v2) * z_t[:, v, None]
-    eps_noise = np.sqrt(tvc.sigma_eps2) * z_t[:, eps]
-    t_noise = np.sqrt(svc.sigma_t2) * z_s[:, t]
+    eps_noise = np.sqrt(tvc.sigma_eps2) * _school_keys(z_t, eps, layout.m, m, 0.0)
+    t_noise = np.sqrt(svc.sigma_t2) * _school_keys(z_s, t, layout.m, m, 0.0)
     s_noise = np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
-    eta_noise = np.sqrt(svc.sigma_eta2) * z_s[:, eta]
-    reps, k, m = np.arange(count)[:, None], TREATMENT_COLUMN, max(layout.m)
+    eta_noise = np.sqrt(svc.sigma_eta2) * z_s[:, np.repeat(eta, layout.n) + student]
+    reps, k = np.arange(count)[:, None], TREATMENT_COLUMN
     x_beta = np.stack([x @ beta[: x.shape[-1]] for x in xs], -1)
     u = x_beta + t_noise[..., None]
     # every design's y, a column each, summed pick by pick, in draw order
@@ -739,7 +750,10 @@ def _study_chunk(
     out = []
     for d, x in enumerate(xs):
         rhs = np.einsum("kij,...kj->...ki", g_t, x_beta[..., d] + v_noise + eps_noise)
-        fits = [_gls_fit(x, g_t, rhs), _gls_fit(x, g_z[..., :m], g_z[..., m + d])]
+        fits = [
+            _gls_fit(x, g_t, rhs, _RESIDUAL[TEACHER]),
+            _gls_fit(x, g_z[..., :m], g_z[..., m + d], _RESIDUAL[STUDENT]),
+        ]
         out.append([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
     return np.array(out)
 

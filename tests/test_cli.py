@@ -1,11 +1,16 @@
 """Tests for config parsing, artifact emission, and the CLI entry point."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multilevel_design
 from multilevel_design import DensityEstimate, FieldError, PolicyKind
@@ -656,10 +661,43 @@ class TestErrorContract:
     )
     def test_singular_student_kernel_names_sigma_eta2(self, tmp_path, capsys, overrides):
         # sigma_eta2 > 0 passes every config check, but the student kernel
-        # K = sigma_eta2 I + W'W is singular in floating point
+        # K = sigma_eta2 I + W'W is singular in floating point; the run
+        # removes the out_dir it made before the engine failed
         config_path = write_config(tmp_path, base_config(**overrides))
         argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
         self._assert_rejected(capsys, argv, "student_vc.sigma_eta2")
+        assert not (tmp_path / "out").exists()
+
+    # sigma_eta2 / (n sigma_s2 + c^2 sigma_t2) is about 2.5e-10: replicate 19's
+    # student information under within_schools is indefinite in floating point
+    INDEFINITE = {
+        "schools": 2,
+        "teachers_per_school": 4,
+        "students_per_school": 3,
+        "teacher_vc": {"sigma_v2": 0.0, "sigma_eps2": 1000.0},
+        "student_vc": {"sigma_s2": 1.0, "sigma_t2": 1000.0, "sigma_eta2": 1e-6},
+        "designs": ["randomize_schools", "within_schools"],
+        "assignment": {"policy": "with_replacement", "c": 2},
+        "seed": 49,
+        "replicates": 20,
+    }
+
+    @pytest.mark.parametrize("mode", ["compare", "validate"])
+    def test_indefinite_student_information_names_sigma_eta2(self, tmp_path, capsys, mode):
+        config_path = write_config(tmp_path, base_config(**self.INDEFINITE))
+        argv = [mode, "--config", str(config_path), "--out", str(tmp_path / "a" / "out")]
+        self._assert_rejected(capsys, argv, "student_vc.sigma_eta2")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_failed_run_keeps_an_existing_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        config_path = write_config(tmp_path, base_config(**self.INDEFINITE))
+        self._assert_rejected(
+            capsys, ["compare", "--config", str(config_path), "--out", str(out)],
+            "student_vc.sigma_eta2",
+        )
+        assert out.is_dir() and not any(out.iterdir())
 
     @staticmethod
     def _assert_rejected(capsys, argv, field):
@@ -693,6 +731,65 @@ class TestErrorContract:
         self._assert_rejected(capsys, argv, "out_dir")
         assert blocker.read_text() == "a file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+
+#: a variance component: 1e-6 to 1e6, log-uniform in the exponent, or one
+#: time in four 0
+_COMPONENT = st.integers(0, 3).flatmap(
+    lambda k: st.just(0.0) if k == 3 else st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+)
+
+
+@st.composite
+def _tiny_configs(draw, policy):
+    """A JSON config of a tiny layout under ``policy``, mostly one that runs:
+    the first choices keep the parities and give sections n_i = k m_i."""
+    a = draw(st.one_of(st.sampled_from([2, 4]), st.just(3)))
+    per_school = lambda counts: st.lists(counts, min_size=a, max_size=a)
+    m = draw(per_school(st.one_of(st.sampled_from([2, 4]), st.integers(1, 4))))
+    sections = per_school(st.integers(1, 3)).map(lambda k: [k_i * m_i for k_i, m_i in zip(k, m)])
+    n = draw(st.one_of(sections, per_school(st.integers(1, 8))))
+    assignment = {"policy": policy}
+    if policy != "single_course":
+        assignment["c"] = draw(st.integers(1, 3))
+    designs = ["randomize_schools", "within_schools", "crd"]
+    return {
+        "schools": a,
+        "teachers_per_school": m if len(set(m)) > 1 else m[0],
+        "students_per_school": n if len(set(n)) > 1 else n[0],
+        "teacher_vc": {"sigma_v2": draw(_COMPONENT), "sigma_eps2": draw(_COMPONENT)},
+        "student_vc": {k: draw(_COMPONENT) for k in ("sigma_s2", "sigma_t2", "sigma_eta2")},
+        "designs": draw(st.lists(st.sampled_from(designs), min_size=1, max_size=3, unique=True)),
+        "assignment": assignment,
+        "q": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 1.0))),
+        "replicates": draw(st.integers(2, 10)),
+        "seed": draw(st.integers(0, 2**32)),
+        "effect_size_diff": draw(st.sampled_from([None, 1.0])),
+    }
+
+
+class TestMainProperty:
+    """Every config either runs or exits 1 with one line and no out_dir."""
+
+    @pytest.mark.parametrize("mode", ["closed-form", "simulate", "compare", "validate"])
+    @pytest.mark.parametrize("policy", ["balanced", "with_replacement", "single_course"])
+    @settings(max_examples=4, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_exit_code_stderr_and_out_dir(self, mode, policy, data):
+        config = data.draw(_tiny_configs(policy))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            config_path = write_config(Path(tmp), config)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([mode, "--config", str(config_path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().count("\n") == 1
+                assert err.getvalue().startswith("multilevel-design: '")
+                assert not out.exists()
+            else:
+                assert err.getvalue() == ""
 
 
 class TestDensitySvg:

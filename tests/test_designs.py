@@ -30,11 +30,11 @@ from multilevel_design import (
     teacher_information,
     teacher_precision,
 )
-from multilevel_design.designs import (
+from multilevel_design.designs import validate_contamination
+from multilevel_design.simulator import (
     _contamination_flags,
     _randomization_signs,
     _sign_uniforms,
-    validate_contamination,
 )
 
 from oracles import (

@@ -411,6 +411,26 @@ class TestSimulate:
             make_config(teacher_vc=TeacherVarianceComponents(1.6, 0.0), q=1.0)
         assert err.value.field == "teacher_vc.sigma_eps2"
 
+    def test_indefinite_information_names_the_level_residual(self):
+        # replicate 19's student information is indefinite in floating point
+        # at sigma_eta2 / (n sigma_s2 + c^2 sigma_t2) of about 2.5e-10: inside
+        # the engine it names sigma_eta2, while treatment_variance keeps a
+        # plain ValueError
+        config = make_config(
+            layout=StudyLayout(a=2, m=4, n=3),
+            teacher_vc=TeacherVarianceComponents(0.0, 1000.0),
+            student_vc=StudentVarianceComponents(1.0, 1000.0, 1e-6),
+            replicates=20,
+            seed=49,
+        )
+        for engine in (simulate_anticipated_variance, estimator_variance_study):
+            with pytest.raises(FieldError, match="not PSD") as err:
+                engine([config])
+            assert err.value.field == "student_vc.sigma_eta2"
+        with pytest.raises(ValueError, match="not PSD") as err:
+            treatment_variance(np.diag([1.0, -1.0]))
+        assert not isinstance(err.value, FieldError)
+
 
 class TestChunkedEngine:
     CONFIGS = {

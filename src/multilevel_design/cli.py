@@ -6,6 +6,10 @@ write per-replicate samples, density grids, a summary table and one SVG of
 the density curves; ``validate`` cross-checks the analytic anticipated
 variance against GLS estimates on synthetic data.
 
+A run checks the config, computes every artifact's text, then makes
+``out_dir`` and writes the files; a run that fails before writing creates
+nothing, and a bad ``out_dir`` is reported after the computation.
+
 Exit codes: 0 success, 1 configuration error (one stderr line,
 ``multilevel-design: '<field>': <message>``), 2 validation failure or a
 design and level with no estimable replicate.
@@ -265,9 +269,9 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _csv(header: Sequence[str], rows) -> str:
     lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#7c4fb0", "#c2851a", "#3aa6a6")
@@ -290,13 +294,11 @@ def _text(x, y, size: int, body: str, attrs: str = "") -> str:
     return f'<text x="{x}" y="{y}" font-size="{size}"{attrs}>{body}</text>'
 
 
-def emit_density_svg(series: Mapping[str, DensityEstimate], path: str | Path) -> Path:
+def _density_svg(series: Mapping[str, DensityEstimate]) -> str:
     """One SVG with a labeled curve per series; point masses become vertical
-    markers, drawn after the curves.  Raises before touching the filesystem
-    when there is nothing to draw."""
+    markers, drawn after the curves."""
     if not series:
         raise ValueError("no densities to plot")
-    path = Path(path)
     items = sorted(series.items(), key=lambda item: item[1].is_point_mass)
     x_points = np.concatenate([d.grid if d.grid is not None else [d.point_mass] for _, d in items])
     x_lo, x_hi = float(np.min(x_points)), float(np.max(x_points))
@@ -351,7 +353,15 @@ def emit_density_svg(series: Mapping[str, DensityEstimate], path: str | Path) ->
         ly = top + 12 + 18 * i
         legend += [_line(lx, ly - 4, lx + 24, ly - 4, color, 2, dash)]
         legend += [_text(lx + 30, ly, 12, _escape(label))]
-    _write_atomic(path, "\n".join(parts + legend + ["</svg>"]) + "\n")
+    return "\n".join(parts + legend + ["</svg>"]) + "\n"
+
+
+def emit_density_svg(series: Mapping[str, DensityEstimate], path: str | Path) -> Path:
+    """Write one SVG with a labeled curve per series to ``path``; point masses
+    become vertical markers.  Raises before touching the filesystem when
+    there is nothing to draw."""
+    path = Path(path)
+    _write_atomic(path, _density_svg(series))
     return path
 
 
@@ -360,31 +370,7 @@ def emit_density_svg(series: Mapping[str, DensityEstimate], path: str | Path) ->
 # --------------------------------------------------------------------------
 
 
-def _plan(config: RunConfig) -> BalancedSpec | list[SimulationConfig]:
-    """Reject, before any output exists, every config the mode cannot run,
-    and return what it runs on: the balanced spec for closed-form, one
-    SimulationConfig per design otherwise.
-
-    Every mode needs invertible covariances and admissible designs; they
-    are checked for every design before any layout rule, so a config with
-    faults in two designs names the same field in every mode.
-    """
-    if config.mode == "validate" and config.replicates < 2:
-        raise FieldError("replicates", "validate needs at least 2 replicates")
-    layout = config.layout
-    config.teacher_vc.check_invertible()
-    config.student_vc.check_invertible()
-    for design in config.designs:
-        design.check(layout.a, layout.m, config.q)
-    if config.mode != "closed-form":
-        return [config.simulation_config(design) for design in config.designs]
-    m = layout.homogeneous_m()
-    if len(set(layout.n)) != 1:
-        raise FieldError("students_per_school", "closed-form needs a homogeneous student count")
-    return BalancedSpec(m, layout.n[0], config.policy.c, layout.a)
-
-
-def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
+def _run_closed_form(config: RunConfig, spec: BalancedSpec) -> tuple[int, dict[str, str]]:
     traces = {
         TEACHER: _teacher_traces(spec.m, config.teacher_vc),
         STUDENT: _balanced_school_traces(spec, config.student_vc),
@@ -398,27 +384,23 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec, out: Path) -> int:
             variance = inflation / info if info > 0.0 and inflation is not None else None
             se_diff = None if variance is None else 2.0 * float(np.sqrt(variance))
             rows.append((design.value, level, info, variance, se_diff, inflation))
-    _write_csv(
-        out / "closed_forms.csv",
-        ("design", "level", "expected_info", "anticipated_var", "se_diff", "inflation"),
-        rows,
-    )
-    return 0
+    header = ("design", "level", "expected_info", "anticipated_var", "se_diff", "inflation")
+    return 0, {"closed_forms.csv": _csv(header, rows)}
 
 
-def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
+def _run_simulate(sim_configs: Sequence[SimulationConfig]) -> tuple[int, dict[str, str]]:
     """Per design and level the samples and density CSVs, then the summary
     and one SVG; a NaN (non-estimable) value writes an empty cell.  The
-    designs run in lockstep on one assignment draw.  Returns 2 when some
-    design and level has no estimable replicate."""
+    designs run in lockstep on one assignment draw.  The code is 2 when
+    some design and level has no estimable replicate."""
+    artifacts: dict[str, str] = {}
     summary_rows = []
     series: dict[str, DensityEstimate] = {}
     for result in simulate_anticipated_variance(sim_configs):
         design = result.config.design.value
         for level in LEVELS:
             res, dens = result.level(level), result.level(level).density
-            _write_csv(
-                out / f"samples_{design}_{level}.csv",
+            artifacts[f"samples_{design}_{level}.csv"] = _csv(
                 ("replicate", "level", "design", "variance", "estimable"),
                 [(r, level, design, v, int(math.isfinite(v)))
                  for r, v in enumerate(res.variances.tolist())],
@@ -430,28 +412,25 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
                 density_rows = [(level, design, x, y) for x, y in curve] or [
                     (level, design, dens.point_mass, None)
                 ]
-            _write_csv(
-                out / f"density_{design}_{level}.csv",
-                ("level", "design", "variance", "density"),
-                density_rows,
+            artifacts[f"density_{design}_{level}.csv"] = _csv(
+                ("level", "design", "variance", "density"), density_rows
             )
             se_diff = 2.0 * float(np.sqrt(res.mean))
             frac = res.non_estimable / res.variances.size
             summary_rows.append((design, level, res.mean, res.sd, se_diff, res.power, frac))
-    _write_csv(
-        out / "summary.csv",
+    artifacts["summary.csv"] = _csv(
         ("design", "level", "mean_var", "sd_var", "se_diff", "power", "non_estimable_frac"),
         summary_rows,
     )
     if series:
-        emit_density_svg(series, out / "density.svg")
-    return 2 if any(row[-1] == 1.0 for row in summary_rows) else 0
+        artifacts["density.svg"] = _density_svg(series)
+    return 2 if any(row[-1] == 1.0 for row in summary_rows) else 0, artifacts
 
 
-def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
+def _run_validate(sim_configs: Sequence[SimulationConfig]) -> tuple[int, dict[str, str]]:
     """validate.csv's rows, the designs in lockstep on one draw; a design
     with too few estimable replicates at a level to estimate a variance
-    fails both its rows with empty cells.  Returns 2 when a row fails."""
+    fails both its rows with empty cells.  The code is 2 when a row fails."""
     rows = []
     for sim, study in zip(sim_configs, estimator_variance_study(sim_configs)):
         for level, res in study.items():
@@ -462,37 +441,42 @@ def _run_validate(sim_configs: Sequence[SimulationConfig], out: Path) -> int:
             ok = low <= res.variance_ratio <= high and res.mean_error_z <= 3.0
             cells = (res.anticipated_mean, res.coef_variance, res.variance_ratio, int(ok))
             rows.append((sim.design.value, level) + cells)
-    _write_csv(
-        out / "validate.csv",
-        ("design", "level", "analytic_var", "empirical_var", "ratio", "pass"),
-        rows,
-    )
-    return 2 if any(row[-1] == 0 for row in rows) else 0
+    header = ("design", "level", "analytic_var", "empirical_var", "ratio", "pass")
+    return 2 if any(row[-1] == 0 for row in rows) else 0, {"validate.csv": _csv(header, rows)}
 
 
 def run(config: RunConfig) -> int:
-    """Execute one mode and write its artifacts under ``config.out_dir``.
+    """Execute one mode, then make ``config.out_dir`` and write its artifacts.
 
-    When the mode raises before writing anything, the directories this run
-    created are removed again; one that existed before is never removed."""
-    plan = _plan(config)
+    Every mode needs invertible covariances and admissible designs; they
+    are checked for every design before any layout rule, so a config with
+    faults in two designs names the same field in every mode.
+    """
+    if config.mode == "validate" and config.replicates < 2:
+        raise FieldError("replicates", "validate needs at least 2 replicates")
+    layout = config.layout
+    config.teacher_vc.check_invertible()
+    config.student_vc.check_invertible()
+    for design in config.designs:
+        design.check(layout.a, layout.m, config.q)
+    if config.mode == "closed-form":
+        m = layout.homogeneous_m()
+        if len(set(layout.n)) != 1:
+            raise FieldError("students_per_school", "closed-form needs a homogeneous student count")
+        spec = BalancedSpec(m, layout.n[0], config.policy.c, layout.a)
+        code, artifacts = _run_closed_form(config, spec)
+    else:
+        sim_configs = [config.simulation_config(design) for design in config.designs]
+        run_mode = _run_validate if config.mode == "validate" else _run_simulate
+        code, artifacts = run_mode(sim_configs)
     out = Path(config.out_dir)
-    created = [path for path in (out, *out.parents) if not path.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise FieldError("out_dir", str(err)) from err
-    try:
-        if config.mode == "closed-form":
-            return _run_closed_form(config, plan, out)
-        if config.mode == "validate":
-            return _run_validate(plan, out)
-        return _run_simulate(plan, out)
-    except BaseException:
-        if created and not any(out.iterdir()):
-            for path in created:
-                path.rmdir()
-        raise
+    for name, text in artifacts.items():
+        _write_atomic(out / name, text)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):

@@ -382,6 +382,14 @@ def _quantile(x: np.ndarray, q: float) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
+def _sd(x: np.ndarray) -> float:
+    """``np.std(x, ddof=1)`` on ``x`` scaled by 2**-e, e the exponent of max|x|,
+    then scaled back: its squares cannot overflow, and the scaling is exact, so
+    the result equals the unscaled one whenever that neither over- nor underflows."""
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    return float(np.ldexp(np.std(np.ldexp(x, -e), ddof=1), e))
+
+
 def kde_density(samples: np.ndarray) -> DensityEstimate:
     """Gaussian-kernel density with the Silverman rule-of-thumb bandwidth.
 
@@ -397,7 +405,7 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
         raise ValueError("cannot estimate a density from an empty sample")
     if np.all(samples == samples[0]):
         return DensityEstimate(grid=None, density=None, point_mass=float(samples[0]))
-    sd = float(np.std(samples, ddof=1))
+    sd = _sd(samples)
     ordered = np.sort(samples)
     iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
@@ -483,7 +491,7 @@ def _summarize_level(
     density = power = None
     if samples.size:
         mean = float(samples.mean())
-        sd = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
+        sd = _sd(samples) if samples.size > 1 else 0.0
         density = kde_density(samples)
         if effect_size_diff is not None:
             power = empirical_power(2.0 * np.sqrt(samples), effect_size_diff, alpha)

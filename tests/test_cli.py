@@ -1,9 +1,12 @@
 """Tests for config parsing, artifact emission, and the CLI entry point."""
 
+import ast
 import contextlib
 import dataclasses
 import io
 import json
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -292,6 +295,28 @@ class TestCompareMode:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[2] == "crd,student,,,,,1.0"
         assert summary[1].startswith("crd,teacher,") and summary[1].endswith(",0.0")
+
+    @pytest.mark.filterwarnings("error")
+    def test_sd_of_variances_near_1e200_is_finite(self, tmp_path, capsys):
+        # squaring the variances in np.std would overflow; _sd scales them first
+        out = tmp_path / "out"
+        data = base_config(
+            schools=2,
+            teachers_per_school=2,
+            students_per_school=2,
+            teacher_vc={"sigma_v2": 1e200, "sigma_eps2": 1e200},
+            student_vc={"sigma_s2": 1e200, "sigma_t2": 1e200, "sigma_eta2": 1e200},
+            designs=["randomize_schools"],
+            assignment={"policy": "with_replacement", "c": 1},
+            replicates=20,
+            seed=1,
+        )
+        config_path = write_config(tmp_path, data)
+        assert main(["compare", "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["teacher", "student"]
+        assert all(row[3] and np.isfinite(float(row[3])) for row in rows)
 
 
 class TestGoldenValues:
@@ -635,38 +660,56 @@ class TestErrorContract:
         self._assert_rejected(capsys, argv, field)
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {
-                "schools": 2,
-                "teachers_per_school": 1,
-                "students_per_school": 1,
-                "assignment": {"policy": "single_course"},
-                "designs": ["crd"],
-                "q": 0.5,
-                "student_vc": {"sigma_s2": 1e8, "sigma_t2": 1e8, "sigma_eta2": 1e-10},
-                "seed": 65,
-                "replicates": 2,
-            },
-            {
-                "schools": 2,
-                "teachers_per_school": 2,
-                "students_per_school": 4,
-                "designs": ["crd"],
-                "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 1e-300},
-            },
-        ],
-        ids=["rank_one_kernel", "sigma_eta2_1e-300"],
-    )
+    #: configs whose student kernel K = sigma_eta2 I + W'W is singular in
+    #: floating point, though sigma_eta2 > 0 passes every config check
+    SINGULAR_KERNELS = {
+        "rank_one_kernel": {
+            "schools": 2,
+            "teachers_per_school": 1,
+            "students_per_school": 1,
+            "assignment": {"policy": "single_course"},
+            "designs": ["crd"],
+            "q": 0.5,
+            "student_vc": {"sigma_s2": 1e8, "sigma_t2": 1e8, "sigma_eta2": 1e-10},
+            "seed": 65,
+            "replicates": 2,
+        },
+        "sigma_eta2_1e-300": {
+            "schools": 2,
+            "teachers_per_school": 2,
+            "students_per_school": 4,
+            "designs": ["crd"],
+            "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 1e-300},
+        },
+    }
+
+    @pytest.mark.parametrize("overrides", SINGULAR_KERNELS.values(), ids=list(SINGULAR_KERNELS))
     def test_singular_student_kernel_names_sigma_eta2(self, tmp_path, capsys, overrides):
-        # sigma_eta2 > 0 passes every config check, but the student kernel
-        # K = sigma_eta2 I + W'W is singular in floating point; the run
-        # removes the out_dir it made before the engine failed
+        # the engine fails on the first chunk, before the run makes out_dir
         config_path = write_config(tmp_path, base_config(**overrides))
         argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
         self._assert_rejected(capsys, argv, "student_vc.sigma_eta2")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", [*SINGULAR_KERNELS, "keyboard_interrupt"])
+    def test_failed_engine_never_makes_or_writes(self, tmp_path, capsys, monkeypatch, case):
+        # compute, then write: a run whose engine raises reaches neither
+        # mkdir nor a write, whatever it raises
+        config_path = write_config(tmp_path, base_config(**self.SINGULAR_KERNELS.get(case, {})))
+        calls = []
+        monkeypatch.setattr(Path, "mkdir", lambda path, *args, **kwargs: calls.append(path))
+        monkeypatch.setattr(cli, "_write_atomic", lambda path, text: calls.append(path))
+        argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        if case == "keyboard_interrupt":
+            def interrupt(configs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, "simulate_anticipated_variance", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            self._assert_rejected(capsys, argv, "student_vc.sigma_eta2")
+        assert calls == []
 
     # sigma_eta2 / (n sigma_s2 + c^2 sigma_t2) is about 2.5e-10: replicate 19's
     # student information under within_schools is indefinite in floating point
@@ -723,12 +766,16 @@ class TestErrorContract:
         self._assert_rejected(capsys, ["compare", "--config", str(config_path)], "out_dir")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    def test_out_dir_below_regular_file(self, tmp_path, capsys):
+    def test_out_dir_below_regular_file(self, tmp_path, capsys, monkeypatch):
+        # reported after the computation, when mkdir fails: no artifact is written
         blocker = tmp_path / "blocker"
         blocker.write_text("a file\n")
         config_path = write_config(tmp_path, base_config())
+        writes = []
+        monkeypatch.setattr(cli, "_write_atomic", lambda path, text: writes.append(path))
         argv = ["compare", "--config", str(config_path), "--out", str(blocker / "out")]
         self._assert_rejected(capsys, argv, "out_dir")
+        assert writes == []
         assert blocker.read_text() == "a file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
@@ -836,3 +883,25 @@ class TestVersion:
         tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
             assert tomllib.load(f)["project"]["version"] == multilevel_design.__version__
+
+
+class TestTestDependencies:
+    def test_third_party_test_imports_are_declared(self):
+        # a module that pytest.importorskip loads is a call, not an import
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as f:
+            project = tomllib.load(f)["project"]
+        requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+        declared = {re.match(r"[\w.-]+", req).group().lower() for req in requirements}
+        tests = sorted((root / "tests").glob("*.py"))
+        local = {path.stem for path in tests} | {"multilevel_design"}
+        imported = set()
+        for path in tests:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - local
+        assert third_party - declared == set()

@@ -239,6 +239,7 @@ def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_level(vc, TeacherVarianceComponents)
     shrink = _teacher_shrink(m, vc)
     return np.eye(m) / vc.sigma_eps2 - shrink * np.ones((m, m))
 
@@ -297,7 +298,11 @@ def _gram(d: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
 def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
     """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i), from
     the Gram of [1 D], symmetrized; a stack of D (..., n, m) gives a stack."""
-    return _symmetric(_gram_precision(_gram(np.asarray(d, dtype=float)), vc))
+    d = np.asarray(d, dtype=float)
+    if d.ndim < 2:
+        raise ValueError(f"count matrices must be (..., n, m), got shape {d.shape}")
+    _check_level(vc, StudentVarianceComponents)
+    return _symmetric(_gram_precision(_gram(d), vc))
 
 
 def _teacher_precisions(m: Sequence[int], vc: TeacherVarianceComponents) -> np.ndarray:
@@ -326,10 +331,18 @@ def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _symmetric(np.einsum("...kip,...kiq->...pq", x, g @ x))
 
 
+def _check_level(vc, expected: type) -> None:
+    """TypeError unless ``vc`` holds the components of the expected level."""
+    if not isinstance(vc, expected):
+        raise TypeError(f"expected {expected.__name__}, got {type(vc).__name__}")
+
+
 def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
     """Every school's X_i, precision G_i and, given responses, z_i (G_i T_i
     or D_i' Sigma_i^-1 Y_i), validated and padded to the largest school:
-    (x, g, z).  The student terms come from the Gram of [1 D y]."""
+    (x, g, z).  Without ``ds`` the level is the teacher's, with them the
+    student's, whose terms come from the Gram of [1 D y]."""
+    _check_level(vc, TeacherVarianceComponents if ds is None else StudentVarianceComponents)
     xs = [np.asarray(x, dtype=float) for x in xs]
     ds = None if ds is None else [np.asarray(d, dtype=float) for d in ds]
     if not xs:

@@ -30,11 +30,11 @@ design the variances.
 The study's chunks (_study_chunk) synthesize responses from Box-Muller
 normals of the responses stream on the same draws and GLS-estimate them,
 which validates the analytic anticipated variances against the Monte Carlo
-variance of an actual estimator.  Its designs share each chunk's picks and
-normals, one pair count and one student solve, in which each design's
-responses are one more column; each fits its own GLS.  It pairs each
-response with its row of D, so it keeps the ordered picks, as does
-draw_assignment.
+variance of an actual estimator.  As D' Sigma^-1 D(X beta + t) is
+G(X beta + t), its designs share each chunk's picks, normals, pair count
+and one student solve, on the noise s + eta; each adds its own
+G(X beta + t) and fits its own GLS.  It pairs each student's noise with
+its row of D, so it keeps the ordered picks, as does draw_assignment.
 """
 
 from __future__ import annotations
@@ -401,8 +401,8 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
     samples identical) return a point-mass marker instead of a grid.
     """
     samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("cannot estimate a density from an empty sample")
+    if samples.size == 0 or not np.isfinite(samples).all():
+        raise ValueError("cannot estimate a density from an empty or non-finite sample")
     if np.all(samples == samples[0]):
         return DensityEstimate(grid=None, density=None, point_mass=float(samples[0]))
     sd = _sd(samples)
@@ -430,8 +430,8 @@ def empirical_power(
     normal quantile; at delta = 0 this reduces to alpha exactly.
     """
     se = np.asarray(se_samples, dtype=float).ravel()
-    if se.size == 0:
-        raise ValueError("cannot average power over an empty sample")
+    if se.size == 0 or not (np.isfinite(se) & (se >= 0.0)).all():
+        raise ValueError("power needs a non-empty sample of finite, non-negative standard errors")
     check_alpha(alpha)
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     delta = abs(float(effect_size_diff))
@@ -512,8 +512,8 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     the solve and G, each at most (max m + 2)^2 per school).  A chunk holds
     one Gram and one G for all of a run's designs; each design adds only
     its (max m, p) design rows a school.  A validate chunk shares its picks,
-    normals, pair count and student solve among its designs; each design adds
-    a response column to the Gram, weighted a column at a time.  Balanced and
+    normals, pair count and student solve on one noise column among its
+    designs; its responses uniforms and normals go uncounted.  Balanced and
     single_course information makes no picks and no pair counts: it gathers
     the Gram straight from the cached slot Gram, whose bytes _slot_gram_bytes
     counts once a run."""
@@ -556,19 +556,19 @@ def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: in
 def _pick_gram(
     picks: np.ndarray, n: Sequence[int], m: int, y: np.ndarray | None = None
 ) -> np.ndarray:
-    """Every school's Gram [1 D]'[1 D y], (R, a, m+1, m+1+cols), from picks
+    """Every school's Gram [1 D]'[1 D y], (R, a, m+1, m+1+k), from picks
     (R, sum n, c) of the n_i students of each school in turn, padded to m
-    teachers, and response columns y (R, sum n, cols), none if omitted:
+    teachers, and one response a student y (R, sum n), k = 1, or none, k = 0:
     D'D = P + P' + diag(1'D), P counting each student's pick pairs (j < k)
     by one bincount of their codes (replicate, school, p_j, p_k).  A pick
     sits in c - 1 pairs, so 1'D is a row sum of P + P' over c - 1; for
-    c = 1 one bincount of the picks gives it.  D'y and 1'y are y-weighted
-    counts, a column at a time, added pick by pick as draw order has them.
-    A padded teacher is never picked: a zero row."""
+    c = 1 one bincount of the picks gives it.  1'y and D'y are y-weighted
+    counts of the students and of their picks.  A padded teacher is never
+    picked: a zero row."""
     reps, _, c = picks.shape
-    a, cols = len(n), 0 if y is None else y.shape[-1]
+    a = len(n)
     school = np.arange(reps)[:, None] * a + np.repeat(np.arange(a), n)
-    gram = np.zeros((reps, a, m + 1, m + 1 + cols))
+    gram = np.zeros((reps, a, m + 1, m + 1 + (y is not None)))
     if c == 1:
         codes = (school * m + picks[..., 0]).ravel()
         col = np.bincount(codes, minlength=reps * a * m).reshape(reps, a, m)
@@ -582,14 +582,11 @@ def _pick_gram(
     gram[..., range(1, m + 1), range(1, m + 1)] += col
     gram[..., 0, 0] = n
     gram[..., 0, 1 : m + 1] = gram[..., 1 : m + 1, 0] = col
-    if cols:
-        teacher = np.empty((reps, c, y.shape[1]), dtype=np.intp)
-        np.add(school[:, None] * m, np.swapaxes(picks, -1, -2), out=teacher)
-    for d in range(cols):
-        g_y, y_d = gram[..., m + 1 + d], y[..., d]
-        g_y[..., 0] = np.bincount(school.ravel(), y_d.ravel(), reps * a).reshape(reps, a)
-        weights = np.repeat(y_d[:, None], c, axis=1).ravel()
-        g_y[..., 1:] = np.bincount(teacher.ravel(), weights, reps * a * m).reshape(reps, a, m)
+    if y is not None:
+        gram[..., 0, m + 1] = np.bincount(school.ravel(), y.ravel(), reps * a).reshape(reps, a)
+        for j in range(c):  # pick by pick: no (R, sum n, c) block of weights
+            codes = (school * m + picks[..., j]).ravel()
+            gram[..., 1:, m + 1] += np.bincount(codes, y.ravel(), reps * a * m).reshape(reps, a, m)
     return gram
 
 
@@ -719,13 +716,11 @@ def _study_chunk(
     """Per design of ``xs`` and per level, the treatment coefficients and
     anticipated variances (D, 2, 2, R) of GLS fits to T = X beta + v + eps
     and Y = D(X beta + t) + s + eta on the next ``count`` replicates of
-    ``streams``, D(.) a sum over the picks, beta cut to each design's
-    columns, with the run's teacher precisions ``g_t``; NaN where not
-    estimable.  The designs share the picks and the normals: a replicate's
-    responses uniforms give a teacher block and then a student block.  One
-    pair count and one student solve serve them all, design d's y the
-    column m + d of the kernel's D' Sigma^-1 [D y]; each design then runs
-    its own teacher and student GLS fits."""
+    ``streams``, beta cut to each design's columns, with the run's teacher
+    precisions ``g_t``; NaN where not estimable.  A replicate's responses
+    uniforms give a teacher block and then a student block of normals.  One
+    pair count and one student solve, on s + eta, serve every design, which
+    adds its own G(X beta + t) to the noise term before its two GLS fits."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
@@ -737,6 +732,7 @@ def _study_chunk(
     u = streams.responses.random((count, sizes.responses))
     z_t = _normals(u[:, : _paired(t_size)], t_size)
     z_s = _normals(u[:, _paired(t_size) :], s_size)
+    del u  # freed, as z_s is below, before the Gram, where the chunk peaks
     # each student's offset in its school's run; a padded teacher's noise is
     # 0, as it has no precision row and no student
     student = np.arange(sum(layout.n)) - np.repeat(np.cumsum(layout.n) - layout.n, layout.n)
@@ -744,23 +740,20 @@ def _study_chunk(
     v_noise = np.sqrt(tvc.sigma_v2) * z_t[:, v, None]
     eps_noise = np.sqrt(tvc.sigma_eps2) * _school_keys(z_t, eps, layout.m, m, 0.0)
     t_noise = np.sqrt(svc.sigma_t2) * _school_keys(z_s, t, layout.m, m, 0.0)
-    s_noise = np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
-    eta_noise = np.sqrt(svc.sigma_eta2) * z_s[:, np.repeat(eta, layout.n) + student]
-    reps, k = np.arange(count)[:, None], TREATMENT_COLUMN
-    x_beta = np.stack([x @ beta[: x.shape[-1]] for x in xs], -1)
-    u = x_beta + t_noise[..., None]
-    # every design's y, a column each, summed pick by pick, in draw order
-    y = u[reps, school, picks[..., 0]]
-    for j in range(1, config.policy.c):
-        y += u[reps, school, picks[..., j]]
-    y = y + s_noise[..., None] + eta_noise[..., None]
-    g_z = _gram_precision(_pick_gram(picks, layout.n, m, y), svc)
+    # s_i + eta_is, the one response column of every design's student solve
+    noise = np.sqrt(svc.sigma_eta2) * z_s[:, np.repeat(eta, layout.n) + student]
+    noise += np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
+    del z_s
+    g_z = _gram_precision(_pick_gram(picks, layout.n, m, noise), svc)
+    g_s, k = g_z[..., :m], TREATMENT_COLUMN
     out = []
-    for d, x in enumerate(xs):
-        rhs = np.einsum("kij,...kj->...ki", g_t, x_beta[..., d] + v_noise + eps_noise)
+    for x in xs:
+        x_beta = x @ beta[: x.shape[-1]]
+        rhs = np.einsum("kij,...kj->...ki", g_t, x_beta + v_noise + eps_noise)
+        rhs_s = g_z[..., m] + np.einsum("...kij,...kj->...ki", g_s, x_beta + t_noise)
         fits = [
             _gls_fit(x, g_t, rhs, _RESIDUAL[TEACHER]),
-            _gls_fit(x, g_z[..., :m], g_z[..., m + d], _RESIDUAL[STUDENT]),
+            _gls_fit(x, g_s, rhs_s, _RESIDUAL[STUDENT]),
         ]
         out.append([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
     return np.array(out)

@@ -133,6 +133,55 @@ class TestDomainTypes:
         ok = TreatmentAssignment(r=(np.array([1.0, -1.0]),), c=(np.array([0.0, 1.0]),))
         assert len(ok.r) == len(ok.c) == 1
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda xs, ds: teacher_information(xs, PILOT_STUDENT),
+                TypeError,
+                "expected TeacherVarianceComponents",
+                id="teacher_information",
+            ),
+            pytest.param(
+                lambda xs, ds: student_information(xs, ds, PILOT_TEACHER),
+                TypeError,
+                "expected StudentVarianceComponents",
+                id="student_information",
+            ),
+            pytest.param(
+                lambda xs, ds: gls_estimate([np.zeros(4)] * 2, xs, PILOT_STUDENT),
+                TypeError,
+                "expected TeacherVarianceComponents",
+                id="gls_estimate_without_ds",
+            ),
+            pytest.param(
+                lambda xs, ds: teacher_precision(4, PILOT_STUDENT),
+                TypeError,
+                "expected TeacherVarianceComponents",
+                id="teacher_precision_components",
+            ),
+            pytest.param(
+                lambda xs, ds: student_precision(ds[0], PILOT_TEACHER),
+                TypeError,
+                "expected StudentVarianceComponents",
+                id="student_precision_components",
+            ),
+            pytest.param(
+                lambda xs, ds: student_precision(np.ones(3), PILOT_STUDENT),
+                ValueError,
+                r"must be \(\.\.\., n, m\)",
+                id="student_precision_1d",
+            ),
+        ],
+    )
+    def test_one_school_inputs_of_the_wrong_kind(self, call, error, message):
+        # components of the other level, or a count matrix without two axes,
+        # are refused with an error that names what was expected
+        xs = design_matrices(design2_realization(2, 4))
+        ds = [single_course_assignment(4, 8)] * 2
+        with pytest.raises(error, match=message):
+            call(xs, ds)
+
     def test_information_matrix_validation(self):
         # treatment_variance is the one check of an information matrix
         rejected = [

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,6 +519,26 @@ class TestChunkedEngine:
         for chunk in simulator._chunks(config):
             assert chunk == 1 or chunk * gram_bytes <= simulator._CHUNK_BYTES
 
+    def test_validate_chunk_stays_under_cap(self):
+        # the benchmark's validate layout: one chunk of three designs, its
+        # arrays traced from the draws to the fits
+        configs = [
+            make_config(layout=StudyLayout(a=16, m=8, n=50), design=design, replicates=200)
+            for design in (D1, D2, D3)
+        ]
+        count = simulator._chunks(configs[0])[0]
+        assert count == 15
+        streams = [replicate_streams(config, 0) for config in configs]
+        xs = [simulator._design_chunk(c, s, count) for c, s in zip(configs, streams)]
+        g_t = _teacher_precisions(configs[0].layout.m, configs[0].teacher_vc)
+        tracemalloc.start()
+        try:
+            simulator._study_chunk(configs[0], streams[0], count, xs, np.array([0.0, 0.5]), g_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < simulator._CHUNK_BYTES
+
 
 class TestHeterogeneousLayouts:
     @staticmethod
@@ -629,20 +650,17 @@ class TestHeterogeneousLayouts:
     )
     def test_pick_gram_matches_dense_gram(self, m, n, policy):
         # the pair-code counts against [1 D]'[1 D y] of the oracle's D, from
-        # the same uniforms, for a block of three y columns; each column
-        # equals, bit for bit, a one-column call; a padded teacher has a
-        # zero row and column
+        # the same uniforms, for one y column; without y the Gram is the
+        # same but for that column; a padded teacher has a zero row and column
         c, top, reps = policy.c, max(m), 4
         u = np.random.default_rng(sum(n) + c).random(
             (reps, simulator._assignment_uniforms(policy, m, n))
         )
-        y = np.random.default_rng(c).standard_normal((reps, sum(n), 3))
+        y = np.random.default_rng(c).standard_normal((reps, sum(n)))
         picks = simulator._picks(policy, m, n, u)
         got = simulator._pick_gram(picks, n, top, y)
-        for col in range(3):
-            alone = simulator._pick_gram(picks, n, top, y[..., col : col + 1])
-            assert np.array_equal(got[..., : top + 1], alone[..., :-1])
-            assert np.array_equal(got[..., top + 1 + col], alone[..., -1])
+        assert got.shape == (reps, len(m), top + 1, top + 2)
+        assert np.array_equal(got[..., : top + 1], simulator._pick_gram(picks, n, top))
         rng = np.random.default_rng(sum(n) + c)
         for rep in range(reps):
             ys = np.split(y[rep], np.cumsum(n)[:-1])
@@ -669,23 +687,17 @@ class TestHeterogeneousLayouts:
         ],
     )
     def test_gram_precision_columns_are_independent(self, policy):
-        # the student kernel solves each right-hand column on its own, so one
-        # call on the m + 3 columns of three y's gives, column for column and
-        # bit for bit, the m + 1 column call of each y alone: validate's
-        # designs share one solve without changing a digit
+        # the student kernel solves each right-hand column on its own, so
+        # adding validate's noise column changes no digit of G
         m, n, reps = (2, 4, 6, 8), (6, 16, 30, 16), 5
         rng = np.random.default_rng(20261019)
         u = rng.random((reps, simulator._assignment_uniforms(policy, m, n)))
-        y = rng.standard_normal((reps, sum(n), 3))
+        y = rng.standard_normal((reps, sum(n)))
         top = max(m)
         gram = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top, y)
-        shared = _gram_precision(gram, PILOT_STUDENT)
-        assert shared.shape == (reps, len(m), top, top + 3)
-        for col in range(3):
-            one_y = gram[..., list(range(top + 1)) + [top + 1 + col]]
-            alone = _gram_precision(one_y, PILOT_STUDENT)
-            assert np.array_equal(shared[..., :top], alone[..., :top])
-            assert np.array_equal(shared[..., top + col], alone[..., top])
+        with_y = _gram_precision(gram, PILOT_STUDENT)
+        assert with_y.shape == (reps, len(m), top, top + 1)
+        assert np.array_equal(with_y[..., :top], _gram_precision(gram[..., :-1], PILOT_STUDENT))
 
 
 class TestLockstepEngine:
@@ -766,7 +778,7 @@ class TestLockstepEngine:
 
     def test_one_pair_count_and_one_solve_per_chunk(self, monkeypatch):
         # a validate chunk counts its picks and solves the student kernel
-        # once for all its designs, each design a y column of that one call
+        # once for all its designs, on one noise column that they share
         configs = self._lockstep_configs("heterogeneous", "with_replacement_2", 0.3)
         assert len(configs) == 3
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
@@ -1000,6 +1012,12 @@ class TestEmpiricalPower:
         with pytest.raises(ValueError):
             empirical_power(np.array([]), 1.0, 0.05)
 
+    @pytest.mark.parametrize("se", [[np.nan, 1.0], [-1.0, 1.0], [np.inf, 1.0]])
+    def test_impossible_standard_errors_rejected(self, se):
+        # a NaN or negative standard error read as power 1 before
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            empirical_power(np.array(se), 1.0, 0.05)
+
     def test_import_leaves_scipy_unloaded(self):
         # power needs only the normal CDF and quantile from the standard library
         code = (
@@ -1047,6 +1065,12 @@ class TestKdeDensity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kde_density(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # a NaN sample made an all-NaN grid before, an infinite one a warning
+        with pytest.raises(ValueError, match="non-finite"):
+            kde_density(np.array([bad, 1.0, 2.0]))
 
     def test_quartiles_equal_numpy_percentile(self):
         rng = np.random.default_rng(15)

@@ -258,9 +258,9 @@ def _with_flags(data, **flags):
 
 def _fmt(value) -> str:
     """A CSV cell: empty for None and non-finite floats."""
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return repr(value) if math.isfinite(value) else ""
+    return "" if value is None else str(value)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -270,7 +270,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _csv(header: Sequence[str], rows) -> str:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -20,12 +20,12 @@ Replicates run in chunks under a memory cap.  A replicate only draws, into
 arrays: its assignment uniforms and each teacher's +-1 randomization and
 contamination, schools padded to the largest.  Per chunk, each school's Gram
 [1 D]'[1 D] comes without an n x m D: with replacement from one bincount of
-the codes of each student's teacher-pick pairs; balanced and single_course
-from the slot Gram of the layout's fixed balanced rows, cached once and
-carried onto teachers through each replicate's slot table in O(m^2).  One
-Gram and one kernel call give every design of a chunk its student
-precisions, one contraction per level the information and one pivot per
-design the variances.
+the codes of each student's teacher-pick pairs, built in place pair by pair
+in one integer array; balanced and single_course from the slot Gram of the
+layout's fixed balanced rows, cached once and carried onto teachers through
+each replicate's slot table in O(m^2).  One Gram and one kernel call give
+every design of a chunk its student precisions, one contraction per level
+the information and one pivot per design the variances.
 
 The study's chunks (_study_chunk) synthesize responses from Box-Muller
 normals of the responses stream on the same draws and GLS-estimate them,
@@ -57,6 +57,7 @@ from .model_core import (
     StudyLayout,
     TeacherVarianceComponents,
     TreatmentAssignment,
+    _check_level,
     _gram_precision,
     _information,
     _padded,
@@ -193,8 +194,11 @@ def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.nd
     balanced Grams from _assignment_gram, with no student order."""
     c, ms, ns = policy.c, np.asarray(m), np.asarray(n)
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        u = u.reshape(len(u), -1, c) * np.repeat(ms, ns)[:, None]
-        return u.astype(np.intp)  # truncation is floor here
+        scale = ms[0] if len(set(m)) == 1 else np.repeat(ms, ns * c)  # m_i per uniform
+        # cast as it multiplies, no float temporary; truncation is floor here,
+        # and int32 holds m_i - 1 for every m_i <= 2**31
+        picks = np.multiply(u, scale, out=np.empty(u.shape, np.int32), casting="unsafe")
+        return picks.reshape(len(u), -1, c)
     keys = _school_keys(u, np.cumsum(1 + ms + ns) - ns, ns, ns.max())
     order = np.argsort(keys, axis=-1, kind="stable")
     school = np.repeat(np.arange(len(ms)), ns)
@@ -286,7 +290,8 @@ class SimulationConfig:
     denominator underflows to 0), a design parity violation, q outside the
     design's range, q = 1 under within-school randomization, a policy that
     cannot fill the layout, balanced c = m under within-school
-    randomization, or a replicate over _REPLICATE_BYTES_LIMIT.
+    randomization, or a replicate over _REPLICATE_BYTES_LIMIT.  Components
+    of the wrong level raise TypeError first, as the one-school functions do.
     """
 
     layout: StudyLayout
@@ -306,6 +311,8 @@ class SimulationConfig:
         check_alpha(self.alpha)
         if self.effect_size_diff is not None and not np.isfinite(self.effect_size_diff):
             raise FieldError("effect_size_diff", "effect_size_diff must be finite")
+        _check_level(self.teacher_vc, TeacherVarianceComponents)
+        _check_level(self.student_vc, StudentVarianceComponents)
         for m_i in set(self.layout.m):
             _teacher_shrink(m_i, self.teacher_vc)
         self.student_vc.check_invertible()
@@ -560,7 +567,8 @@ def _pick_gram(
     (R, sum n, c) of the n_i students of each school in turn, padded to m
     teachers, and one response a student y (R, sum n), k = 1, or none, k = 0:
     D'D = P + P' + diag(1'D), P counting each student's pick pairs (j < k)
-    by one bincount of their codes (replicate, school, p_j, p_k).  A pick
+    by one bincount of their codes (replicate, school, p_j, p_k), built in
+    place, pair by pair, in one (c(c-1)/2, R, sum n) array.  A pick
     sits in c - 1 pairs, so 1'D is a row sum of P + P' over c - 1; for
     c = 1 one bincount of the picks gives it.  1'y and D'y are y-weighted
     counts of the students and of their picks.  A padded teacher is never
@@ -573,9 +581,13 @@ def _pick_gram(
         codes = (school * m + picks[..., 0]).ravel()
         col = np.bincount(codes, minlength=reps * a * m).reshape(reps, a, m)
     else:
-        j, k = np.triu_indices(c, 1)
-        codes = ((school[..., None] * m + picks[..., j]) * m + picks[..., k]).ravel()
-        pairs = np.bincount(codes, minlength=reps * a * m * m).reshape(reps, a, m, m)
+        codes = np.empty((c * (c - 1) // 2,) + school.shape, dtype=np.intp)
+        for code, (j, k) in zip(codes, itertools.combinations(range(c), 2)):
+            np.multiply(school, m, out=code)  # a temporary here re-faults the heap each chunk
+            code += picks[..., j]
+            code *= m
+            code += picks[..., k]
+        pairs = np.bincount(codes.ravel(), minlength=reps * a * m * m).reshape(reps, a, m, m)
         pairs += np.swapaxes(pairs, -1, -2)
         col = pairs.sum(-1) // (c - 1)
         gram[..., 1 : m + 1, 1 : m + 1] = pairs

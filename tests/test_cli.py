@@ -839,6 +839,25 @@ class TestMainProperty:
                 assert err.getvalue() == ""
 
 
+class TestCsvCells:
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf"), float("-inf")])
+    def test_missing_and_non_finite_are_empty(self, value):
+        assert cli._fmt(value) == ""
+
+    @pytest.mark.parametrize("value", [0.1, 1e-300, 1e200, -2.5, 0.0, 1.0 / 3.0])
+    def test_float_is_its_repr(self, value):
+        assert cli._fmt(value) == repr(value)
+
+    @pytest.mark.parametrize("value", [0, -7, 10**30, True, False, "", "crd", "a b"])
+    def test_int_bool_and_str_are_their_str(self, value):
+        assert cli._fmt(value) == str(value)
+
+    def test_rows(self):
+        assert cli._csv(["a", "b"], []) == "a,b\n"
+        rows = [[1, 0.1, None], ["x", float("nan"), True]]
+        assert cli._csv(["a", "b", "c"], rows) == "a,b,c\n1,0.1,\nx,,True\n"
+
+
 class TestDensitySvg:
     def _grid(self, center):
         x = np.linspace(center - 1, center + 1, 50)

@@ -412,6 +412,18 @@ class TestSimulate:
             make_config(teacher_vc=TeacherVarianceComponents(1.6, 0.0), q=1.0)
         assert err.value.field == "teacher_vc.sigma_eps2"
 
+    @pytest.mark.parametrize(
+        "swap, expected",
+        [
+            (dict(teacher_vc=PILOT_STUDENT), "expected TeacherVarianceComponents"),
+            (dict(student_vc=PILOT_TEACHER), "expected StudentVarianceComponents"),
+        ],
+    )
+    def test_components_of_the_wrong_level_rejected(self, swap, expected):
+        # the TypeError of the one-school functions, not an AttributeError
+        with pytest.raises(TypeError, match=expected):
+            make_config(**swap)
+
     def test_indefinite_information_names_the_level_residual(self):
         # replicate 19's student information is indefinite in floating point
         # at sigma_eta2 / (n sigma_s2 + c^2 sigma_t2) of about 2.5e-10: inside
@@ -484,6 +496,11 @@ class TestChunkedEngine:
         top = np.full((1, len(ms)), np.nextafter(1.0, 0.0))
         picks = simulator._picks(AssignmentPolicy.with_replacement(1), ms, (1,) * len(ms), top)
         np.testing.assert_array_equal(picks[0, :, 0], np.array(ms) - 1)
+        # a homogeneous layout scales by the scalar m: the same floor at c = 2
+        top = np.full((1, 6), np.nextafter(1.0, 0.0))
+        for m in ms:
+            picks = simulator._picks(AssignmentPolicy.with_replacement(2), (m,) * 3, (1,) * 3, top)
+            np.testing.assert_array_equal(picks, np.full((1, 3, 2), m - 1))
 
     def test_box_muller_finite_at_the_ends(self):
         # log(1 - u) is 0 at u = 0 and about -36.7 at the largest uniform

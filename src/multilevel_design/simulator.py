@@ -194,9 +194,9 @@ def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.nd
     balanced Grams from _assignment_gram, with no student order."""
     c, ms, ns = policy.c, np.asarray(m), np.asarray(n)
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
-        scale = ms[0] if len(set(m)) == 1 else np.repeat(ms, ns * c)  # m_i per uniform
-        # cast as it multiplies, no float temporary; truncation is floor here,
-        # and int32 holds m_i - 1 for every m_i <= 2**31
+        # m_i per uniform, cast as it multiplies, no float temporary; floor is
+        # truncation here, and int32 holds m_i - 1 for every m_i <= 2**31
+        scale = np.repeat(ms, ns * c)
         picks = np.multiply(u, scale, out=np.empty(u.shape, np.int32), casting="unsafe")
         return picks.reshape(len(u), -1, c)
     keys = _school_keys(u, np.cumsum(1 + ms + ns) - ns, ns, ns.max())
@@ -583,7 +583,7 @@ def _pick_gram(
     else:
         codes = np.empty((c * (c - 1) // 2,) + school.shape, dtype=np.intp)
         for code, (j, k) in zip(codes, itertools.combinations(range(c), 2)):
-            np.multiply(school, m, out=code)  # a temporary here re-faults the heap each chunk
+            np.multiply(school, m, out=code)  # a temporary here can re-fault the heap each chunk
             code += picks[..., j]
             code *= m
             code += picks[..., k]

@@ -496,11 +496,10 @@ class TestChunkedEngine:
         top = np.full((1, len(ms)), np.nextafter(1.0, 0.0))
         picks = simulator._picks(AssignmentPolicy.with_replacement(1), ms, (1,) * len(ms), top)
         np.testing.assert_array_equal(picks[0, :, 0], np.array(ms) - 1)
-        # a homogeneous layout scales by the scalar m: the same floor at c = 2
-        top = np.full((1, 6), np.nextafter(1.0, 0.0))
-        for m in ms:
-            picks = simulator._picks(AssignmentPolicy.with_replacement(2), (m,) * 3, (1,) * 3, top)
-            np.testing.assert_array_equal(picks, np.full((1, 3, 2), m - 1))
+        # at c = 2 each school's m_i scales both of its students' uniforms
+        top = np.full((1, 2 * len(ms)), np.nextafter(1.0, 0.0))
+        picks = simulator._picks(AssignmentPolicy.with_replacement(2), ms, (1,) * len(ms), top)
+        np.testing.assert_array_equal(picks[0], np.repeat(np.array(ms)[:, None] - 1, 2, axis=1))
 
     def test_box_muller_finite_at_the_ends(self):
         # log(1 - u) is 0 at u = 0 and about -36.7 at the largest uniform

@@ -33,8 +33,13 @@ which validates the analytic anticipated variances against the Monte Carlo
 variance of an actual estimator.  As D' Sigma^-1 D(X beta + t) is
 G(X beta + t), its designs share each chunk's picks, normals, pair count
 and one student solve, on the noise s + eta; each adds its own
-G(X beta + t) and fits its own GLS.  It pairs each student's noise with
-its row of D, so it keeps the ordered picks, as does draw_assignment.
+G(X beta + t) and takes its GLS information and right side.  It pairs
+each student's noise with its row of D, so it keeps the ordered picks, as
+does draw_assignment.  The chunks' GLS terms wait in a fit buffer of up to
+_CHUNK_BYTES, and one _gls_solve per design and level (pivot,
+pseudo-inverse, coefficients) runs on all of it, so the per-call cost of
+those small-matrix routines comes once per few thousand replicates, not
+once per chunk of a few.
 """
 
 from __future__ import annotations
@@ -520,7 +525,10 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     one Gram and one G for all of a run's designs; each design adds only
     its (max m, p) design rows a school.  A validate chunk shares its picks,
     normals, pair count and student solve on one noise column among its
-    designs; its responses uniforms and normals go uncounted.  Balanced and
+    designs; its responses uniforms and normals go uncounted, and so does
+    its fit buffer, the GLS terms of up to _CHUNK_BYTES of earlier chunks
+    (p^2 + p numbers a design and level a replicate, 288 bytes at q = 0 and
+    three designs), held beside the chunk until they are solved.  Balanced and
     single_course information makes no picks and no pair counts: it gathers
     the Gram straight from the cached slot Gram, whose bytes _slot_gram_bytes
     counts once a run."""
@@ -700,21 +708,28 @@ def gls_estimate(
     """
     responses = [np.asarray(y, dtype=float) for y in responses]
     x, g, z = _school_stack(xs, vc, ds, responses)
-    coef, cov = _gls_fit(x, g, z)
+    coef, cov = _gls_solve(*_gls_terms(x, g, z))
     if np.isnan(coef[TREATMENT_COLUMN]):
         raise NonEstimableError("the treatment direction of the GLS information is singular")
     return coef, cov
 
 
-def _gls_fit(x: np.ndarray, g: np.ndarray, z: np.ndarray, field: str | None = None):
-    """GLS coefficients and covariance from stacked X_i, G_i and z_i, for one
-    fit or a stack of replicates; NaN where treatment is singular.  An
-    indefinite information raises as _treatment_pivot does with ``field``."""
-    info = _information(x, g)
+def _gls_terms(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GLS information sum X_i' G_i X_i and right side sum X_i' z_i of
+    stacked X_i, G_i and z_i, for one fit or a stack of replicates."""
+    return _information(x, g), np.einsum("...kip,...ki->...p", x, z)
+
+
+def _gls_solve(info: np.ndarray, b: np.ndarray, field: str | None = None):
+    """GLS coefficients and covariance from _gls_terms' information and right
+    side, for one fit or a stack of replicates; NaN where treatment is
+    singular.  An indefinite information raises as _treatment_pivot does
+    with ``field``.  Every step works matrix by matrix, so a stack gives
+    each replicate the bits of its own solve."""
     cov = np.full(info.shape, np.nan)
     ok = ~np.isnan(_treatment_pivot(info, field))
     cov[ok] = np.linalg.pinv(info[ok], hermitian=True)
-    return (cov @ np.einsum("...kip,...ki->...p", x, z)[..., None])[..., 0], cov
+    return (cov @ b[..., None])[..., 0], cov
 
 
 def _study_chunk(
@@ -725,14 +740,16 @@ def _study_chunk(
     beta: np.ndarray,
     g_t: np.ndarray,
 ):
-    """Per design of ``xs`` and per level, the treatment coefficients and
-    anticipated variances (D, 2, 2, R) of GLS fits to T = X beta + v + eps
-    and Y = D(X beta + t) + s + eta on the next ``count`` replicates of
+    """Per design of ``xs`` and per level, the _gls_terms (information
+    (R, p, p), right side (R, p)) of GLS fits to T = X beta + v + eps and
+    Y = D(X beta + t) + s + eta on the next ``count`` replicates of
     ``streams``, beta cut to each design's columns, with the run's teacher
-    precisions ``g_t``; NaN where not estimable.  A replicate's responses
-    uniforms give a teacher block and then a student block of normals.  One
-    pair count and one student solve, on s + eta, serve every design, which
-    adds its own G(X beta + t) to the noise term before its two GLS fits."""
+    precisions ``g_t``: a list of [teacher, student] per design, which
+    estimator_variance_study holds in its fit buffer until _solve_block.
+    A replicate's responses uniforms give a teacher block and then a
+    student block of normals.  One pair count and one student solve, on
+    s + eta, serve every design, which adds its own G(X beta + t) to the
+    noise term before taking its two levels' terms."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
@@ -757,17 +774,28 @@ def _study_chunk(
     noise += np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
     del z_s
     g_z = _gram_precision(_pick_gram(picks, layout.n, m, noise), svc)
-    g_s, k = g_z[..., :m], TREATMENT_COLUMN
+    g_s = g_z[..., :m]
     out = []
     for x in xs:
         x_beta = x @ beta[: x.shape[-1]]
         rhs = np.einsum("kij,...kj->...ki", g_t, x_beta + v_noise + eps_noise)
         rhs_s = g_z[..., m] + np.einsum("...kij,...kj->...ki", g_s, x_beta + t_noise)
-        fits = [
-            _gls_fit(x, g_t, rhs, _RESIDUAL[TEACHER]),
-            _gls_fit(x, g_s, rhs_s, _RESIDUAL[STUDENT]),
-        ]
-        out.append([(coef[:, k], cov[:, k, k]) for coef, cov in fits])
+        out.append([_gls_terms(x, g_t, rhs), _gls_terms(x, g_s, rhs_s)])
+    return out
+
+
+def _solve_block(held: Sequence[list]) -> np.ndarray:
+    """The treatment coefficients and anticipated variances (D, 2, 2, R) of
+    the held chunks' _study_chunk terms, in run order: one _gls_solve per
+    design and level over all their replicates."""
+    k = TREATMENT_COLUMN
+    out = []
+    for design_terms in zip(*held):
+        out.append([])
+        for level, terms in zip(LEVELS, zip(*design_terms)):
+            info, b = (np.concatenate(parts) for parts in zip(*terms))
+            coef, cov = _gls_solve(info, b, _RESIDUAL[level])
+            out[-1].append((coef[:, k], cov[:, k, k]))
     return np.array(out)
 
 
@@ -806,14 +834,28 @@ def estimator_variance_study(
     run in lockstep on one draw of the picks and the normals (see
     _lockstep); each design equals, bit for bit, a run of that design alone.
     Replicates whose treatment direction is singular at a level are
-    skipped; a level with fewer than two left is None.
+    skipped; a level with fewer than two left is None.  The chunks' GLS
+    terms wait in a fit buffer until it holds _CHUNK_BYTES, and at the end;
+    each flush solves every design and level once (_solve_block), which
+    changes no bit.  An indefinite information raises a FieldError naming
+    the level's residual component, with the lowest eigenvalue of the
+    buffer it was found in.
     """
     chunks = _lockstep(configs)
     first = configs[0]
     delta = first.effect_size_diff if first.effect_size_diff is not None else 1.0
     beta = np.array([0.0, delta / 2.0, -delta / 4.0])
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
-    fits = np.concatenate([_study_chunk(first, *chunk, beta, g_t) for chunk in chunks], axis=-1)
+    blocks, held, size = [], [], 0
+    for chunk in chunks:
+        held.append(_study_chunk(first, *chunk, beta, g_t))
+        size += sum(info.nbytes + b.nbytes for terms in held[-1] for info, b in terms)
+        if size >= _CHUNK_BYTES:
+            blocks.append(_solve_block(held))
+            held, size = [], 0
+    if held:
+        blocks.append(_solve_block(held))
+    fits = np.concatenate(blocks, axis=-1)
     studies = []
     for design_fits in fits:
         studies.append({})

@@ -811,6 +811,32 @@ class TestLockstepEngine:
         estimator_variance_study(configs)
         assert calls == {"_pick_gram": chunks, "_gram_precision": chunks}
 
+    def test_one_gls_solve_per_block_of_chunks(self, monkeypatch):
+        # the chunks' GLS terms wait in a buffer of up to _CHUNK_BYTES, so a
+        # run that fits in it pivots and inverts once per design and level;
+        # a cap that makes it solve more often changes no bit
+        configs = self._lockstep_configs("heterogeneous", "with_replacement_2", 0.3)
+        assert len(configs) == 3
+        calls = {"_treatment_pivot": 0, "pinv": 0}
+        for owner, name in ((simulator, "_treatment_pivot"), (np.linalg, "pinv")):
+
+            def counted(*args, _name=name, _inner=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        studies = []
+        # the terms take 480 bytes a replicate, so a 2,000-byte cap (one
+        # replicate a chunk) solves after every fifth chunk and at the end
+        for cap, solves in ((7 * simulator._replicate_bytes(configs[0]), 1), (2_000, 5)):
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", cap)
+            assert len(simulator._chunks(configs[0])) > solves
+            calls.update(_treatment_pivot=0, pinv=0)
+            studies.append(estimator_variance_study(configs))
+            per_solve = 2 * len(configs)
+            assert calls == {"_treatment_pivot": per_solve * solves, "pinv": per_solve * solves}
+        assert studies[1] == studies[0]
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -992,7 +1018,9 @@ class TestEstimatorVarianceStudy:
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
         xs = [simulator._design_chunk(config, streams, config.replicates)]
-        got = simulator._study_chunk(config, streams, config.replicates, xs, beta, g_t)[0]
+        terms = simulator._study_chunk(config, streams, config.replicates, xs, beta, g_t)[0]
+        solves = [simulator._gls_solve(info, b) for info, b in terms]
+        got = np.array([(coef[:, 1], cov[:, 1, 1]) for coef, cov in solves])
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses
@@ -1075,7 +1103,8 @@ class TestKdeDensity:
         rng = np.random.default_rng(13)
         for sample in (rng.standard_normal(500), rng.exponential(2.0, 800)):
             est = kde_density(sample)
-            integral = np.trapezoid(est.density, est.grid)
+            y, x = est.density, est.grid
+            integral = np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0
             assert integral == pytest.approx(1.0, abs=0.02)
 
     def test_empty_rejected(self):

@@ -8,7 +8,8 @@ variance against GLS estimates on synthetic data.
 
 A run checks the config, computes every artifact's text, then makes
 ``out_dir`` and writes the files; a run that fails before writing creates
-nothing, and a bad ``out_dir`` is reported after the computation.
+nothing, and a bad ``out_dir``, or an artifact path in it that cannot be
+written, is reported after the computation.
 
 Exit codes: 0 success, 1 configuration error (one stderr line,
 ``multilevel-design: '<field>': <message>``), 2 validation failure or a
@@ -219,9 +220,13 @@ def _load(path: str | Path):
     if not path.is_file():
         raise FieldError("config", f"no such file: {path}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
+        raise FieldError("config", f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise FieldError("config", f"invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise FieldError("config", "invalid JSON: nested too deeply") from err
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -264,9 +269,16 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling ``.tmp`` file, then move it onto ``path``;
+    a failed write or move removes the ``.tmp`` and raises its OSError."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(text.encode("utf-8"))
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except OSError:
+        if tmp.is_file():
+            tmp.unlink()
+        raise
 
 
 def _csv(header: Sequence[str], rows) -> str:
@@ -475,7 +487,10 @@ def run(config: RunConfig) -> int:
     except OSError as err:
         raise FieldError("out_dir", str(err)) from err
     for name, text in artifacts.items():
-        _write_atomic(out / name, text)
+        try:
+            _write_atomic(out / name, text)
+        except OSError as err:
+            raise FieldError("out_dir", str(err)) from err
     return code
 
 

@@ -13,7 +13,10 @@ are immutable after construction.  The linear algebra kernels (the student
 precision from a school's Gram, the information sum and the treatment
 pivot) take stacked arrays, so one call covers every school of a chunk of
 replicates; a school with fewer teachers is padded with idle teachers whose
-design and precision rows are zero.
+design and precision rows are zero.  The information sum over schools,
+sum_i X_i' (G_i X_i), is one matmul of every school's rows laid end to end
+(_school_sum), which also carries a GLS right side sum_i X_i' z_i as an
+extra column.
 """
 
 from __future__ import annotations
@@ -320,15 +323,23 @@ def _padded(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _school_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of X_i' Y_i over a stack of schools, (..., p, q), from ``x``
+    (..., k, m, p) and ``y`` (..., k, m, q): one matmul of the k schools'
+    m rows laid end to end."""
+    rows_x = x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
+    return np.swapaxes(rows_x, -1, -2) @ y.reshape(y.shape[:-3] + (-1, y.shape[-1]))
+
+
 def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum of X_i' G_i X_i over a stack of schools.
+    """Sum of X_i' G_i X_i over a stack of schools, _school_sum(X, G X).
 
     ``x`` is (..., k, m, p), k schools' fixed-effect matrices (intercept,
     treatment, optional contamination) with zero rows for idle padded
     teachers, and ``g`` their (..., k, m, m) precisions; returns the
     symmetric (..., p, p) sum.
     """
-    return _symmetric(np.einsum("...kip,...kiq->...pq", x, g @ x))
+    return _symmetric(_school_sum(x, g @ x))
 
 
 def _check_level(vc, expected: type) -> None:

@@ -24,8 +24,9 @@ the codes of each student's teacher-pick pairs, built in place pair by pair
 in one integer array; balanced and single_course from the slot Gram of the
 layout's fixed balanced rows, cached once and carried onto teachers through
 each replicate's slot table in O(m^2).  One Gram and one kernel call give
-every design of a chunk its student precisions, one contraction per level
-the information and one pivot per design the variances.
+every design of a chunk its student precisions, one matmul over the
+schools' rows per level the information and one pivot per design the
+variances.
 
 The study's chunks (_study_chunk) synthesize responses from Box-Muller
 normals of the responses stream on the same draws and GLS-estimate them,
@@ -67,6 +68,7 @@ from .model_core import (
     _information,
     _padded,
     _school_stack,
+    _school_sum,
     _symmetric,
     _teacher_precisions,
     _teacher_shrink,
@@ -427,8 +429,13 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
     chunk = max(1, _CHUNK_BYTES // (8 * samples.size))  # rows of one block's temporaries
     inv = 1.0 / (h * np.sqrt(2.0 * np.pi))
     for start in range(0, grid.size, chunk):
-        z = (grid[start : start + chunk, None] - samples[None, :]) / h
-        dens[start : start + chunk] = inv * np.exp(-0.5 * z**2).mean(axis=1)
+        # -0.5 * ((grid - samples) / h)**2 and its exp, in place in one buffer
+        z = np.subtract(grid[start : start + chunk, None], samples[None, :])
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        dens[start : start + chunk] = inv * z.mean(axis=1)
     return DensityEstimate(grid=grid, density=dens, point_mass=None)
 
 
@@ -462,8 +469,7 @@ def check_alpha(alpha: float) -> float:
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF of a 1-D array, 0.5 * erfc(-x / sqrt(2)) elementwise."""
-    root2 = math.sqrt(2.0)
-    return np.array([0.5 * math.erfc(-v / root2) for v in x])
+    return 0.5 * np.array(list(map(math.erfc, (-x / math.sqrt(2.0)).tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -716,8 +722,14 @@ def gls_estimate(
 
 def _gls_terms(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The GLS information sum X_i' G_i X_i and right side sum X_i' z_i of
-    stacked X_i, G_i and z_i, for one fit or a stack of replicates."""
-    return _information(x, g), np.einsum("...kip,...ki->...p", x, z)
+    stacked X_i, G_i and z_i, for one fit or a stack of replicates: both
+    from one _school_sum(X, [G X | z]), the information symmetrized from
+    its first p columns and the right side its last.  The right side rides
+    in the matrix product because a one-column product would take BLAS's
+    matrix-vector path, which sums in another order."""
+    p = x.shape[-1]
+    terms = _school_sum(x, np.concatenate([g @ x, z[..., None]], axis=-1))
+    return _symmetric(terms[..., :p]), terms[..., p]
 
 
 def _gls_solve(info: np.ndarray, b: np.ndarray, field: str | None = None):

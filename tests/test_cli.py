@@ -779,6 +779,33 @@ class TestErrorContract:
         assert blocker.read_text() == "a file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"seed": "\xff\xfe"}')
+        argv = ["compare", "--config", str(config_path), "--out", str(out)]
+        self._assert_rejected(capsys, argv, "config")
+        assert not out.exists()
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        # json.loads recurses once per bracket
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 100_000)
+        argv = ["compare", "--config", str(config_path), "--out", str(out)]
+        self._assert_rejected(capsys, argv, "config")
+        assert not out.exists()
+
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys):
+        # os.replace cannot move a file onto a directory; the run's .tmp goes
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        config_path = write_config(tmp_path, base_config())
+        argv = ["compare", "--config", str(config_path), "--out", str(out)]
+        self._assert_rejected(capsys, argv, "out_dir")
+        assert (out / "summary.csv").is_dir()
+        assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+
 
 #: a variance component: 1e-6 to 1e6, log-uniform in the exponent, or one
 #: time in four 0

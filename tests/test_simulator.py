@@ -40,7 +40,7 @@ from multilevel_design.model_core import (
     _symmetric,
     _teacher_precisions,
 )
-from multilevel_design.simulator import replicate_streams
+from multilevel_design.simulator import _gls_terms, replicate_streams
 
 from oracles import (
     balanced_assignment_loop,
@@ -1038,6 +1038,68 @@ class TestEstimatorVarianceStudy:
             assert np.isnan(got[1, 0]).any() and not np.isnan(got[1, 0]).all()
 
 
+class TestSchoolSum:
+    """_information and _gls_terms, one matmul over the schools' rows, against
+    an explicit sum over schools of x_i' g_i x_i and x_i' z_i."""
+
+    @staticmethod
+    def _stack(rng, lead, m, p, real_x, broadcast_g):
+        """x (*lead, a, M, p), g and z of schools with m_i teachers padded to M."""
+        big = max(m)
+        x = np.zeros(lead + (len(m), big, p))
+        g = np.zeros(((len(m),) if broadcast_g else lead + (len(m),)) + (big, big))
+        z = np.zeros(lead + (len(m), big))
+        for k, m_k in enumerate(m):
+            cols = [np.ones(lead + (m_k,)), rng.choice([-1.0, 1.0], lead + (m_k,))]
+            if p == 3:
+                cols.append(rng.integers(0, 2, lead + (m_k,)).astype(float))
+            x[..., k, :m_k, :] = rng.standard_normal(lead + (m_k, p)) if real_x else np.stack(cols, -1)
+            w = rng.standard_normal(g.shape[:-3] + (m_k, m_k))
+            g[..., k, :m_k, :m_k] = w @ np.swapaxes(w, -1, -2) + m_k * np.eye(m_k)
+            z[..., k, :m_k] = rng.standard_normal(lead + (m_k,))
+        return x, g, z
+
+    @pytest.mark.parametrize(
+        "lead,broadcast_g",
+        [((), False), ((1,), False), ((9,), False), ((1,), True), ((9,), True)],
+        ids=["one_school_stack", "R1", "R9", "R1_teacher_g", "R9_teacher_g"],
+    )
+    @pytest.mark.parametrize("m", [(4, 4, 4), (2, 5, 3, 1)], ids=["equal_m", "padded_m"])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("real_x", [False, True], ids=["pm1_x", "real_x"])
+    def test_matches_loop_over_schools(self, lead, broadcast_g, m, p, real_x):
+        rng = np.random.default_rng([len(lead), len(m), p, broadcast_g, real_x])
+        x, g, z = self._stack(rng, lead, m, p, real_x, broadcast_g)
+        g_full = np.broadcast_to(g, lead + g.shape[-3:])
+        info_loop = np.zeros(lead + (p, p))
+        b_loop = np.zeros(lead + (p,))
+        for r in np.ndindex(lead):
+            for k in range(len(m)):
+                x_k = x[r + (k,)]
+                info_loop[r] += x_k.T @ g_full[r + (k,)] @ x_k
+                b_loop[r] += x_k.T @ z[r + (k,)]
+        info, b = _gls_terms(x, g, z)
+        scale = np.abs(info_loop).max()
+        np.testing.assert_allclose(_information(x, g), info_loop, rtol=1e-14, atol=1e-14 * scale)
+        np.testing.assert_allclose(info, info_loop, rtol=1e-14, atol=1e-14 * scale)
+        np.testing.assert_array_equal(info, np.swapaxes(info, -1, -2))
+        np.testing.assert_allclose(b, b_loop, rtol=1e-14, atol=1e-14 * np.abs(b_loop).max())
+
+
+class TestNormalCdf:
+    def test_equals_the_scalar_comprehension(self):
+        # the former implementation, one math.erfc per numpy scalar
+        root2 = math.sqrt(2.0)
+        x = np.concatenate([
+            [np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0],
+            np.random.default_rng(21).standard_normal(1_000) * 5.0,
+        ])
+        old = np.array([0.5 * math.erfc(-v / root2) for v in x])
+        got = simulator._normal_cdf(x)
+        assert got.dtype == old.dtype and got.shape == old.shape
+        np.testing.assert_array_equal(got.view(np.int64), old.view(np.int64))
+
+
 class TestEmpiricalPower:
     def test_zero_effect_gives_alpha(self):
         assert empirical_power(np.ones(5), 0.0, 0.05) == pytest.approx(0.05, abs=1e-12)
@@ -1173,6 +1235,22 @@ class TestKdeDensity:
         )
         assert fresh_interpreter(code) == "0 False"
         assert (tmp_path / "out" / "density.svg").is_file()
+
+    def test_density_equals_the_two_line_expression(self):
+        # the former block body, one block of every grid row, with the same
+        # bandwidth: kde_density's in-place buffer runs the same ufuncs
+        rng = np.random.default_rng(16)
+        for x in (rng.standard_normal(300), rng.exponential(2.0, 777), np.array([0.0, 1.0])):
+            est = kde_density(x)
+            ordered = np.sort(x)
+            sd = simulator._sd(x)
+            iqr = simulator._quantile(ordered, 0.75) - simulator._quantile(ordered, 0.25)
+            h = 0.9 * (min(sd, iqr / 1.34) if iqr > 0.0 else sd) * x.size ** (-0.2)
+            grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, 256)
+            np.testing.assert_array_equal(est.grid, grid)
+            inv = 1.0 / (h * np.sqrt(2.0 * np.pi))
+            z = (grid[:, None] - x[None, :]) / h
+            np.testing.assert_array_equal(est.density, inv * np.exp(-0.5 * z**2).mean(axis=1))
 
     def test_block_size_changes_no_density(self, monkeypatch):
         # a grid row's mean runs over all samples whatever rows share its

@@ -37,14 +37,15 @@ from .designs import (
     DesignKind,
     PolicyKind,
     _balanced_school_traces,
-    _teacher_traces,
 )
 from .model_core import (
     FieldError,
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    _teacher_traces,
     check_integer,
+    check_levels,
     per_school,
 )
 from .simulator import (
@@ -467,8 +468,7 @@ def run(config: RunConfig) -> int:
     if config.mode == "validate" and config.replicates < 2:
         raise FieldError("replicates", "validate needs at least 2 replicates")
     layout = config.layout
-    config.teacher_vc.check_invertible()
-    config.student_vc.check_invertible()
+    check_levels(layout, config.policy.c, config.teacher_vc, config.student_vc)
     for design in config.designs:
         design.check(layout.a, layout.m, config.q)
     if config.mode == "closed-form":

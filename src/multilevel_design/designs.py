@@ -39,6 +39,7 @@ from .model_core import (
     StudyLayout,
     TeacherVarianceComponents,
     _check_symmetric,
+    _teacher_traces,
     check_integer,
     student_precision,
 )
@@ -201,13 +202,6 @@ class AssignmentPolicy:
                 f"balanced c = m = {self.c} under within_schools gives every student "
                 "every teacher, so the student level is never estimable"
             )
-
-
-def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
-    """(t_J, w) of the teacher precision (sigma_v2 J + sigma_eps2 I)^-1 of m teachers:
-    m/(sigma_eps2 + m sigma_v2) and m(m-1)/sigma_eps2."""
-    vc.check_invertible()
-    return m / (vc.sigma_eps2 + m * vc.sigma_v2), m * (m - 1) / vc.sigma_eps2
 
 
 def expected_teacher_information(

@@ -21,6 +21,7 @@ extra column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,7 +55,7 @@ class FieldError(ValueError):
 
 
 class SingularCovarianceError(FieldError, np.linalg.LinAlgError):
-    """A variance component that every covariance inversion needs is zero."""
+    """The residual that every covariance inversion divides by is 0 or too small."""
 
 
 #: admissible [low, high) of every integer field
@@ -90,25 +91,38 @@ class TreatmentVariance(NamedTuple):
     se_diff: float
 
 
-@dataclass(frozen=True)
-class TeacherVarianceComponents:
-    """Variance components of the teacher model: school effect and residual.
+class _LevelComponents:
+    """A level's variance components, each >= 0, whose FieldErrors name
+    ``BLOCK``, its run-config key.  Every covariance inversion divides by
+    ``RESIDUAL``: 0 is representable, and check_invertible refuses it."""
 
-    sigma_eps2 = 0 is representable but every covariance inversion requires
-    it to be positive; check_invertible says so.
-    """
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value >= 0.0:
+                raise FieldError(f"{self.BLOCK}.{name}", f"{name} must be >= 0, got {value}")
+
+    def check_invertible(self, kernel: float = 0.0) -> None:
+        """The level's one guard: SingularCovarianceError unless the residual
+        is > 0 with a finite reciprocal, then a FieldError naming the largest
+        component when ``kernel`` (see check_levels) overflows."""
+        name = self.RESIDUAL
+        value = float(getattr(self, name))
+        if not value > 0.0 or 1.0 / value == math.inf:
+            message = f"{name} must be > 0 with a finite reciprocal, got {value:g}"
+            raise SingularCovarianceError(f"{self.BLOCK}.{name}", message)
+        if kernel == math.inf:
+            name, value = max(vars(self).items(), key=lambda item: item[1])
+            raise FieldError(f"{self.BLOCK}.{name}", f"{name} = {value:g} overflows the covariance")
+
+
+@dataclass(frozen=True)
+class TeacherVarianceComponents(_LevelComponents):
+    """Variance components of the teacher model: school effect and residual."""
+
+    BLOCK, RESIDUAL = "teacher_vc", "sigma_eps2"
 
     sigma_v2: float
     sigma_eps2: float
-
-    def __post_init__(self):
-        _check_components(self, "teacher_vc")
-
-    def check_invertible(self) -> None:
-        if self.sigma_eps2 <= 0.0:
-            raise SingularCovarianceError(
-                "teacher_vc.sigma_eps2", "teacher covariance is singular when sigma_eps2 = 0"
-            )
 
     @property
     def rho(self) -> float:
@@ -118,32 +132,14 @@ class TeacherVarianceComponents:
 
 
 @dataclass(frozen=True)
-class StudentVarianceComponents:
-    """Variance components of the student model: school, teacher, residual.
+class StudentVarianceComponents(_LevelComponents):
+    """Variance components of the student model: school, teacher, residual."""
 
-    sigma_eta2 = 0 is representable but makes the covariance a low-rank
-    matrix; check_invertible signals the singularity.
-    """
+    BLOCK, RESIDUAL = "student_vc", "sigma_eta2"
 
     sigma_s2: float
     sigma_t2: float
     sigma_eta2: float
-
-    def __post_init__(self):
-        _check_components(self, "student_vc")
-
-    def check_invertible(self) -> None:
-        if self.sigma_eta2 <= 0.0:
-            raise SingularCovarianceError(
-                "student_vc.sigma_eta2", "student covariance is singular when sigma_eta2 = 0"
-            )
-
-
-def _check_components(vc, block: str) -> None:
-    """FieldError naming the first negative (or NaN) component of ``vc``."""
-    for name, value in vars(vc).items():
-        if not value >= 0.0:
-            raise FieldError(f"{block}.{name}", f"{name} must be >= 0, got {value}")
 
 
 def per_school(value, a: int, field: str) -> tuple[int, ...]:
@@ -180,6 +176,16 @@ class StudyLayout:
                 "teachers_per_school", f"teacher counts differ across schools: {self.m}"
             )
         return self.m[0]
+
+
+def check_levels(layout: StudyLayout, c: int, t, s) -> None:
+    """check_invertible of the teacher components ``t`` and the student's ``s``
+    with their kernels at the layout's largest m and n: the teacher's
+    sigma_eps2 + m sigma_v2 is its covariance's largest eigenvalue, and the
+    student's sigma_eta2 + n (sigma_s2 + c^2 sigma_t2) bounds _gram_precision's K."""
+    m, n = max(layout.m), max(layout.n)
+    t.check_invertible(t.sigma_eps2 + m * t.sigma_v2)
+    s.check_invertible(s.sigma_eta2 + n * (s.sigma_s2 + c * c * s.sigma_t2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,30 +241,23 @@ def design_matrices(assignment: TreatmentAssignment) -> list[np.ndarray]:
 
 
 def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
-    """Per-school teacher precision G_i, the closed-form inverse covariance.
+    """Per-school teacher precision G_i, the closed-form inverse covariance,
+    from t_J = tr(G J) of _teacher_traces and without a product of two components:
 
-    (sigma_v2*J + sigma_eps2*I)^-1
-        = I/sigma_eps2 - sigma_v2 / (sigma_eps2*(sigma_eps2 + sigma_v2*m)) * J
+    (sigma_v2*J + sigma_eps2*I)^-1 = (I - J/m)/sigma_eps2 + (t_J/m^2)*J
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_level(vc, TeacherVarianceComponents)
-    shrink = _teacher_shrink(m, vc)
-    return np.eye(m) / vc.sigma_eps2 - shrink * np.ones((m, m))
+    t_j, _ = _teacher_traces(m, vc)
+    return (np.eye(m) - 1.0 / m) / vc.sigma_eps2 + t_j / m**2
 
 
-def _teacher_shrink(m: int, vc: TeacherVarianceComponents) -> float:
-    """The J coefficient of teacher_precision; a FieldError when its
-    denominator underflows to 0 although sigma_eps2 > 0."""
+def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
+    """(t_J, w) of the teacher precision (sigma_v2 J + sigma_eps2 I)^-1 of m teachers:
+    m/(sigma_eps2 + m sigma_v2) and m(m-1)/sigma_eps2."""
     vc.check_invertible()
-    denominator = vc.sigma_eps2 * (vc.sigma_eps2 + vc.sigma_v2 * m)
-    if denominator == 0.0:
-        raise FieldError(
-            "teacher_vc.sigma_eps2",
-            f"sigma_eps2 * (sigma_eps2 + sigma_v2 * m) underflows to 0 at sigma_eps2 = "
-            f"{vc.sigma_eps2:g}, sigma_v2 = {vc.sigma_v2:g}, m = {m}",
-        )
-    return vc.sigma_v2 / denominator
+    return m / (vc.sigma_eps2 + m * vc.sigma_v2), m * (m - 1) / vc.sigma_eps2
 
 
 def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
@@ -407,11 +406,15 @@ def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The pseudo-inverse drops a direction that least squares would cut, so a
     singular other direction (an all-zero contamination column) is fitted
-    the way lstsq fits it.
+    the way lstsq fits it.  A 2x2 block is scaled by 4^-j and b by 2^-j, j
+    half the trace's exponent: b' block^+ b stays exactly the same, and the
+    products of three entries stay in range at any scale of the components.
     """
     if block.shape[-1] == 1:
         a, b0 = block[..., 0, 0], b[..., 0]
         return b0 * np.divide(b0, a, out=np.zeros_like(a), where=a != 0.0)
+    j = np.frexp(block[..., 0, 0] + block[..., 1, 1])[1] // 2
+    block, b = np.ldexp(block, -2 * j[..., None, None]), np.ldexp(b, -j[..., None])
     a, c, e = block[..., 0, 0], block[..., 0, 1], block[..., 1, 1]
     b0, b1 = b[..., 0], b[..., 1]
     det = a * e - c * c

@@ -71,9 +71,9 @@ from .model_core import (
     _school_sum,
     _symmetric,
     _teacher_precisions,
-    _teacher_shrink,
     _treatment_pivot,
     check_integer,
+    check_levels,
 )
 
 TEACHER = "teacher"
@@ -293,12 +293,12 @@ class SimulationConfig:
 
     Construction rejects, with a FieldError naming the config field, any
     config whose replicates would all fail, in this order: a singular
-    covariance at either level (or a teacher precision whose shrink
-    denominator underflows to 0), a design parity violation, q outside the
-    design's range, q = 1 under within-school randomization, a policy that
-    cannot fill the layout, balanced c = m under within-school
-    randomization, or a replicate over _REPLICATE_BYTES_LIMIT.  Components
-    of the wrong level raise TypeError first, as the one-school functions do.
+    covariance or an overflowing kernel at either level (check_levels), a
+    design parity violation, q outside the design's range, q = 1 under
+    within-school randomization, a policy that cannot fill the layout,
+    balanced c = m under within-school randomization, or a replicate over
+    _REPLICATE_BYTES_LIMIT.  Components of the wrong level raise TypeError
+    first, as the one-school functions do.
     """
 
     layout: StudyLayout
@@ -320,9 +320,7 @@ class SimulationConfig:
             raise FieldError("effect_size_diff", "effect_size_diff must be finite")
         _check_level(self.teacher_vc, TeacherVarianceComponents)
         _check_level(self.student_vc, StudentVarianceComponents)
-        for m_i in set(self.layout.m):
-            _teacher_shrink(m_i, self.teacher_vc)
-        self.student_vc.check_invertible()
+        check_levels(self.layout, self.policy.c, self.teacher_vc, self.student_vc)
         self.design.check(self.layout.a, self.layout.m, self.q)
         for m_i, n_i in zip(self.layout.m, self.layout.n):
             self.policy.check_school(m_i, n_i)
@@ -396,12 +394,15 @@ def _quantile(x: np.ndarray, q: float) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
-def _sd(x: np.ndarray) -> float:
-    """``np.std(x, ddof=1)`` on ``x`` scaled by 2**-e, e the exponent of max|x|,
-    then scaled back: its squares cannot overflow, and the scaling is exact, so
-    the result equals the unscaled one whenever that neither over- nor underflows."""
+def _scaled(stat, x: np.ndarray, **kwargs) -> float:
+    """``stat(x, **kwargs)``, a mean or SD, on ``x`` scaled by 2**-e, e the
+    exponent of max|x|, then scaled back: no sum or square overflows, and the
+    exact scaling changes no result that neither over- nor underflows."""
     e = math.frexp(float(np.max(np.abs(x))))[1]
-    return float(np.ldexp(np.std(np.ldexp(x, -e), ddof=1), e))
+    return float(np.ldexp(stat(np.ldexp(x, -e), **kwargs), e))
+
+
+_sd = functools.partial(_scaled, np.std, ddof=1)
 
 
 def kde_density(samples: np.ndarray) -> DensityEstimate:
@@ -508,7 +509,7 @@ def _summarize_level(
     mean = sd = float("nan")
     density = power = None
     if samples.size:
-        mean = float(samples.mean())
+        mean = _scaled(np.mean, samples)
         sd = _sd(samples) if samples.size > 1 else 0.0
         density = kde_density(samples)
         if effect_size_diff is not None:
@@ -877,7 +878,7 @@ def estimator_variance_study(
                 truth=float(beta[TREATMENT_COLUMN]),
                 coef_mean=float(coefs[used].mean()),
                 coef_variance=float(coefs[used].var(ddof=1)),
-                anticipated_mean=float(anticipated[used].mean()),
+                anticipated_mean=_scaled(np.mean, anticipated[used]),
                 n_used=int(used.sum()),
             )
     return studies

@@ -317,6 +317,31 @@ class TestCompareMode:
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
         assert [row[1] for row in rows] == ["teacher", "student"]
         assert all(row[3] and np.isfinite(float(row[3])) for row in rows)
+        # randomize_schools' teacher variance (sigma_eps2 + m sigma_v2) / (m a)
+        assert float(rows[0][2]) == pytest.approx(7.5e199, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_summary_mean_near_the_float_limit_is_finite(self, tmp_path, capsys):
+        # summing twenty variances of 3.75e307 would overflow; the mean
+        # scales them first, as _sd does
+        out = tmp_path / "out"
+        data = base_config(
+            schools=2,
+            teachers_per_school=2,
+            students_per_school=4,
+            teacher_vc={"sigma_v2": 5e307, "sigma_eps2": 5e307},
+            designs=["randomize_schools"],
+            replicates=20,
+            seed=1,
+        )
+        config_path = write_config(tmp_path, data)
+        assert main(["compare", "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        teacher = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert teacher[:2] == ["randomize_schools", "teacher"]
+        assert float(teacher[2]) == pytest.approx(3.75e307, rel=1e-12, abs=0.0)
+        assert float(teacher[3]) <= 1e-12 * 3.75e307
+        assert float(teacher[4]) == pytest.approx(2.0 * np.sqrt(3.75e307), rel=1e-12)
 
 
 class TestGoldenValues:
@@ -554,8 +579,13 @@ class TestErrorContract:
     ZERO_ETA = {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 0.0}
     BALANCED_C_EQUALS_M = {"policy": "balanced", "c": 4}
     NEGATIVE_V = {"sigma_v2": -1.0, "sigma_eps2": 14.4}
-    # sigma_eps2 * (sigma_eps2 + sigma_v2 * m) underflows to 0.0
-    UNDERFLOW_EPS = {"sigma_v2": 1e-300, "sigma_eps2": 1e-300}
+    # 1 / sigma_eps2 overflows
+    UNDERFLOW_EPS = {"sigma_v2": 1e-310, "sigma_eps2": 1e-310}
+    # each level's kernel overflows: sigma_eps2 + m sigma_v2 and
+    # sigma_eta2 + n (sigma_s2 + c^2 sigma_t2)
+    HUGE_LAYOUT = {"schools": 2, "teachers_per_school": 2, "students_per_school": 4}
+    HUGE_V = {"sigma_v2": 1e308, "sigma_eps2": 14.4}
+    HUGE_STUDENT = {"sigma_s2": 1e308, "sigma_t2": 1e308, "sigma_eta2": 1e308}
     NEGATIVE_T = {"sigma_s2": 1.6, "sigma_t2": -1.0, "sigma_eta2": 14.4}
     BALANCED_C_ABOVE_M = {"policy": "balanced", "c": 5}
     SINGLE_COURSE_C2 = {"policy": "single_course", "c": 2}
@@ -611,6 +641,21 @@ class TestErrorContract:
                 {"designs": ["within_schools"], "schools": 6, "teacher_vc": UNDERFLOW_EPS},
                 "teacher_vc.sigma_eps2",
             ),
+            (
+                "compare",
+                {"teacher_vc": {"sigma_v2": 1.0, "sigma_eps2": 1e-310}},
+                "teacher_vc.sigma_eps2",
+            ),
+            (
+                "compare",
+                {**HUGE_LAYOUT, "designs": ["randomize_schools"], "teacher_vc": HUGE_V},
+                "teacher_vc.sigma_v2",
+            ),
+            (
+                "compare",
+                {**HUGE_LAYOUT, "designs": ["crd"], "student_vc": HUGE_STUDENT},
+                "student_vc.sigma_s2",
+            ),
         ],
         ids=[
             "simulate-sigma_eps2",
@@ -651,6 +696,9 @@ class TestErrorContract:
             "simulate-design_twice",
             "simulate-balanced_without_c",
             "simulate-teacher_precision_underflow",
+            "compare-sigma_eps2_reciprocal_overflow",
+            "compare-teacher_kernel_overflow",
+            "compare-student_kernel_overflow",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, mode, overrides, field):
@@ -812,6 +860,8 @@ class TestErrorContract:
 _COMPONENT = st.integers(0, 3).flatmap(
     lambda k: st.just(0.0) if k == 3 else st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 )
+#: a level's common scale 4^k: every variance scales with it exactly
+_SCALE = st.integers(-240, 240).map(lambda k: 4.0**k)
 
 
 @st.composite
@@ -827,12 +877,13 @@ def _tiny_configs(draw, policy):
     if policy != "single_course":
         assignment["c"] = draw(st.integers(1, 3))
     designs = ["randomize_schools", "within_schools", "crd"]
+    t, s = draw(_SCALE), draw(_SCALE)
     return {
         "schools": a,
         "teachers_per_school": m if len(set(m)) > 1 else m[0],
         "students_per_school": n if len(set(n)) > 1 else n[0],
-        "teacher_vc": {"sigma_v2": draw(_COMPONENT), "sigma_eps2": draw(_COMPONENT)},
-        "student_vc": {k: draw(_COMPONENT) for k in ("sigma_s2", "sigma_t2", "sigma_eta2")},
+        "teacher_vc": {k: draw(_COMPONENT) * t for k in ("sigma_v2", "sigma_eps2")},
+        "student_vc": {k: draw(_COMPONENT) * s for k in ("sigma_s2", "sigma_t2", "sigma_eta2")},
         "designs": draw(st.lists(st.sampled_from(designs), min_size=1, max_size=3, unique=True)),
         "assignment": assignment,
         "q": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 1.0))),

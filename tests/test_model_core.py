@@ -216,6 +216,12 @@ class TestTeacherPrecision:
             teacher_precision(8, PILOT_TEACHER), dense, rtol=1e-12, atol=1e-14
         )
 
+    def test_one_teacher_is_the_reciprocal_total_variance(self):
+        # (I - J/m) vanishes at m = 1, leaving t_J = 1/(sigma_eps2 + sigma_v2)
+        g = teacher_precision(1, TeacherVarianceComponents(1e6, 1e-6))
+        assert g.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(1.0 / (1e6 + 1e-6), rel=1e-15, abs=0.0)
+
     def test_product_is_identity_randomized(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):

@@ -855,6 +855,43 @@ class TestLockstepEngine:
                 engine(configs)
 
 
+class TestScaleEquivariance:
+    """Every variance is homogeneous of degree 1 in the components, and a
+    power-of-four factor commutes with IEEE rounding (its square root is a
+    power of two), so scaling every component by 4^k scales every
+    per-replicate variance by 4^k, bit for bit, as long as nothing over- or
+    underflows."""
+
+    LAYOUT = StudyLayout(a=4, m=(2, 4, 6, 8), n=(5, 17, 30, 11))
+
+    @classmethod
+    def variances(cls, k):
+        def scaled(vc):
+            return type(vc)(*(np.ldexp(v, 2 * k) for v in vars(vc).values()))
+
+        configs = [
+            make_config(
+                layout=cls.LAYOUT,
+                teacher_vc=scaled(PILOT_TEACHER),
+                student_vc=scaled(PILOT_STUDENT),
+                design=design,
+                policy=AssignmentPolicy.with_replacement(3),
+                q=0.3,
+                replicates=200,
+                seed=3,
+            )
+            for design in DesignKind
+        ]
+        results = simulate_anticipated_variance(configs)
+        return np.array([[r.level(level).variances for level in simulator.LEVELS] for r in results])
+
+    @pytest.mark.parametrize("k", [-500, -260, -200, 200, 260, 500])
+    def test_variances_scale_bit_for_bit(self, k):
+        unit = self.variances(0)
+        assert np.isfinite(unit).any(axis=-1).all()
+        np.testing.assert_array_equal(self.variances(k), np.ldexp(unit, 2 * k))
+
+
 class TestPublicSurface:
     def test_all_lists_every_public_name(self):
         import types

@@ -13,10 +13,10 @@ are immutable after construction.  The linear algebra kernels (the student
 precision from a school's Gram, the information sum and the treatment
 pivot) take stacked arrays, so one call covers every school of a chunk of
 replicates; a school with fewer teachers is padded with idle teachers whose
-design and precision rows are zero.  The information sum over schools,
-sum_i X_i' (G_i X_i), is one matmul of every school's rows laid end to end
-(_school_sum), which also carries a GLS right side sum_i X_i' z_i as an
-extra column.
+design and precision rows are zero.  Both levels' information sums,
+sum_i X_i' (G_i X_i), come from one routine (_information): one matmul of
+every school's rows laid end to end, which also carries a GLS right side
+sum_i X_i' z_i as an extra column.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarr
     (D'[D rhs] - (W'D)' K^-1 W'[D rhs]) / sigma_eta2, K = sigma_eta2*I + W'W:
     blocks of the Gram scaled by S.  A zero component zeroes a row and
     leaves K positive definite; an idle teacher gets an exactly zero row.
-    The first m columns are G, not yet symmetrized.
+    The first m columns, G, are symmetrized for every caller.
     """
     vc.check_invertible()
     m = gram.shape[-2] - 1
@@ -277,13 +277,15 @@ def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarr
     k = vc.sigma_eta2 * np.eye(m + 1) + w_t[..., : m + 1] * scale
     w_d = np.swapaxes(w_t[..., 1 : m + 1], -1, -2)
     try:
-        return (gram[..., 1:, 1:] - w_d @ np.linalg.solve(k, w_t[..., 1:])) / vc.sigma_eta2
+        g_z = (gram[..., 1:, 1:] - w_d @ np.linalg.solve(k, w_t[..., 1:])) / vc.sigma_eta2
     except np.linalg.LinAlgError as err:  # K singular in floating point
         raise SingularCovarianceError(
             "student_vc.sigma_eta2",
             f"sigma_eta2 = {vc.sigma_eta2} is too small next to sigma_s2 and sigma_t2: "
             "the student covariance is numerically singular",
         ) from err
+    g_z[..., :m] = _symmetric(g_z[..., :m])
+    return g_z
 
 
 def _symmetric(g: np.ndarray) -> np.ndarray:
@@ -299,12 +301,12 @@ def _gram(d: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
 
 def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarray:
     """Per-school student precision G_i = D_i' Sigma_i^-1 D_i (m_i x m_i), from
-    the Gram of [1 D], symmetrized; a stack of D (..., n, m) gives a stack."""
+    the Gram of [1 D]; a stack of D (..., n, m) gives a stack."""
     d = np.asarray(d, dtype=float)
     if d.ndim < 2:
         raise ValueError(f"count matrices must be (..., n, m), got shape {d.shape}")
     _check_level(vc, StudentVarianceComponents)
-    return _symmetric(_gram_precision(_gram(d), vc))
+    return _gram_precision(_gram(d), vc)
 
 
 def _teacher_precisions(m: Sequence[int], vc: TeacherVarianceComponents) -> np.ndarray:
@@ -322,23 +324,23 @@ def _padded(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _school_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of X_i' Y_i over a stack of schools, (..., p, q), from ``x``
-    (..., k, m, p) and ``y`` (..., k, m, q): one matmul of the k schools'
-    m rows laid end to end."""
-    rows_x = x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
-    return np.swapaxes(rows_x, -1, -2) @ y.reshape(y.shape[:-3] + (-1, y.shape[-1]))
-
-
-def _information(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum of X_i' G_i X_i over a stack of schools, _school_sum(X, G X).
+def _information(x: np.ndarray, g: np.ndarray, z: np.ndarray | None = None):
+    """Sum of X_i' G_i X_i over a stack of schools and, given ``z``, the GLS
+    right side sum X_i' z_i: one matmul of the schools' rows laid end to end.
 
     ``x`` is (..., k, m, p), k schools' fixed-effect matrices (intercept,
     treatment, optional contamination) with zero rows for idle padded
-    teachers, and ``g`` their (..., k, m, m) precisions; returns the
-    symmetric (..., p, p) sum.
+    teachers, ``g`` their (..., k, m, m) precisions and ``z`` (..., k, m).
+    Returns the symmetric (..., p, p) information, or it and the (..., p)
+    right side, a column of [G X | z]: alone, it would take BLAS's
+    matrix-vector path, which sums in another order.
     """
-    return _symmetric(_school_sum(x, g @ x))
+    p = x.shape[-1]
+    y = g @ x if z is None else np.concatenate([g @ x, z[..., None]], axis=-1)
+    rows_x = x.reshape(x.shape[:-3] + (-1, p))
+    terms = np.swapaxes(rows_x, -1, -2) @ y.reshape(y.shape[:-3] + (-1, y.shape[-1]))
+    info = _symmetric(terms[..., :p])
+    return info if z is None else (info, terms[..., p])
 
 
 def _check_level(vc, expected: type) -> None:
@@ -378,7 +380,7 @@ def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
     gram = _gram(_padded(ds, (n, m)), None if y is None else y[..., None])
     gram[:, 0, 0] = [len(d) for d in ds]  # padded rows of D are no students
     g_z = _gram_precision(gram, vc)
-    return x, _symmetric(g_z[..., :m]), None if y is None else g_z[..., m]
+    return x, g_z[..., :m], None if y is None else g_z[..., m]
 
 
 def teacher_information(

@@ -28,19 +28,18 @@ every design of a chunk its student precisions, one matmul over the
 schools' rows per level the information and one pivot per design the
 variances.
 
-The study's chunks (_study_chunk) synthesize responses from Box-Muller
-normals of the responses stream on the same draws and GLS-estimate them,
-which validates the analytic anticipated variances against the Monte Carlo
-variance of an actual estimator.  As D' Sigma^-1 D(X beta + t) is
-G(X beta + t), its designs share each chunk's picks, normals, pair count
-and one student solve, on the noise s + eta; each adds its own
-G(X beta + t) and takes its GLS information and right side.  It pairs
-each student's noise with its row of D, so it keeps the ordered picks, as
-does draw_assignment.  The chunks' GLS terms wait in a fit buffer of up to
-_CHUNK_BYTES, and one _gls_solve per design and level (pivot,
-pseudo-inverse, coefficients) runs on all of it, so the per-call cost of
-those small-matrix routines comes once per few thousand replicates, not
-once per chunk of a few.
+The study's chunks (_study_chunk) GLS-fit Box-Muller noise of the
+responses stream on the same draws, which validates the anticipated
+variances against the Monte Carlo variance of an actual estimator: GLS is
+linear and returns X beta's beta exactly, so the noise fit's treatment
+coefficient is the estimate's error.  Its designs share each chunk's
+picks, normals, pair count, student solve and both right sides, and read
+compare's G, _information and 1/pivot.  It pairs each student's noise
+with its row of D, so it keeps the ordered picks, as does draw_assignment.
+The chunks' GLS terms wait in a fit buffer of up to _CHUNK_BYTES, and one
+_gls_solve per design and level (pivot, pseudo-inverse, coefficients) runs
+on all of it, so the per-call cost of those small-matrix routines comes
+once per few thousand replicates, not once per chunk of a few.
 """
 
 from __future__ import annotations
@@ -68,8 +67,6 @@ from .model_core import (
     _information,
     _padded,
     _school_stack,
-    _school_sum,
-    _symmetric,
     _teacher_precisions,
     _treatment_pivot,
     check_integer,
@@ -394,12 +391,13 @@ def _quantile(x: np.ndarray, q: float) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
-def _scaled(stat, x: np.ndarray, **kwargs) -> float:
-    """``stat(x, **kwargs)``, a mean or SD, on ``x`` scaled by 2**-e, e the
-    exponent of max|x|, then scaled back: no sum or square overflows, and the
-    exact scaling changes no result that neither over- nor underflows."""
+def _scaled(stat, x: np.ndarray, degree: int = 1, **kwargs) -> float:
+    """``stat(x, **kwargs)``, of ``degree`` 2 for a variance, on ``x`` scaled by
+    2**-e, e the exponent of max|x|, then scaled back by 2**(degree e): no sum
+    or square overflows, and the exact scaling changes no result that
+    neither over- nor underflows."""
     e = math.frexp(float(np.max(np.abs(x))))[1]
-    return float(np.ldexp(stat(np.ldexp(x, -e), **kwargs), e))
+    return float(np.ldexp(stat(np.ldexp(x, -e), **kwargs), degree * e))
 
 
 _sd = functools.partial(_scaled, np.std, ddof=1)
@@ -531,7 +529,7 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     the solve and G, each at most (max m + 2)^2 per school).  A chunk holds
     one Gram and one G for all of a run's designs; each design adds only
     its (max m, p) design rows a school.  A validate chunk shares its picks,
-    normals, pair count and student solve on one noise column among its
+    normals, pair count, student solve and two right sides among its
     designs; its responses uniforms and normals go uncounted, and so does
     its fit buffer, the GLS terms of up to _CHUNK_BYTES of earlier chunks
     (p^2 + p numbers a design and level a replicate, 288 bytes at q = 0 and
@@ -655,7 +653,7 @@ def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[S
     infos = [[] for _ in configs]
     for streams, count, xs in chunks:
         gram = _assignment_gram(first.policy, first.layout, streams.assignment, count)
-        g_s = _symmetric(_gram_precision(gram, first.student_vc))
+        g_s = _gram_precision(gram, first.student_vc)
         for x, design_infos in zip(xs, infos):
             design_infos.append(np.stack([_information(x, g_t), _information(x, g_s)]))
     results = []
@@ -715,34 +713,23 @@ def gls_estimate(
     """
     responses = [np.asarray(y, dtype=float) for y in responses]
     x, g, z = _school_stack(xs, vc, ds, responses)
-    coef, cov = _gls_solve(*_gls_terms(x, g, z))
+    coef, cov, _ = _gls_solve(*_information(x, g, z))
     if np.isnan(coef[TREATMENT_COLUMN]):
         raise NonEstimableError("the treatment direction of the GLS information is singular")
     return coef, cov
 
 
-def _gls_terms(x: np.ndarray, g: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The GLS information sum X_i' G_i X_i and right side sum X_i' z_i of
-    stacked X_i, G_i and z_i, for one fit or a stack of replicates: both
-    from one _school_sum(X, [G X | z]), the information symmetrized from
-    its first p columns and the right side its last.  The right side rides
-    in the matrix product because a one-column product would take BLAS's
-    matrix-vector path, which sums in another order."""
-    p = x.shape[-1]
-    terms = _school_sum(x, np.concatenate([g @ x, z[..., None]], axis=-1))
-    return _symmetric(terms[..., :p]), terms[..., p]
-
-
 def _gls_solve(info: np.ndarray, b: np.ndarray, field: str | None = None):
-    """GLS coefficients and covariance from _gls_terms' information and right
-    side, for one fit or a stack of replicates; NaN where treatment is
+    """GLS coefficients, covariance and treatment pivot from _information's
+    terms, for one fit or a stack of replicates; NaN where treatment is
     singular.  An indefinite information raises as _treatment_pivot does
     with ``field``.  Every step works matrix by matrix, so a stack gives
     each replicate the bits of its own solve."""
+    pivot = _treatment_pivot(info, field)
     cov = np.full(info.shape, np.nan)
-    ok = ~np.isnan(_treatment_pivot(info, field))
+    ok = ~np.isnan(pivot)
     cov[ok] = np.linalg.pinv(info[ok], hermitian=True)
-    return (cov @ b[..., None])[..., 0], cov
+    return (cov @ b[..., None])[..., 0], cov, pivot
 
 
 def _study_chunk(
@@ -750,19 +737,18 @@ def _study_chunk(
     streams: ReplicateStreams,
     count: int,
     xs: Sequence[np.ndarray],
-    beta: np.ndarray,
     g_t: np.ndarray,
 ):
-    """Per design of ``xs`` and per level, the _gls_terms (information
-    (R, p, p), right side (R, p)) of GLS fits to T = X beta + v + eps and
-    Y = D(X beta + t) + s + eta on the next ``count`` replicates of
-    ``streams``, beta cut to each design's columns, with the run's teacher
-    precisions ``g_t``: a list of [teacher, student] per design, which
-    estimator_variance_study holds in its fit buffer until _solve_block.
-    A replicate's responses uniforms give a teacher block and then a
-    student block of normals.  One pair count and one student solve, on
-    s + eta, serve every design, which adds its own G(X beta + t) to the
-    noise term before taking its two levels' terms."""
+    """Per design of ``xs`` and per level, the _information terms
+    (information (R, p, p), right side (R, p)) of GLS fits to the noise
+    alone, v + eps and Dt + s + eta, on the next ``count`` replicates of
+    ``streams``, with the run's teacher precisions ``g_t``: a list of
+    [teacher, student] per design, which estimator_variance_study holds in
+    its fit buffer until _solve_block.  A replicate's responses uniforms
+    give a teacher block and then a student block of normals.  One pair
+    count and one student solve on s + eta give G and D' Sigma^-1 (s + eta),
+    and the right sides G_t(v + eps) and Gt + D' Sigma^-1 (s + eta), formed
+    once, serve every design."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
@@ -788,40 +774,43 @@ def _study_chunk(
     del z_s
     g_z = _gram_precision(_pick_gram(picks, layout.n, m, noise), svc)
     g_s = g_z[..., :m]
-    out = []
-    for x in xs:
-        x_beta = x @ beta[: x.shape[-1]]
-        rhs = np.einsum("kij,...kj->...ki", g_t, x_beta + v_noise + eps_noise)
-        rhs_s = g_z[..., m] + np.einsum("...kij,...kj->...ki", g_s, x_beta + t_noise)
-        out.append([_gls_terms(x, g_t, rhs), _gls_terms(x, g_s, rhs_s)])
-    return out
+    # C order: the noise is laid out replicate axis fastest, and einsum
+    # sums in its operands' memory order
+    rhs_t = np.einsum("kij,...kj->...ki", g_t, np.add(v_noise, eps_noise, order="C"))
+    rhs_s = g_z[..., m] + np.einsum("...kij,...kj->...ki", g_s, np.ascontiguousarray(t_noise))
+    return [[_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)] for x in xs]
 
 
 def _solve_block(held: Sequence[list]) -> np.ndarray:
-    """The treatment coefficients and anticipated variances (D, 2, 2, R) of
-    the held chunks' _study_chunk terms, in run order: one _gls_solve per
-    design and level over all their replicates."""
-    k = TREATMENT_COLUMN
+    """The noise fits' treatment coefficients and the anticipated variances
+    1/pivot (D, 2, 2, R) of the held chunks' _study_chunk terms, in run
+    order: one _gls_solve per design and level over all their replicates."""
     out = []
     for design_terms in zip(*held):
         out.append([])
         for level, terms in zip(LEVELS, zip(*design_terms)):
             info, b = (np.concatenate(parts) for parts in zip(*terms))
-            coef, cov = _gls_solve(info, b, _RESIDUAL[level])
-            out[-1].append((coef[:, k], cov[:, k, k]))
+            coef, _, pivot = _gls_solve(info, b, _RESIDUAL[level])
+            out[-1].append((coef[:, TREATMENT_COLUMN], 1.0 / pivot))
     return np.array(out)
 
 
 @dataclass(frozen=True)
 class EstimatorLevelStudy:
     """Monte Carlo check of one level's GLS estimator against the analytic
-    anticipated variance."""
+    anticipated variance: the mean and variance of the estimate's error
+    (the noise fit's coefficient) over ``n_used`` replicates, the true
+    coefficient delta/2 and compare's mean anticipated variance."""
 
     truth: float
-    coef_mean: float
+    mean_error: float
     coef_variance: float
     anticipated_mean: float
     n_used: int
+
+    @property
+    def coef_mean(self) -> float:
+        return self.truth + self.mean_error
 
     @property
     def variance_ratio(self) -> float:
@@ -829,23 +818,24 @@ class EstimatorLevelStudy:
 
     @property
     def mean_error_z(self) -> float:
-        se = np.sqrt(self.coef_variance / self.n_used)
-        return abs(self.coef_mean - self.truth) / se
+        return abs(self.mean_error) / np.sqrt(self.coef_variance / self.n_used)
 
 
 def estimator_variance_study(
     configs: Sequence[SimulationConfig],
 ) -> list[dict[str, EstimatorLevelStudy | None]]:
-    """Generate synthetic responses per replicate and GLS-estimate them, one
-    {level: study} per config, in order.
+    """GLS-estimate synthetic responses per replicate, one {level: study} per
+    config, in order.
 
     Uses the draws of the anticipated-variance path, so the Monte Carlo
     variance of the treatment coefficient compares 1:1 with the mean
-    anticipated variance, read from the covariance of the same GLS fit.
-    Both levels take the coefficients (0, delta/2[, -delta/4]), delta the
-    effect size (1 when unset).  The configs differ only in their design and
-    run in lockstep on one draw of the picks and the normals (see
-    _lockstep); each design equals, bit for bit, a run of that design alone.
+    anticipated variance, simulate_anticipated_variance's mean bit for bit.
+    The fits take the noise alone (see _study_chunk), and the truth delta/2,
+    delta the effect size (1 when unset), enters only ``coef_mean``, so the
+    errors' mean and variance (_scaled) keep their digits at any scale.  The
+    configs differ only in their design and run in lockstep on one draw of
+    the picks and the normals (see _lockstep); each design equals, bit for
+    bit, a run of that design alone.
     Replicates whose treatment direction is singular at a level are
     skipped; a level with fewer than two left is None.  The chunks' GLS
     terms wait in a fit buffer until it holds _CHUNK_BYTES, and at the end;
@@ -857,11 +847,10 @@ def estimator_variance_study(
     chunks = _lockstep(configs)
     first = configs[0]
     delta = first.effect_size_diff if first.effect_size_diff is not None else 1.0
-    beta = np.array([0.0, delta / 2.0, -delta / 4.0])
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
     blocks, held, size = [], [], 0
     for chunk in chunks:
-        held.append(_study_chunk(first, *chunk, beta, g_t))
+        held.append(_study_chunk(first, *chunk, g_t))
         size += sum(info.nbytes + b.nbytes for terms in held[-1] for info, b in terms)
         if size >= _CHUNK_BYTES:
             blocks.append(_solve_block(held))
@@ -872,12 +861,12 @@ def estimator_variance_study(
     studies = []
     for design_fits in fits:
         studies.append({})
-        for level, (coefs, anticipated) in zip(LEVELS, design_fits):
-            used = ~np.isnan(coefs)
+        for level, (errors, anticipated) in zip(LEVELS, design_fits):
+            used = ~np.isnan(errors)
             studies[-1][level] = None if used.sum() < 2 else EstimatorLevelStudy(
-                truth=float(beta[TREATMENT_COLUMN]),
-                coef_mean=float(coefs[used].mean()),
-                coef_variance=float(coefs[used].var(ddof=1)),
+                truth=delta / 2.0,
+                mean_error=_scaled(np.mean, errors[used]),
+                coef_variance=_scaled(np.var, errors[used], degree=2, ddof=1),
                 anticipated_mean=_scaled(np.mean, anticipated[used]),
                 n_used=int(used.sum()),
             )

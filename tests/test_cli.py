@@ -494,6 +494,61 @@ class TestValidateMode:
             exact = stats.chi2.ppf([0.0005, 0.9995], n - 1) / (n - 1)
             np.testing.assert_allclose(variance_ratio_band(n), exact, rtol=1e-2)
 
+    #: the CI bytes job's config
+    CI_BYTES = dict(
+        teachers_per_school=[2, 4, 6, 8],
+        students_per_school=[5, 17, 30, 11],
+        designs=["within_schools", "crd"],
+        assignment={"policy": "with_replacement", "c": 3},
+        q=0.3,
+        replicates=300,
+        seed=1,
+        effect_size_diff=1.0,
+    )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale,effect", [(1e-40, 1.0), (1.0, 1e300)], ids=["components_1e-40", "effect_1e300"]
+    )
+    def test_extreme_scales_pass(self, tmp_path, capsys, scale, effect):
+        # the fits take the noise alone and add the treatment effect back
+        # once, so noise of 1e-20 keeps its digits beside an effect of 1, and
+        # an effect of 1e300 meets no product that overflows
+        out = tmp_path / "out"
+        data = base_config(mode="validate", **dict(self.CI_BYTES, effect_size_diff=effect))
+        for block in ("teacher_vc", "student_vc"):
+            data[block] = {name: value * scale for name, value in data[block].items()}
+        config_path = write_config(tmp_path, data)
+        assert main(["validate", "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "validate.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(row.endswith(",1") for row in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_float_limit_matches_unit_scale(self, tmp_path, capsys):
+        # the squares of the errors' deviations would overflow np.var; the
+        # study scales them by a power of two first, as _sd does
+        ratios = []
+        for sigma in (3e307, 3.0):
+            out = tmp_path / f"out{sigma:g}"
+            data = base_config(
+                mode="validate",
+                schools=2,
+                teachers_per_school=2,
+                students_per_school=4,
+                teacher_vc={"sigma_v2": sigma, "sigma_eps2": sigma},
+                assignment={"policy": "with_replacement", "c": 1},
+                replicates=20,
+                seed=1,
+            )
+            config_path = write_config(tmp_path, data, f"config{sigma:g}.json")
+            assert main(["validate", "--config", str(config_path), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            rows = [line.split(",") for line in (out / "validate.csv").read_text().splitlines()[1:]]
+            assert len(rows) == 6 and all(row[-1] == "1" for row in rows)
+            ratios.append([float(row[4]) for row in rows])
+        np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-15, atol=0.0)
+
     def test_too_few_estimable_replicates_fail(self, tmp_path):
         # balanced c = m gives D = J, so crd's student level is estimable only
         # when a school's arms are unequal; 3 replicates leave fewer than 2

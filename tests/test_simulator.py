@@ -40,7 +40,7 @@ from multilevel_design.model_core import (
     _symmetric,
     _teacher_precisions,
 )
-from multilevel_design.simulator import _gls_terms, replicate_streams
+from multilevel_design.simulator import replicate_streams
 
 from oracles import (
     balanced_assignment_loop,
@@ -523,7 +523,7 @@ class TestChunkedEngine:
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
         xs = [simulator._design_chunk(config, streams, 1)]
-        simulator._study_chunk(config, streams, 1, xs, np.zeros(2), g_t)
+        simulator._study_chunk(config, streams, 1, xs, g_t)
         assert streams.responses.random() == replicate_streams(config, 0).responses.random(21)[20]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
@@ -549,7 +549,7 @@ class TestChunkedEngine:
         g_t = _teacher_precisions(configs[0].layout.m, configs[0].teacher_vc)
         tracemalloc.start()
         try:
-            simulator._study_chunk(configs[0], streams[0], count, xs, np.array([0.0, 0.5]), g_t)
+            simulator._study_chunk(configs[0], streams[0], count, xs, g_t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -865,11 +865,11 @@ class TestScaleEquivariance:
     LAYOUT = StudyLayout(a=4, m=(2, 4, 6, 8), n=(5, 17, 30, 11))
 
     @classmethod
-    def variances(cls, k):
+    def configs(cls, k):
         def scaled(vc):
             return type(vc)(*(np.ldexp(v, 2 * k) for v in vars(vc).values()))
 
-        configs = [
+        return [
             make_config(
                 layout=cls.LAYOUT,
                 teacher_vc=scaled(PILOT_TEACHER),
@@ -882,7 +882,10 @@ class TestScaleEquivariance:
             )
             for design in DesignKind
         ]
-        results = simulate_anticipated_variance(configs)
+
+    @classmethod
+    def variances(cls, k):
+        results = simulate_anticipated_variance(cls.configs(k))
         return np.array([[r.level(level).variances for level in simulator.LEVELS] for r in results])
 
     @pytest.mark.parametrize("k", [-500, -260, -200, 200, 260, 500])
@@ -890,6 +893,23 @@ class TestScaleEquivariance:
         unit = self.variances(0)
         assert np.isfinite(unit).any(axis=-1).all()
         np.testing.assert_array_equal(self.variances(k), np.ldexp(unit, 2 * k))
+
+    @classmethod
+    def validation(cls, k):
+        studies = estimator_variance_study(cls.configs(k))
+        return np.array([
+            [(study[level].variance_ratio, study[level].mean_error_z) for level in simulator.LEVELS]
+            for study in studies
+        ])
+
+    @pytest.mark.parametrize("k", [-200, -100, 100, 200])
+    def test_validation_is_scale_free_bit_for_bit(self, k):
+        # validate fits the noise alone, which scales by 2^k, so its ratios
+        # and z-scores are the unit-scale ones; a treatment coefficient in
+        # the responses would drown noise of 2^-100.  From k = 240 on, the
+        # coefficients' np.linalg.pinv (a symmetric eigensolver) no longer
+        # commutes with the scaling and leaves up to 3e-15
+        np.testing.assert_array_equal(self.validation(k), self.validation(0))
 
 
 class TestPublicSurface:
@@ -1037,6 +1057,37 @@ class TestEstimatorVarianceStudy:
             assert abs(res.variance_ratio - 1.0) < 0.25
             assert res.mean_error_z < 4.0
 
+    AGREEMENT = {
+        "validate_gls": (StudyLayout(a=16, m=8, n=50), AssignmentPolicy.with_replacement(2), 0.0),
+        "balanced_contaminated": (StudyLayout(a=16, m=8, n=196), AssignmentPolicy.balanced(2), 0.5),
+        "single_course": (
+            StudyLayout(a=4, m=(2, 4, 6, 8), n=(4, 16, 30, 16)),
+            AssignmentPolicy.single_course(),
+            0.0,
+        ),
+        "ci_bytes": (
+            StudyLayout(a=4, m=(2, 4, 6, 8), n=(5, 17, 30, 11)),
+            AssignmentPolicy.with_replacement(3),
+            0.3,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", AGREEMENT)
+    def test_anticipated_mean_is_compares_mean(self, name):
+        # validate takes compare's student G, information routine and
+        # 1/pivot, so its analytic_var is compare's mean_var bit for bit
+        layout, policy, q = self.AGREEMENT[name]
+        designs = [D2, D3] if name == "ci_bytes" else list(DesignKind)
+        configs = [
+            make_config(layout=layout, policy=policy, q=q, design=design, replicates=20, seed=5)
+            for design in designs
+        ]
+        results = simulate_anticipated_variance(configs)
+        for result, study in zip(results, estimator_variance_study(configs), strict=True):
+            for level in ("teacher", "student"):
+                got, want = study[level], result.level(level)
+                assert (got.anticipated_mean, got.n_used) == (want.mean, want.samples.size)
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -1055,9 +1106,10 @@ class TestEstimatorVarianceStudy:
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
         xs = [simulator._design_chunk(config, streams, config.replicates)]
-        terms = simulator._study_chunk(config, streams, config.replicates, xs, beta, g_t)[0]
+        terms = simulator._study_chunk(config, streams, config.replicates, xs, g_t)[0]
         solves = [simulator._gls_solve(info, b) for info, b in terms]
-        got = np.array([(coef[:, 1], cov[:, 1, 1]) for coef, cov in solves])
+        # the chunk fits the noise alone: GLS adds beta's treatment entry back
+        got = np.array([(beta[1] + coef[:, 1], cov[:, 1, 1]) for coef, cov, _ in solves])
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses
@@ -1076,8 +1128,8 @@ class TestEstimatorVarianceStudy:
 
 
 class TestSchoolSum:
-    """_information and _gls_terms, one matmul over the schools' rows, against
-    an explicit sum over schools of x_i' g_i x_i and x_i' z_i."""
+    """_information, one matmul over the schools' rows, against an explicit
+    sum over schools of x_i' g_i x_i and x_i' z_i."""
 
     @staticmethod
     def _stack(rng, lead, m, p, real_x, broadcast_g):
@@ -1115,7 +1167,7 @@ class TestSchoolSum:
                 x_k = x[r + (k,)]
                 info_loop[r] += x_k.T @ g_full[r + (k,)] @ x_k
                 b_loop[r] += x_k.T @ z[r + (k,)]
-        info, b = _gls_terms(x, g, z)
+        info, b = _information(x, g, z)
         scale = np.abs(info_loop).max()
         np.testing.assert_allclose(_information(x, g), info_loop, rtol=1e-14, atol=1e-14 * scale)
         np.testing.assert_allclose(info, info_loop, rtol=1e-14, atol=1e-14 * scale)

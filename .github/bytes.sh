@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Run one compare and one validate of a small heterogeneous config with the
-# package at $BASE/src and at ./src, writing under $WORK/base and $WORK/head.
+# Run one compare and one validate of each of three small configs with the
+# package at $BASE/src and at ./src, writing under $WORK/base and $WORK/head:
+# a heterogeneous with_replacement one, a balanced c = 2 one with remainder
+# rows (n_i not a multiple of C(m_i, 2)) and a single_course one.
 # When pyproject.toml's version is unchanged the artifacts must match byte
 # for byte.  When it changed, the file sets and every CSV's header row must
 # still match, and each CSV that differs gets its largest relative cell
@@ -14,19 +16,37 @@ version() {
 }
 
 mkdir -p "$WORK"
-cat > "$WORK/config.json" <<'JSON'
+cat > "$WORK/with_replacement.json" <<'JSON'
 {"schools": 4, "teachers_per_school": [2, 4, 6, 8], "students_per_school": [5, 17, 30, 11],
  "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
  "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
  "designs": ["within_schools", "crd"], "assignment": {"policy": "with_replacement", "c": 3},
  "q": 0.3, "replicates": 300, "seed": 1, "effect_size_diff": 1.0}
 JSON
+cat > "$WORK/balanced_remainder.json" <<'JSON'
+{"schools": 4, "teachers_per_school": [4, 6, 4, 6], "students_per_school": [8, 21, 10, 24],
+ "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
+ "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
+ "designs": ["randomize_schools", "within_schools", "crd"],
+ "assignment": {"policy": "balanced", "c": 2},
+ "q": 0.3, "replicates": 300, "seed": 5, "effect_size_diff": 1.0}
+JSON
+cat > "$WORK/single_course.json" <<'JSON'
+{"schools": 4, "teachers_per_school": [2, 4, 6, 8], "students_per_school": [4, 16, 30, 16],
+ "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
+ "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
+ "designs": ["randomize_schools", "within_schools", "crd"],
+ "assignment": {"policy": "single_course"},
+ "q": 0.0, "replicates": 300, "seed": 1, "effect_size_diff": 1.0}
+JSON
 for side in base head; do
   src=$([ "$side" = base ] && echo "$BASE/src" || echo "$PWD/src")
-  for mode in compare validate; do
-    # exit code 2 (a failed validation row) still writes every artifact
-    PYTHONPATH="$src" python -m multilevel_design.cli "$mode" \
-      --config "$WORK/config.json" --out "$WORK/$side/$mode" || [ $? -eq 2 ]
+  for config in with_replacement balanced_remainder single_course; do
+    for mode in compare validate; do
+      # exit code 2 (a failed validation row) still writes every artifact
+      PYTHONPATH="$src" python -m multilevel_design.cli "$mode" \
+        --config "$WORK/$config.json" --out "$WORK/$side/$config/$mode" || [ $? -eq 2 ]
+    done
   done
 done
 

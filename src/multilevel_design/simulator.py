@@ -18,15 +18,14 @@ common random numbers.
 
 Replicates run in chunks under a memory cap.  A replicate only draws, into
 arrays: its assignment uniforms and each teacher's +-1 randomization and
-contamination, schools padded to the largest.  Per chunk, each school's Gram
-[1 D]'[1 D] comes without an n x m D: with replacement from one bincount of
-the codes of each student's teacher-pick pairs, built in place pair by pair
-in one integer array; balanced and single_course from the slot Gram of the
-layout's fixed balanced rows, cached once and carried onto teachers through
-each replicate's slot table in O(m^2).  One Gram and one kernel call give
-every design of a chunk its student precisions, one matmul over the
-schools' rows per level the information and one pivot per design the
-variances.
+contamination, schools padded to the largest.  With replacement, each
+school's Gram [1 D]'[1 D] comes without an n x m D, from one bincount of the
+codes of each student's teacher-pick pairs, and one kernel call a chunk
+gives its student precisions.  Balanced and single_course solve the kernel
+once per layout, on the slot Gram of its fixed balanced rows, and carry G
+onto each replicate's teachers through its slot table in O(m^2).  Every
+design of a chunk shares its G; one matmul over the schools' rows per level
+gives the information and one pivot per design the variances.
 
 The study's chunks (_study_chunk) GLS-fit Box-Muller noise of the
 responses stream on the same draws, which validates the anticipated
@@ -194,8 +193,8 @@ def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.nd
     floor(u m_i) of one of the student's c consecutive uniforms; otherwise
     a stable argsort of uniform keys orders the students, who take the
     balanced rows through the replicate's slot table.  Only draw_assignment
-    and validate pair a student with its row of D; information takes
-    balanced Grams from _assignment_gram, with no student order."""
+    and validate pair a student with its row of D; a balanced G needs no
+    student order (_relabeled)."""
     c, ms, ns = policy.c, np.asarray(m), np.asarray(n)
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
         # m_i per uniform, cast as it multiplies, no float temporary; floor is
@@ -241,47 +240,52 @@ def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
     return slots
 
 
-@functools.lru_cache(maxsize=1)
 def _slot_gram(m: tuple, n: tuple, c: int) -> np.ndarray:
-    """Every school's Gram [1 S]'[1 S] of its balanced rows S over the slots
-    of each half of _slot_table, (2, a, max m + 1, max m + 1): the full
-    passes fill the first half and the remainder rows the second, and no
-    row spans both, so the halves share no pair.  Reordering students
-    leaves it unchanged, so _pick_gram counts it once, a school at a time
-    with its halves as two schools; the cache keeps the last layout's only."""
-    top = max(m)
-    gram = np.empty((2, len(m), top + 1, top + 1))
-    for i, (m_i, n_i) in enumerate(zip(m, n)):
-        rows = _balanced_slots(m, n, c)[i, :n_i] % top  # each half's slots as 0..max m
-        split = n_i - n_i % math.comb(m_i, c)
-        gram[:, i] = _pick_gram(rows[None], (split, n_i - split), top)[0]
-    gram.setflags(write=False)  # cached: every caller shares it
-    return gram
+    """Every school's Gram [1 S]'[1 S], (a, max m + 1, max m + 1), of its
+    balanced rows S over the slots of either half of _slot_table: the full
+    passes deal every c-subset equally often, so no relabeling changes them."""
+    real = np.arange(max(n)) < np.array(n)[:, None]
+    return _pick_gram(_balanced_slots(m, n, c)[real][None] % max(m), n, max(m))[0]
 
 
-def _assignment_gram(
-    policy: AssignmentPolicy, layout: StudyLayout, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Every school's Gram [1 D]'[1 D], (R, a, m+1, m+1), of the next ``count``
-    replicates of the assignment stream ``rng``.  With replacement it counts
-    the picks.  Otherwise the full passes deal every c-subset of a school's
-    teachers equally often, so their slot Gram is the teachers' Gram under
-    any relabeling; the remainder's is gathered at the intercept and each
-    teacher's slot in the shifted half of the slot table.  Integer counts
-    with no per-student work, equal to _pick_gram of the picks.  It draws
-    the uniforms itself, so they are freed before the counting."""
+@functools.lru_cache(maxsize=1)
+def _slot_precision(m: tuple, n: tuple, c: int, vc: StudentVarianceComponents) -> np.ndarray:
+    """The student precision (a, max m, max m) of _slot_gram, cached for the last
+    (layout, c, vc): relabeling teachers leaves sigma_s2 J + sigma_t2 D D' + sigma_eta2 I."""
+    g = _gram_precision(_slot_gram(m, n, c), vc)
+    g.setflags(write=False)  # cached: every caller shares it
+    return g
+
+
+def _tiled(layout: StudyLayout, c: int) -> np.ndarray:
+    """Schools whose n_i is a multiple of C(m_i, c): no remainder rows to relabel."""
+    return np.array([n_i % math.comb(m_i, c) == 0 for m_i, n_i in zip(layout.m, layout.n)])
+
+
+def _relabeled(config: SimulationConfig, u: np.ndarray) -> np.ndarray:
+    """Balanced or single_course G, (R, a, max m, max m), from assignment uniforms
+    ``u`` (R, K): _slot_precision, on a school with remainder rows gathered at
+    each teacher's slot in the shifted half of the replicate's slot table."""
+    layout, c, m = config.layout, config.policy.c, max(config.layout.m)
+    rows = np.argsort(_slot_table(layout.m, layout.n, u)[..., m:], axis=-1)
+    rows[:, _tiled(layout, c)] = np.arange(m)
+    g = _slot_precision(layout.m, layout.n, c, config.student_vc)
+    return g[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]
+
+
+def _student_precisions(config: SimulationConfig, rng: np.random.Generator, count: int):
+    """Every school's G, (R, a, max m, max m), of the next ``count`` replicates
+    of the assignment stream ``rng``: with replacement the kernel on the picks'
+    Grams, otherwise _relabeled, drawing nothing when every school is _tiled."""
+    policy, layout = config.policy, config.layout
     shape = (count, _assignment_uniforms(policy, layout.m, layout.n))
     if policy.kind is PolicyKind.WITH_REPLACEMENT:
         picks = _picks(policy, layout.m, layout.n, rng.random(shape))
-        return _pick_gram(picks, layout.n, max(layout.m))
-    m = max(layout.m)
-    shifted = _slot_table(layout.m, layout.n, rng.random(shape))[..., m:]
-    rows = np.zeros(shifted.shape[:-1] + (m + 1,), dtype=np.intp)
-    rows[..., 1:] = 1 + np.argsort(shifted, axis=-1)
-    full, rest = _slot_gram(layout.m, layout.n, policy.c)
-    gram = rest[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]
-    gram += full
-    return gram
+        return _gram_precision(_pick_gram(picks, layout.n, max(layout.m)), config.student_vc)
+    if _tiled(layout, policy.c).all():
+        g = _slot_precision(layout.m, layout.n, policy.c, config.student_vc)
+        return np.broadcast_to(g, (count,) + g.shape)
+    return _relabeled(config, rng.random(shape))
 
 
 @dataclass(frozen=True)
@@ -534,17 +538,14 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     its fit buffer, the GLS terms of up to _CHUNK_BYTES of earlier chunks
     (p^2 + p numbers a design and level a replicate, 288 bytes at q = 0 and
     three designs), held beside the chunk until they are solved.  Balanced and
-    single_course information makes no picks and no pair counts: it gathers
-    the Gram straight from the cached slot Gram, whose bytes _slot_gram_bytes
-    counts once a run."""
+    single_course compare reads a cached G (_slot_gram_bytes): no picks, pair counts or solve."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
 
 def _slot_gram_bytes(layout: StudyLayout) -> int:
-    """Bytes of _slot_gram's cached result, two Gram-sized arrays a school,
-    which balanced and single_course hold beside a chunk's replicates; the
-    replicate-size guard counts them with the teachers."""
-    return 16 * layout.a * (max(layout.m) + 1) ** 2
+    """Bytes of _slot_gram and the cached _slot_precision, a Gram and a G a school,
+    beside a balanced or single_course chunk; the guard counts them as teachers'."""
+    return 8 * layout.a * ((max(layout.m) + 1) ** 2 + max(layout.m) ** 2)
 
 
 def _replicate_bytes(config: SimulationConfig) -> int:
@@ -639,8 +640,8 @@ def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[S
     result per config, in order.
 
     The configs differ only in their design and run in lockstep (see
-    _lockstep): per chunk one assignment draw, one Gram and one student
-    precision serve every design, and each design gets its own pivot and
+    _lockstep): per chunk one student precision (_student_precisions)
+    serves every design, and each design gets its own pivot and
     summaries, equal bit for bit to a run of that design alone.
     Deterministic given (seed, config): replicate r always consumes the same
     uniforms of each purpose's stream.  A replicate whose treatment
@@ -652,8 +653,7 @@ def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[S
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
     infos = [[] for _ in configs]
     for streams, count, xs in chunks:
-        gram = _assignment_gram(first.policy, first.layout, streams.assignment, count)
-        g_s = _gram_precision(gram, first.student_vc)
+        g_s = _student_precisions(first, streams.assignment, count)
         for x, design_infos in zip(xs, infos):
             design_infos.append(np.stack([_information(x, g_t), _information(x, g_s)]))
     results = []
@@ -746,17 +746,17 @@ def _study_chunk(
     [teacher, student] per design, which estimator_variance_study holds in
     its fit buffer until _solve_block.  A replicate's responses uniforms
     give a teacher block and then a student block of normals.  One pair
-    count and one student solve on s + eta give G and D' Sigma^-1 (s + eta),
-    and the right sides G_t(v + eps) and Gt + D' Sigma^-1 (s + eta), formed
-    once, serve every design."""
+    count and one student solve on s + eta give D' Sigma^-1 (s + eta) and,
+    with replacement, G (else _relabeled); the right sides G_t(v + eps) and
+    Gt + D' Sigma^-1 (s + eta), formed once, serve every design."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
     t, s, eta, s_size = _student_slots(layout.m, layout.n)
     sizes = _stream_sizes(config)
-    picks = _picks(
-        config.policy, layout.m, layout.n, streams.assignment.random((count, sizes.assignment))
-    )
+    u = streams.assignment.random((count, sizes.assignment))
+    picks = _picks(config.policy, layout.m, layout.n, u)
+    g_s = None if config.policy.kind is PolicyKind.WITH_REPLACEMENT else _relabeled(config, u)
     u = streams.responses.random((count, sizes.responses))
     z_t = _normals(u[:, : _paired(t_size)], t_size)
     z_s = _normals(u[:, _paired(t_size) :], s_size)
@@ -773,7 +773,7 @@ def _study_chunk(
     noise += np.sqrt(svc.sigma_s2) * z_s[:, s][:, school]
     del z_s
     g_z = _gram_precision(_pick_gram(picks, layout.n, m, noise), svc)
-    g_s = g_z[..., :m]
+    g_s = g_z[..., :m] if g_s is None else g_s
     # C order: the noise is laid out replicate axis fastest, and einsum
     # sums in its operands' memory order
     rhs_t = np.einsum("kij,...kj->...ki", g_t, np.add(v_noise, eps_noise, order="C"))

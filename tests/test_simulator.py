@@ -207,6 +207,19 @@ class TestDrawAssignment:
         draw_assignment(AssignmentPolicy.balanced(2), 6, 9, rng)
         assert simulator._balanced_slots.cache_info().currsize == 1
 
+    def test_slot_precision_cache_keeps_the_last_layout(self):
+        # a large layout's slot precision must not outlive the next run, and
+        # every replicate of every caller shares the cached array
+        for layout in (StudyLayout(a=4, m=4, n=12), StudyLayout(a=2, m=(6, 4), n=(15, 6))):
+            config = make_config(layout=layout, policy=AssignmentPolicy.balanced(2))
+            simulate_anticipated_variance([config])
+            assert simulator._slot_precision.cache_info().currsize == 1
+            g = simulator._slot_precision(layout.m, layout.n, 2, PILOT_STUDENT)
+            assert g.shape == (layout.a, max(layout.m), max(layout.m))
+            assert not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0, 0] = 0.0
+
 
 class TestReplicateStreams:
     def test_deterministic_per_replicate(self):
@@ -565,8 +578,7 @@ class TestHeterogeneousLayouts:
         m, count = config.layout.m, config.replicates
         x = simulator._design_chunk(config, replicate_streams(config, 0), count)
         stream = replicate_streams(config, 0).assignment
-        gram = simulator._assignment_gram(config.policy, config.layout, stream, count)
-        g = _gram_precision(gram, config.student_vc)
+        g = simulator._student_precisions(config, stream, count)
         g_t = _teacher_precisions(m, config.teacher_vc)
         infos = np.stack([_information(x, g_t), _information(x, _symmetric(g))])
         for rep in range(count):
@@ -642,13 +654,46 @@ class TestHeterogeneousLayouts:
         ],
     )
     def test_slot_gram_equals_pick_gram(self, m, n, policy):
-        # the Gram carried from the cached slot Gram through the slot table
-        # counts exactly what the ordered picks count, padded teachers included
-        layout = StudyLayout(a=len(m), m=m, n=n)
+        # the cached slot Gram, gathered at the intercept and each teacher's
+        # slot in the shifted half of the slot table, counts exactly what the
+        # ordered picks count, padded teachers included: the full passes'
+        # part is the same under every relabeling
+        top = max(m)
         u = np.random.default_rng(sum(n)).random((5, simulator._assignment_uniforms(policy, m, n)))
-        want = simulator._pick_gram(simulator._picks(policy, m, n, u), n, max(m))
-        got = simulator._assignment_gram(policy, layout, np.random.default_rng(sum(n)), 5)
+        want = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top)
+        rows = np.zeros((5, len(m), top + 1), dtype=np.intp)
+        rows[..., 1:] = 1 + np.argsort(simulator._slot_table(m, n, u)[..., top:], axis=-1)
+        slot = simulator._slot_gram(m, n, policy.c)
+        got = slot[np.arange(len(m))[:, None, None], rows[..., :, None], rows[..., None, :]]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "m, n, policy",
+        [
+            ((4, 6, 8), (12, 9, 20), AssignmentPolicy.balanced(2)),
+            ((6, 4), (14, 8), AssignmentPolicy.balanced(3)),
+            ((8, 8), (20, 56), AssignmentPolicy.balanced(4)),
+            ((4, 6, 4, 6), (8, 21, 10, 24), AssignmentPolicy.balanced(2)),
+            ((8,) * 16, (196,) * 16, AssignmentPolicy.balanced(2)),
+            ((8,) * 16, (200,) * 16, AssignmentPolicy.balanced(2)),
+            ((5, 7), (15, 21), AssignmentPolicy.single_course()),
+        ],
+    )
+    def test_slot_precision_equals_pick_precision(self, m, n, policy):
+        # the cached G of a tiled school is the kernel's G of its picks bit
+        # for bit; a school with remainder rows gathers it, which equals the
+        # kernel's G but for rounding, relative to G's largest entry where an
+        # entry is small
+        config = make_config(layout=StudyLayout(a=len(m), m=m, n=n), policy=policy, design=D3)
+        k = simulator._stream_sizes(config).assignment
+        picks = simulator._picks(policy, m, n, replicate_streams(config, 0).assignment.random((5, k)))
+        want = _gram_precision(simulator._pick_gram(picks, n, max(m)), PILOT_STUDENT)
+        got = simulator._student_precisions(config, replicate_streams(config, 0).assignment, 5)
+        assert got.shape == want.shape
+        tiled = simulator._tiled(config.layout, policy.c)
+        assert np.array_equal(got[:, tiled], want[:, tiled])
+        atol = 1e-13 * np.abs(want).max()
+        np.testing.assert_allclose(got[:, ~tiled], want[:, ~tiled], rtol=1e-13, atol=atol)
 
     @pytest.mark.parametrize(
         "m, n, policy",
@@ -810,6 +855,47 @@ class TestLockstepEngine:
             monkeypatch.setattr(simulator, name, counted)
         estimator_variance_study(configs)
         assert calls == {"_pick_gram": chunks, "_gram_precision": chunks}
+
+    @pytest.mark.parametrize(
+        "layout, policy",
+        [
+            (StudyLayout(a=4, m=(4, 6, 4, 6), n=(12, 30, 6, 15)), AssignmentPolicy.balanced(2)),
+            (StudyLayout(a=4, m=(2, 4, 6, 8), n=(4, 16, 30, 16)), AssignmentPolicy.single_course()),
+        ],
+    )
+    def test_tiled_compare_solves_once_and_draws_no_assignment(self, layout, policy, monkeypatch):
+        # every school tiled: each replicate's G is the cached slot
+        # precision, so the run solves the student kernel once and never
+        # reads the assignment stream; a school with remainder rows draws
+        configs = self._configs(layout=layout, policy=policy, replicates=23)
+        assert len(configs) >= 2
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 7 * simulator._replicate_bytes(configs[0]))
+        assert len(simulator._chunks(configs[0])) == 4
+        want = simulate_anticipated_variance(configs)
+        calls = []
+
+        def counted(*args, _inner=simulator._gram_precision):
+            calls.append(args)
+            return _inner(*args)
+
+        def no_assignment(*args, _inner=simulator.replicate_streams):
+            return _inner(*args)._replace(assignment=None)
+
+        monkeypatch.setattr(simulator, "_gram_precision", counted)
+        monkeypatch.setattr(simulator, "replicate_streams", no_assignment)
+        simulator._slot_precision.cache_clear()
+        got = simulate_anticipated_variance(configs)
+        assert len(calls) == 1
+        for result, expected in zip(got, want, strict=True):
+            for level in ("teacher", "student"):
+                np.testing.assert_array_equal(
+                    result.level(level).variances, expected.level(level).variances
+                )
+        remainder = StudyLayout(a=layout.a, m=(4, 6, 4, 6), n=(8, 21, 10, 24))
+        with pytest.raises(AttributeError):
+            simulate_anticipated_variance(
+                [make_config(layout=remainder, policy=AssignmentPolicy.balanced(2), design=D3)]
+            )
 
     def test_one_gls_solve_per_block_of_chunks(self, monkeypatch):
         # the chunks' GLS terms wait in a buffer of up to _CHUNK_BYTES, so a
@@ -1068,6 +1154,14 @@ class TestEstimatorVarianceStudy:
         "ci_bytes": (
             StudyLayout(a=4, m=(2, 4, 6, 8), n=(5, 17, 30, 11)),
             AssignmentPolicy.with_replacement(3),
+            0.3,
+        ),
+        # remainder rows: each replicate's G is the slot precision gathered
+        # at its relabeling, in compare and in validate alike
+        "balanced_remainder": (StudyLayout(a=16, m=8, n=200), AssignmentPolicy.balanced(2), 0.0),
+        "heterogeneous_remainder": (
+            StudyLayout(a=4, m=(4, 6, 4, 6), n=(8, 21, 10, 24)),
+            AssignmentPolicy.balanced(2),
             0.3,
         ),
     }

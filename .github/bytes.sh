@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Run one compare and one validate of each of three small configs with the
-# package at $BASE/src and at ./src, writing under $WORK/base and $WORK/head:
-# a heterogeneous with_replacement one, a balanced c = 2 one with remainder
-# rows (n_i not a multiple of C(m_i, 2)) and a single_course one.
+# Run one compare and one validate of each of four configs with the package
+# at $BASE/src and at ./src, writing under $WORK/base and $WORK/head: a
+# heterogeneous with_replacement one, a balanced c = 2 one with remainder
+# rows (n_i not a multiple of C(m_i, 2)), a single_course one, and a run of
+# 20,000 small replicates that the engine pivots in several blocks of chunks
+# (about 3 in compare and 4 in validate at the 2 MiB cap), so the check
+# crosses a block boundary in each mode.
 # When pyproject.toml's version is unchanged the artifacts must match byte
 # for byte.  When it changed, the file sets and every CSV's header row must
 # still match, and each CSV that differs gets its largest relative cell
@@ -39,9 +42,16 @@ cat > "$WORK/single_course.json" <<'JSON'
  "assignment": {"policy": "single_course"},
  "q": 0.0, "replicates": 300, "seed": 1, "effect_size_diff": 1.0}
 JSON
+cat > "$WORK/blocks.json" <<'JSON'
+{"schools": 4, "teachers_per_school": 2, "students_per_school": 4,
+ "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
+ "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
+ "designs": ["within_schools", "crd"], "assignment": {"policy": "with_replacement", "c": 1},
+ "q": 0.3, "replicates": 20000, "seed": 1}
+JSON
 for side in base head; do
   src=$([ "$side" = base ] && echo "$BASE/src" || echo "$PWD/src")
-  for config in with_replacement balanced_remainder single_course; do
+  for config in with_replacement balanced_remainder single_course blocks; do
     for mode in compare validate; do
       # exit code 2 (a failed validation row) still writes every artifact
       PYTHONPATH="$src" python -m multilevel_design.cli "$mode" \

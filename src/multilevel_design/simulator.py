@@ -3,9 +3,10 @@
 The engine has two entries, one per mode: simulate_anticipated_variance
 (simulate and compare) and estimator_variance_study (validate).  Each takes
 a run's SimulationConfigs, which differ only in their design, runs them in
-lockstep through one run loop (_lockstep) and returns one result per config,
-in order.  Neither raises for a non-estimable replicate: its variance is NaN,
-and a study level with fewer than two estimable replicates is None.
+lockstep through one run loop (_run), reads its per-replicate record and
+returns one result per config, in order.  Neither raises for a
+non-estimable replicate: its variance is NaN, and a study level with fewer
+than two estimable replicates is None.
 
 This is the one module that decodes stream layout v2.  Each purpose has
 one stream keyed by (seed, purpose), not by design, of which a replicate
@@ -25,7 +26,10 @@ gives its student precisions.  Balanced and single_course solve the kernel
 once per layout, on the slot Gram of its fixed balanced rows, and carry G
 onto each replicate's teachers through its slot table in O(m^2).  Every
 design of a chunk shares its G; one matmul over the schools' rows per level
-gives the information and one pivot per design the variances.
+gives the information.  The chunks' informations wait in a buffer of up to
+_CHUNK_BYTES, pivoted a block at a time per design and level: a run holds
+one block, and the small-matrix routines run once per few thousand
+replicates, not once per chunk of a few.
 
 The study's chunks (_study_chunk) GLS-fit Box-Muller noise of the
 responses stream on the same draws, which validates the anticipated
@@ -33,12 +37,10 @@ variances against the Monte Carlo variance of an actual estimator: GLS is
 linear and returns X beta's beta exactly, so the noise fit's treatment
 coefficient is the estimate's error.  Its designs share each chunk's
 picks, normals, pair count, student solve and both right sides, and read
-compare's G, _information and 1/pivot.  It pairs each student's noise
-with its row of D, so it keeps the ordered picks, as does draw_assignment.
-The chunks' GLS terms wait in a fit buffer of up to _CHUNK_BYTES, and one
-_gls_solve per design and level (pivot, pseudo-inverse, coefficients) runs
-on all of it, so the per-call cost of those small-matrix routines comes
-once per few thousand replicates, not once per chunk of a few.
+compare's G, _information and 1/pivot; the buffer holds the right sides
+too, and its pivot is _gls_solve's, which adds the coefficients.  It pairs
+each student's noise with its row of D, so it keeps the ordered picks, as
+does draw_assignment.
 """
 
 from __future__ import annotations
@@ -534,11 +536,13 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     one Gram and one G for all of a run's designs; each design adds only
     its (max m, p) design rows a school.  A validate chunk shares its picks,
     normals, pair count, student solve and two right sides among its
-    designs; its responses uniforms and normals go uncounted, and so does
-    its fit buffer, the GLS terms of up to _CHUNK_BYTES of earlier chunks
-    (p^2 + p numbers a design and level a replicate, 288 bytes at q = 0 and
-    three designs), held beside the chunk until they are solved.  Balanced and
-    single_course compare reads a cached G (_slot_gram_bytes): no picks, pair counts or solve."""
+    designs; its responses uniforms and normals go uncounted.  So does the
+    run loop's buffer in either mode, the _information terms of up to
+    _CHUNK_BYTES of earlier chunks (p^2 numbers a design and level a
+    replicate, p^2 + p with validate's right side: 192 and 288 bytes at
+    q = 0 and three designs), held beside the chunk until they are pivoted.
+    Balanced and single_course compare reads a cached G (_slot_gram_bytes):
+    no picks, pair counts or solve."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
 
@@ -616,55 +620,6 @@ def _pick_gram(
     return gram
 
 
-def _lockstep(configs: Sequence[SimulationConfig]):
-    """The one run loop: per chunk of the configs' replicates, the first
-    config's streams, the chunk's count and every config's design matrices.
-    The configs differ only in their design, so they share the assignment
-    and responses streams, common random numbers, and each design draws its
-    own randomization and contamination.  Raises ValueError, before any
-    draw, for no configs or for configs that differ in more."""
-    if not configs:
-        raise ValueError("a run needs at least one config")
-    first = configs[0]
-    if any(replace(c, design=first.design) != first for c in configs):
-        raise ValueError("the configs of one run may differ only in their design")
-    streams = [replicate_streams(config, 0) for config in configs]
-    return (
-        (streams[0], count, [_design_chunk(c, s, count) for c, s in zip(configs, streams)])
-        for count in _chunks(first)
-    )
-
-
-def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[SimulationResult]:
-    """Distribution of the anticipated treatment variance at both levels, one
-    result per config, in order.
-
-    The configs differ only in their design and run in lockstep (see
-    _lockstep): per chunk one student precision (_student_precisions)
-    serves every design, and each design gets its own pivot and
-    summaries, equal bit for bit to a run of that design alone.
-    Deterministic given (seed, config): replicate r always consumes the same
-    uniforms of each purpose's stream.  A replicate whose treatment
-    direction is singular at a level is NaN there and counts as
-    non-estimable; nothing is raised for it.
-    """
-    chunks = _lockstep(configs)
-    first = configs[0]
-    g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
-    infos = [[] for _ in configs]
-    for streams, count, xs in chunks:
-        g_s = _student_precisions(first, streams.assignment, count)
-        for x, design_infos in zip(xs, infos):
-            design_infos.append(np.stack([_information(x, g_t), _information(x, g_s)]))
-    results = []
-    for config, design_infos in zip(configs, infos):
-        by_level = zip(LEVELS, np.concatenate(design_infos, axis=1))
-        variances = [1.0 / _treatment_pivot(info, _RESIDUAL[level]) for level, info in by_level]
-        levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in variances]
-        results.append(SimulationResult(config, *levels))
-    return results
-
-
 def _teacher_slots(m: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
     """Where each school's v_i and its m_i eps_ij start in a replicate's
     teacher block of normals, which takes them school by school, and their
@@ -732,23 +687,15 @@ def _gls_solve(info: np.ndarray, b: np.ndarray, field: str | None = None):
     return (cov @ b[..., None])[..., 0], cov, pivot
 
 
-def _study_chunk(
-    config: SimulationConfig,
-    streams: ReplicateStreams,
-    count: int,
-    xs: Sequence[np.ndarray],
-    g_t: np.ndarray,
-):
-    """Per design of ``xs`` and per level, the _information terms
-    (information (R, p, p), right side (R, p)) of GLS fits to the noise
-    alone, v + eps and Dt + s + eta, on the next ``count`` replicates of
-    ``streams``, with the run's teacher precisions ``g_t``: a list of
-    [teacher, student] per design, which estimator_variance_study holds in
-    its fit buffer until _solve_block.  A replicate's responses uniforms
-    give a teacher block and then a student block of normals.  One pair
-    count and one student solve on s + eta give D' Sigma^-1 (s + eta) and,
-    with replacement, G (else _relabeled); the right sides G_t(v + eps) and
-    Gt + D' Sigma^-1 (s + eta), formed once, serve every design."""
+def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int, g_t: np.ndarray):
+    """The student precisions G (R, a, max m, max m) and the right sides
+    (R, a, max m) of GLS fits to the noise alone, v + eps and Dt + s + eta,
+    on the next ``count`` replicates of ``streams``, with the run's teacher
+    precisions ``g_t``: (G, G_t(v + eps), Gt + D' Sigma^-1 (s + eta)),
+    which serve every design of the chunk.  A replicate's responses
+    uniforms give a teacher block and then a student block of normals.  One
+    pair count and one student solve on s + eta give D' Sigma^-1 (s + eta)
+    and, with replacement, G (else _relabeled)."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
@@ -778,21 +725,86 @@ def _study_chunk(
     # sums in its operands' memory order
     rhs_t = np.einsum("kij,...kj->...ki", g_t, np.add(v_noise, eps_noise, order="C"))
     rhs_s = g_z[..., m] + np.einsum("...kij,...kj->...ki", g_s, np.ascontiguousarray(t_noise))
-    return [[_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)] for x in xs]
+    return g_s, rhs_t, rhs_s
 
 
 def _solve_block(held: Sequence[list]) -> np.ndarray:
-    """The noise fits' treatment coefficients and the anticipated variances
-    1/pivot (D, 2, 2, R) of the held chunks' _study_chunk terms, in run
-    order: one _gls_solve per design and level over all their replicates."""
+    """The anticipated variances 1/pivot and, where the held chunks' terms
+    have right sides, the noise fits' treatment coefficients, (D, 2, k, R),
+    of the held chunks' _information terms in run order: one pivot per
+    design and level over all their replicates (_gls_solve's with a right
+    side, else _treatment_pivot)."""
     out = []
     for design_terms in zip(*held):
         out.append([])
         for level, terms in zip(LEVELS, zip(*design_terms)):
-            info, b = (np.concatenate(parts) for parts in zip(*terms))
-            coef, _, pivot = _gls_solve(info, b, _RESIDUAL[level])
-            out[-1].append((coef[:, TREATMENT_COLUMN], 1.0 / pivot))
+            info, *b = (np.concatenate(parts) for parts in zip(*terms))
+            if b:
+                coef, _, pivot = _gls_solve(info, *b, _RESIDUAL[level])
+                out[-1].append((1.0 / pivot, coef[:, TREATMENT_COLUMN]))
+            else:
+                out[-1].append((1.0 / _treatment_pivot(info, _RESIDUAL[level]),))
     return np.array(out)
+
+
+def _run(configs: Sequence[SimulationConfig], fit: bool = False) -> np.ndarray:
+    """The one run loop: the record (D, 2, k, R) of every design, level and
+    replicate, 1/pivot and, with ``fit``, the noise fit's treatment
+    coefficient (k = 2).  The configs differ only in their design, so they
+    share the assignment and responses streams, common random numbers, and
+    each design draws its own randomization and contamination.  Per chunk
+    one student precision (_student_precisions, or _study_chunk's with its
+    right sides) serves every design.  The chunks' _information terms wait
+    in a buffer until it holds _CHUNK_BYTES, and at the end; each flush
+    pivots every design and level once (_solve_block), matrix by matrix, so
+    the block changes no bit.  Raises ValueError, before any draw, for no
+    configs or for configs that differ in more."""
+    if not configs:
+        raise ValueError("a run needs at least one config")
+    first = configs[0]
+    if any(replace(c, design=first.design) != first for c in configs):
+        raise ValueError("the configs of one run may differ only in their design")
+    streams = [replicate_streams(config, 0) for config in configs]
+    g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
+    record = np.empty((len(configs), len(LEVELS), 1 + fit, first.replicates))
+    held, size, start, stop = [], 0, 0, 0
+    for count in _chunks(first):
+        xs = [_design_chunk(c, s, count) for c, s in zip(configs, streams)]
+        if fit:
+            g_s, *rhs = _study_chunk(first, streams[0], count, g_t)
+        else:
+            g_s, rhs = _student_precisions(first, streams[0].assignment, count), (None, None)
+        terms = [[_information(x, g, z) for g, z in zip((g_t, g_s), rhs)] for x in xs]
+        held.append(terms if fit else [[(info,) for info in design] for design in terms])
+        del g_s, rhs  # not held through the next chunk's draws, where a chunk peaks
+        size += sum(a.nbytes for design in held[-1] for level in design for a in level)
+        stop += count
+        if size >= _CHUNK_BYTES or stop == first.replicates:
+            record[..., start:stop] = _solve_block(held)
+            held, size, start = [], 0, stop
+    return record
+
+
+def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[SimulationResult]:
+    """Distribution of the anticipated treatment variance at both levels, one
+    result per config, in order.
+
+    The configs differ only in their design and run in lockstep through
+    the run loop (_run): per chunk one student precision
+    (_student_precisions) serves every design, and each design gets its own
+    pivot and summaries, equal bit for bit to a run of that design alone.
+    Deterministic given (seed, config): replicate r always consumes the same
+    uniforms of each purpose's stream.  A replicate whose treatment
+    direction is singular at a level is NaN there and counts as
+    non-estimable; nothing is raised for it.  An indefinite information
+    raises a FieldError naming the level's residual component, with the
+    lowest eigenvalue of the block it was found in.
+    """
+    results = []
+    for config, design in zip(configs, _run(configs)):
+        levels = [_summarize_level(v, config.effect_size_diff, config.alpha) for v in design[:, 0]]
+        results.append(SimulationResult(config, *levels))
+    return results
 
 
 @dataclass(frozen=True)
@@ -834,34 +846,20 @@ def estimator_variance_study(
     delta the effect size (1 when unset), enters only ``coef_mean``, so the
     errors' mean and variance (_scaled) keep their digits at any scale.  The
     configs differ only in their design and run in lockstep on one draw of
-    the picks and the normals (see _lockstep); each design equals, bit for
-    bit, a run of that design alone.
+    the picks and the normals through the run loop (_run), which also adds
+    the right sides to the terms it pivots per block; each design equals,
+    bit for bit, a run of that design alone.
     Replicates whose treatment direction is singular at a level are
-    skipped; a level with fewer than two left is None.  The chunks' GLS
-    terms wait in a fit buffer until it holds _CHUNK_BYTES, and at the end;
-    each flush solves every design and level once (_solve_block), which
-    changes no bit.  An indefinite information raises a FieldError naming
-    the level's residual component, with the lowest eigenvalue of the
-    buffer it was found in.
+    skipped; a level with fewer than two left is None.  An indefinite
+    information raises a FieldError naming the level's residual component,
+    with the lowest eigenvalue of the block it was found in.
     """
-    chunks = _lockstep(configs)
-    first = configs[0]
-    delta = first.effect_size_diff if first.effect_size_diff is not None else 1.0
-    g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
-    blocks, held, size = [], [], 0
-    for chunk in chunks:
-        held.append(_study_chunk(first, *chunk, g_t))
-        size += sum(info.nbytes + b.nbytes for terms in held[-1] for info, b in terms)
-        if size >= _CHUNK_BYTES:
-            blocks.append(_solve_block(held))
-            held, size = [], 0
-    if held:
-        blocks.append(_solve_block(held))
-    fits = np.concatenate(blocks, axis=-1)
+    record = _run(configs, fit=True)
+    delta = 1.0 if configs[0].effect_size_diff is None else configs[0].effect_size_diff
     studies = []
-    for design_fits in fits:
+    for design in record:
         studies.append({})
-        for level, (errors, anticipated) in zip(LEVELS, design_fits):
+        for level, (anticipated, errors) in zip(LEVELS, design):
             used = ~np.isnan(errors)
             studies[-1][level] = None if used.sum() < 2 else EstimatorLevelStudy(
                 truth=delta / 2.0,

@@ -535,8 +535,7 @@ class TestChunkedEngine:
         assert simulator._stream_sizes(config).responses == 8 + 12
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-        xs = [simulator._design_chunk(config, streams, 1)]
-        simulator._study_chunk(config, streams, 1, xs, g_t)
+        simulator._study_chunk(config, streams, 1, g_t)
         assert streams.responses.random() == replicate_streams(config, 0).responses.random(21)[20]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
@@ -562,11 +561,38 @@ class TestChunkedEngine:
         g_t = _teacher_precisions(configs[0].layout.m, configs[0].teacher_vc)
         tracemalloc.start()
         try:
-            simulator._study_chunk(configs[0], streams[0], count, xs, g_t)
+            g_s, rhs_t, rhs_s = simulator._study_chunk(configs[0], streams[0], count, g_t)
+            terms = [[_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)] for x in xs]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < simulator._CHUNK_BYTES
+
+    def test_compare_memory_is_bounded_by_the_block(self, monkeypatch):
+        # compare pivots each block of chunks when its buffer fills, so its
+        # peak beyond the arrays it returns is a few caps at any replicate
+        # count; holding every chunk's informations to the end took about
+        # 670 bytes a replicate, about 48 caps here
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2**16)
+        layout, policy = StudyLayout(a=4, m=2, n=4), AssignmentPolicy.with_replacement(1)
+        configs = [
+            make_config(layout=layout, design=design, policy=policy, q=0.3, replicates=reps, seed=1)
+            for reps in (2, 5_000)
+            for design in (D2, D3)
+        ]
+        simulate_anticipated_variance(configs[:2])  # what a first run loads stays allocated
+        configs = configs[2:]
+        assert len(simulator._chunks(configs[0])) > 300
+        tracemalloc.start()
+        try:
+            results = simulate_anticipated_variance(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        levels = [result.level(level) for result in results for level in ("teacher", "student")]
+        arrays = [(lv.variances, lv.samples, lv.density.grid, lv.density.density) for lv in levels]
+        returned = sum(array.nbytes for level_arrays in arrays for array in level_arrays)
+        assert peak - returned < 4 * simulator._CHUNK_BYTES
 
 
 class TestHeterogeneousLayouts:
@@ -898,9 +924,10 @@ class TestLockstepEngine:
             )
 
     def test_one_gls_solve_per_block_of_chunks(self, monkeypatch):
-        # the chunks' GLS terms wait in a buffer of up to _CHUNK_BYTES, so a
-        # run that fits in it pivots and inverts once per design and level;
-        # a cap that makes it solve more often changes no bit
+        # the chunks' information terms wait in a buffer of up to
+        # _CHUNK_BYTES, so a run that fits in it pivots once per design and
+        # level, and validate inverts as often; compare never inverts; a
+        # cap that makes either flush more often changes no bit
         configs = self._lockstep_configs("heterogeneous", "with_replacement_2", 0.3)
         assert len(configs) == 3
         calls = {"_treatment_pivot": 0, "pinv": 0}
@@ -911,17 +938,24 @@ class TestLockstepEngine:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        studies = []
-        # the terms take 480 bytes a replicate, so a 2,000-byte cap (one
-        # replicate a chunk) solves after every fifth chunk and at the end
-        for cap, solves in ((7 * simulator._replicate_bytes(configs[0]), 1), (2_000, 5)):
+        studies, runs = [], []
+        per_solve = 2 * len(configs)
+        # validate's terms take 480 bytes a replicate and compare's 352, so
+        # a 2,000-byte cap (one replicate a chunk) flushes validate after
+        # every fifth chunk and compare after every sixth, and both at the end
+        for cap, solves, pivots in ((7 * simulator._replicate_bytes(configs[0]), 1, 1), (2_000, 5, 4)):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", cap)
             assert len(simulator._chunks(configs[0])) > solves
             calls.update(_treatment_pivot=0, pinv=0)
             studies.append(estimator_variance_study(configs))
-            per_solve = 2 * len(configs)
             assert calls == {"_treatment_pivot": per_solve * solves, "pinv": per_solve * solves}
+            calls.update(_treatment_pivot=0, pinv=0)
+            runs.append(simulate_anticipated_variance(configs))
+            assert calls == {"_treatment_pivot": per_solve * pivots, "pinv": 0}
         assert studies[1] == studies[0]
+        for got, want in zip(runs[1], runs[0], strict=True):
+            for level in ("teacher", "student"):
+                np.testing.assert_array_equal(got.level(level).variances, want.level(level).variances)
 
     @pytest.mark.parametrize(
         "change",
@@ -1199,8 +1233,9 @@ class TestEstimatorVarianceStudy:
         beta = np.array([0.3, 0.5, -0.25][: 3 if config.effective_q > 0.0 else 2])
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-        xs = [simulator._design_chunk(config, streams, config.replicates)]
-        terms = simulator._study_chunk(config, streams, config.replicates, xs, g_t)[0]
+        x = simulator._design_chunk(config, streams, config.replicates)
+        g_s, rhs_t, rhs_s = simulator._study_chunk(config, streams, config.replicates, g_t)
+        terms = [_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)]
         solves = [simulator._gls_solve(info, b) for info, b in terms]
         # the chunk fits the noise alone: GLS adds beta's treatment entry back
         got = np.array([(beta[1] + coef[:, 1], cov[:, 1, 1]) for coef, cov, _ in solves])

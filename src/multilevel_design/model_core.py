@@ -402,45 +402,52 @@ def student_information(
     return _information(x, g)
 
 
-def _explained(block: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b' block^+ b for a stack of symmetric PSD blocks of size 1 (the
-    intercept) or 2 (intercept and contamination).
+def _explained(block: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """u' block^+ v, ``v`` = ``u`` by default, for a stack of symmetric PSD
+    blocks of size 1 (the intercept) or 2 (intercept and contamination).
 
     The pseudo-inverse drops a direction that least squares would cut, so a
     singular other direction (an all-zero contamination column) is fitted
-    the way lstsq fits it.  A 2x2 block is scaled by 4^-j and b by 2^-j, j
-    half the trace's exponent: b' block^+ b stays exactly the same, and the
-    products of three entries stay in range at any scale of the components.
+    the way lstsq fits it.  A 2x2 block is scaled by 4^-j and u and v by
+    2^-j, j half the trace's exponent: u' block^+ v stays exactly the same,
+    and the products of three entries stay in range at any scale of the
+    components.  The default and v = u give the same bits.
     """
+    v = u if v is None else v
     if block.shape[-1] == 1:
-        a, b0 = block[..., 0, 0], b[..., 0]
-        return b0 * np.divide(b0, a, out=np.zeros_like(a), where=a != 0.0)
+        a, u0, v0 = block[..., 0, 0], u[..., 0], v[..., 0]
+        return u0 * np.divide(v0, a, out=np.zeros_like(a), where=a != 0.0)
     j = np.frexp(block[..., 0, 0] + block[..., 1, 1])[1] // 2
-    block, b = np.ldexp(block, -2 * j[..., None, None]), np.ldexp(b, -j[..., None])
+    block = np.ldexp(block, -2 * j[..., None, None])
+    u, v = np.ldexp(u, -j[..., None]), np.ldexp(v, -j[..., None])
     a, c, e = block[..., 0, 0], block[..., 0, 1], block[..., 1, 1]
-    b0, b1 = b[..., 0], b[..., 1]
+    u0, u1, v0, v1 = u[..., 0], u[..., 1], v[..., 0], v[..., 1]
     det = a * e - c * c
     trace = a + e
     full = det > _RANK_RTOL * trace * trace
-    solved0 = (e * b0 - c * b1) / np.where(full, det, 1.0)
-    solved1 = (a * b1 - c * b0) / np.where(full, det, 1.0)
-    # a rank-1 block is trace * v v', so its pseudo-inverse is block / trace^2
-    quad = b0 * (a * b0 + c * b1) + b1 * (c * b0 + e * b1)
+    solved0 = (e * v0 - c * v1) / np.where(full, det, 1.0)
+    solved1 = (a * v1 - c * v0) / np.where(full, det, 1.0)
+    # a rank-1 block is trace * w w', so its pseudo-inverse is block / trace^2
+    quad = u0 * (a * v0 + c * v1) + u1 * (c * v0 + e * v1)
     rank1 = np.divide(quad, trace * trace, out=np.zeros_like(quad), where=trace > 0.0)
-    return np.where(full, b0 * solved0 + b1 * solved1, rank1)
+    return np.where(full, u0 * solved0 + u1 * solved1, rank1)
 
 
-def _treatment_pivot(entries: np.ndarray, field: str | None = None) -> np.ndarray:
+def _treatment_pivot(entries: np.ndarray, field: str | None = None, b: np.ndarray | None = None):
     """Schur-complement pivot of the treatment direction after eliminating the others.
 
     ``entries`` is one p x p information matrix or a stack (..., p, p) over
-    [1 r] (p = 2) or [1 r c] (p = 3); the others block is eliminated in
+    [1 r] (p = 2) or [1 r c] (p = 3); the others block B is eliminated in
     closed form.  One eigvalsh per matrix serves the PSD check, a ValueError
     for an eigenvalue below -SINGULAR_RTOL times the spectral norm (a
     FieldError of ``field``, if given, the residual component too small next
     to the others), and the threshold: a pivot at or below ``SINGULAR_RTOL``
     times the spectral norm, which covers singular information matrices and
     directions absorbed by collinear columns, is returned as NaN.
+
+    Given a GLS right side ``b`` (..., p), returns the pivot and, from the
+    same elimination, the treatment coefficient of the solve,
+    (b_t - I_to' B^+ b_o) / pivot, NaN where the pivot is.
     """
     entries = np.asarray(entries, dtype=float)
     p, k = entries.shape[-1], TREATMENT_COLUMN
@@ -454,9 +461,12 @@ def _treatment_pivot(entries: np.ndarray, field: str | None = None) -> np.ndarra
         message = f"information matrix is not PSD (min eigenvalue {lowest[bad].min():g})"
         raise ValueError(message) if field is None else FieldError(field, f"too small: {message}")
     others = [j for j in range(p) if j != k]
-    block = entries[..., others, :][..., others]
-    pivot = entries[..., k, k] - _explained(block, entries[..., others, k])
-    return np.where(pivot > SINGULAR_RTOL * spectral, pivot, np.nan)
+    block, u = entries[..., others, :][..., others], entries[..., others, k]
+    pivot = entries[..., k, k] - _explained(block, u)
+    pivot = np.where(pivot > SINGULAR_RTOL * spectral, pivot, np.nan)
+    if b is None:
+        return pivot
+    return pivot, (b[..., k] - _explained(block, u, b[..., others])) / pivot
 
 
 def treatment_variance(info) -> TreatmentVariance:

@@ -38,9 +38,9 @@ linear and returns X beta's beta exactly, so the noise fit's treatment
 coefficient is the estimate's error.  Its designs share each chunk's
 picks, normals, pair count, student solve and both right sides, and read
 compare's G, _information and 1/pivot; the buffer holds the right sides
-too, and its pivot is _gls_solve's, which adds the coefficients.  It pairs
-each student's noise with its row of D, so it keeps the ordered picks, as
-does draw_assignment.
+too, and _treatment_pivot's elimination gives each coefficient with its
+pivot.  It pairs each student's noise with its row of D, so it keeps the
+ordered picks, as does draw_assignment.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 
 from .designs import AssignmentPolicy, DesignKind, PolicyKind, validate_contamination
 from .model_core import (
-    TREATMENT_COLUMN,
     FieldError,
     NonEstimableError,
     StudentVarianceComponents,
@@ -473,8 +472,10 @@ def check_alpha(alpha: float) -> float:
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of a 1-D array, 0.5 * erfc(-x / sqrt(2)) elementwise."""
-    return 0.5 * np.array(list(map(math.erfc, (-x / math.sqrt(2.0)).tolist())))
+    """Standard normal CDF of a 1-D array, 0.5 * erfc(-x / sqrt(2)) elementwise,
+    filled in place: no Python list of the values."""
+    y = -x / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, y), float, count=y.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -663,28 +664,17 @@ def gls_estimate(
     beta = (sum X_i' G_i X_i)^-1 sum X_i' z_i: at the teacher level (``ds``
     omitted) G_i = V_i^-1 and z_i = G_i T_i, at the student level G_i and
     z_i = D_i' Sigma_i^-1 [D_i Y_i] from the Gram of [1 D_i Y_i].  Raises
-    NonEstimableError when the treatment direction is singular; a singular
-    other direction (an all-zero contamination column) gets the pseudo-inverse.
+    NonEstimableError when the treatment pivot is singular; a singular
+    other direction (an all-zero contamination column) gets the
+    pseudo-inverse, which the engine never forms: this fit is the reference
+    that the engine's elimination (_treatment_pivot) is checked against.
     """
     responses = [np.asarray(y, dtype=float) for y in responses]
-    x, g, z = _school_stack(xs, vc, ds, responses)
-    coef, cov, _ = _gls_solve(*_information(x, g, z))
-    if np.isnan(coef[TREATMENT_COLUMN]):
+    info, b = _information(*_school_stack(xs, vc, ds, responses))
+    if np.isnan(_treatment_pivot(info)):
         raise NonEstimableError("the treatment direction of the GLS information is singular")
-    return coef, cov
-
-
-def _gls_solve(info: np.ndarray, b: np.ndarray, field: str | None = None):
-    """GLS coefficients, covariance and treatment pivot from _information's
-    terms, for one fit or a stack of replicates; NaN where treatment is
-    singular.  An indefinite information raises as _treatment_pivot does
-    with ``field``.  Every step works matrix by matrix, so a stack gives
-    each replicate the bits of its own solve."""
-    pivot = _treatment_pivot(info, field)
-    cov = np.full(info.shape, np.nan)
-    ok = ~np.isnan(pivot)
-    cov[ok] = np.linalg.pinv(info[ok], hermitian=True)
-    return (cov @ b[..., None])[..., 0], cov, pivot
+    cov = np.linalg.pinv(info, hermitian=True)
+    return cov @ b, cov
 
 
 def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int, g_t: np.ndarray):
@@ -731,19 +721,17 @@ def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int
 def _solve_block(held: Sequence[list]) -> np.ndarray:
     """The anticipated variances 1/pivot and, where the held chunks' terms
     have right sides, the noise fits' treatment coefficients, (D, 2, k, R),
-    of the held chunks' _information terms in run order: one pivot per
-    design and level over all their replicates (_gls_solve's with a right
-    side, else _treatment_pivot)."""
+    of the held chunks' _information terms in run order: one
+    _treatment_pivot call per design and level over all their replicates,
+    whose elimination gives the coefficient too."""
     out = []
     for design_terms in zip(*held):
         out.append([])
         for level, terms in zip(LEVELS, zip(*design_terms)):
             info, *b = (np.concatenate(parts) for parts in zip(*terms))
-            if b:
-                coef, _, pivot = _gls_solve(info, *b, _RESIDUAL[level])
-                out[-1].append((1.0 / pivot, coef[:, TREATMENT_COLUMN]))
-            else:
-                out[-1].append((1.0 / _treatment_pivot(info, _RESIDUAL[level]),))
+            solved = _treatment_pivot(info, _RESIDUAL[level], *b)
+            pivot, *coef = solved if b else (solved,)
+            out[-1].append((1.0 / pivot, *coef))
     return np.array(out)
 
 

@@ -18,6 +18,7 @@ from multilevel_design import (
     teacher_precision,
     treatment_variance,
 )
+from multilevel_design.model_core import _explained
 
 from oracles import (
     dense_student_info,
@@ -459,6 +460,40 @@ class TestTreatmentVariance:
     def test_only_two_or_three_columns(self, p):
         with pytest.raises(ValueError, match="2 or 3 parameters"):
             treatment_variance(np.eye(p))
+
+
+
+class TestExplained:
+    """_explained(block, u, v) = u' block^+ v, the elimination behind every
+    pivot and the engine's GLS coefficients, against numpy's pseudo-inverse
+    and lstsq."""
+
+    @staticmethod
+    def _stack(kind, rng, count=6):
+        """``count`` PSD blocks of one kind with an info column u and a right side v."""
+        size = 1 if kind == "1x1" else 2
+        w = rng.standard_normal((count, size, size))
+        block = w @ np.swapaxes(w, -1, -2) + 0.1 * np.eye(size)
+        u, v = rng.standard_normal((2, count, size))
+        if kind == "rank1":  # an all-zero contamination column: its row, u and v are 0
+            block[:, 1, :] = block[:, :, 1] = 0.0
+            u[:, 1] = v[:, 1] = 0.0
+        return block, u, v
+
+    @pytest.mark.parametrize("kind", ["1x1", "full2x2", "rank1"])
+    def test_matches_pinv_and_lstsq(self, kind):
+        block, u, v = self._stack(kind, np.random.default_rng(7))
+        got = _explained(block, u, v)
+        via_pinv = np.einsum("ri,rij,rj->r", u, np.linalg.pinv(block, hermitian=True), v)
+        via_lstsq = [u_r @ np.linalg.lstsq(b_r, v_r)[0] for b_r, u_r, v_r in zip(block, u, v)]
+        np.testing.assert_allclose(got, via_pinv, rtol=1e-12)
+        np.testing.assert_allclose(got, via_lstsq, rtol=1e-12)
+        np.testing.assert_array_equal(_explained(block, u), _explained(block, u, u))
+        # block and u scaled by 4^k (an information) and v by 2^k (a right
+        # side): u' block^+ v scales by 2^k, bit for bit
+        for k in (-500, 500):
+            scaled = _explained(np.ldexp(block, 2 * k), np.ldexp(u, 2 * k), np.ldexp(v, k))
+            np.testing.assert_array_equal(scaled, np.ldexp(got, k))
 
 
 class TestInformationProperties:

@@ -926,8 +926,9 @@ class TestLockstepEngine:
     def test_one_gls_solve_per_block_of_chunks(self, monkeypatch):
         # the chunks' information terms wait in a buffer of up to
         # _CHUNK_BYTES, so a run that fits in it pivots once per design and
-        # level, and validate inverts as often; compare never inverts; a
-        # cap that makes either flush more often changes no bit
+        # level, and validate's coefficients come from the same pivot call;
+        # neither mode inverts; a cap that makes either flush more often
+        # changes no bit
         configs = self._lockstep_configs("heterogeneous", "with_replacement_2", 0.3)
         assert len(configs) == 3
         calls = {"_treatment_pivot": 0, "pinv": 0}
@@ -948,7 +949,7 @@ class TestLockstepEngine:
             assert len(simulator._chunks(configs[0])) > solves
             calls.update(_treatment_pivot=0, pinv=0)
             studies.append(estimator_variance_study(configs))
-            assert calls == {"_treatment_pivot": per_solve * solves, "pinv": per_solve * solves}
+            assert calls == {"_treatment_pivot": per_solve * solves, "pinv": 0}
             calls.update(_treatment_pivot=0, pinv=0)
             runs.append(simulate_anticipated_variance(configs))
             assert calls == {"_treatment_pivot": per_solve * pivots, "pinv": 0}
@@ -1022,13 +1023,14 @@ class TestScaleEquivariance:
             for study in studies
         ])
 
-    @pytest.mark.parametrize("k", [-200, -100, 100, 200])
+    @pytest.mark.parametrize("k", [-500, -260, -200, -100, 100, 200, 260, 500])
     def test_validation_is_scale_free_bit_for_bit(self, k):
         # validate fits the noise alone, which scales by 2^k, so its ratios
         # and z-scores are the unit-scale ones; a treatment coefficient in
-        # the responses would drown noise of 2^-100.  From k = 240 on, the
-        # coefficients' np.linalg.pinv (a symmetric eigensolver) no longer
-        # commutes with the scaling and leaves up to 3e-15
+        # the responses would drown noise of 2^-100.  The coefficients come
+        # from _explained's power-of-two rescaled elimination, which
+        # commutes with the scaling at every k that neither over- nor
+        # underflows
         np.testing.assert_array_equal(self.validation(k), self.validation(0))
 
 
@@ -1236,9 +1238,11 @@ class TestEstimatorVarianceStudy:
         x = simulator._design_chunk(config, streams, config.replicates)
         g_s, rhs_t, rhs_s = simulator._study_chunk(config, streams, config.replicates, g_t)
         terms = [_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)]
-        solves = [simulator._gls_solve(info, b) for info, b in terms]
-        # the chunk fits the noise alone: GLS adds beta's treatment entry back
-        got = np.array([(beta[1] + coef[:, 1], cov[:, 1, 1]) for coef, cov, _ in solves])
+        solves = [simulator._treatment_pivot(info, None, b) for info, b in terms]
+        # the chunk fits the noise alone: GLS adds beta's treatment entry
+        # back; the elimination's coefficient and 1/pivot against
+        # gls_estimate's pseudo-inverse, a second solver
+        got = np.array([(beta[1] + coef, 1.0 / pivot) for pivot, coef in solves])
         for rep in range(config.replicates):
             ds, xs = public_draws(config, rep)
             rng = replicate_streams(config, rep).responses
@@ -1305,17 +1309,38 @@ class TestSchoolSum:
 
 
 class TestNormalCdf:
-    def test_equals_the_scalar_comprehension(self):
-        # the former implementation, one math.erfc per numpy scalar
-        root2 = math.sqrt(2.0)
-        x = np.concatenate([
-            [np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0],
-            np.random.default_rng(21).standard_normal(1_000) * 5.0,
-        ])
-        old = np.array([0.5 * math.erfc(-v / root2) for v in x])
-        got = simulator._normal_cdf(x)
+    X = np.concatenate([
+        [np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0],
+        np.random.default_rng(21).standard_normal(1_000) * 5.0,
+    ])
+
+    @staticmethod
+    def assert_bits_equal(got, old):
         assert got.dtype == old.dtype and got.shape == old.shape
         np.testing.assert_array_equal(got.view(np.int64), old.view(np.int64))
+
+    def test_equals_the_scalar_comprehension(self):
+        # the first implementation, one math.erfc per numpy scalar
+        root2 = math.sqrt(2.0)
+        old = np.array([0.5 * math.erfc(-v / root2) for v in self.X])
+        self.assert_bits_equal(simulator._normal_cdf(self.X), old)
+
+    def test_equals_the_list_form(self):
+        # the second, math.erfc mapped over a Python list of the values
+        old = 0.5 * np.array(list(map(math.erfc, (-self.X / math.sqrt(2.0)).tolist())))
+        self.assert_bits_equal(simulator._normal_cdf(self.X), old)
+
+    def test_peak_memory_is_a_few_arrays(self):
+        # a list of Python floats takes about 32 bytes a value, and the
+        # list form held two; the arrays alone take 8 bytes a value each
+        x = np.random.default_rng(22).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            simulator._normal_cdf(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * x.size
 
 
 class TestEmpiricalPower:

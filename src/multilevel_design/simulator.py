@@ -8,7 +8,7 @@ returns one result per config, in order.  Neither raises for a
 non-estimable replicate: its variance is NaN, and a study level with fewer
 than two estimable replicates is None.
 
-This is the one module that decodes stream layout v2.  Each purpose has
+This is the one module that decodes stream layout v3.  Each purpose has
 one stream keyed by (seed, purpose), not by design, of which a replicate
 takes K uniforms from offset r*K, school by school; _school_keys reads each
 school's run, and the one-school draws (draw_assignment,
@@ -87,7 +87,7 @@ def draw_assignment(
 
     balanced: every student takes c distinct teachers and every column sums
     to n*c/m.  Full passes over all c-subsets of teachers are dealt first;
-    a remainder of students takes cyclically shifted subsets, which keeps
+    remainder student j takes teachers (c*j + k) mod m, k < c, which keeps
     the column sums exact.  Random teacher relabeling and student order make
     the construction exchangeable.
 
@@ -181,10 +181,9 @@ def _contamination_flags(signs: np.ndarray, q: float, u: np.ndarray) -> np.ndarr
 
 def _assignment_uniforms(policy: AssignmentPolicy, m: Sequence[int], n: Sequence[int]) -> int:
     """Uniforms a layout's picks consume: c per student with replacement,
-    otherwise per school one remainder offset, a key per teacher and one
-    per student."""
+    otherwise per school a key per teacher, then one per student."""
     replacing = policy.kind is PolicyKind.WITH_REPLACEMENT
-    return policy.c * sum(n) if replacing else len(m) + sum(m) + sum(n)
+    return policy.c * sum(n) if replacing else sum(m) + sum(n)
 
 
 def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
@@ -203,7 +202,7 @@ def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.nd
         scale = np.repeat(ms, ns * c)
         picks = np.multiply(u, scale, out=np.empty(u.shape, np.int32), casting="unsafe")
         return picks.reshape(len(u), -1, c)
-    keys = _school_keys(u, np.cumsum(1 + ms + ns) - ns, ns, ns.max())
+    keys = _school_keys(u, np.cumsum(ms + ns) - ns, ns, ns.max())
     order = np.argsort(keys, axis=-1, kind="stable")
     school = np.repeat(np.arange(len(ms)), ns)
     slots = _balanced_slots(m, n, c)[school, order[:, np.arange(ns.max()) < ns[:, None]]]
@@ -211,42 +210,36 @@ def _picks(policy: AssignmentPolicy, m: tuple, n: tuple, u: np.ndarray) -> np.nd
 
 
 def _slot_table(m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
-    """Every school's (R, a, 2 max m) teacher of each balanced slot from the
-    uniforms ``u`` (R, K): [relabel, relabel shifted by the remainder
-    offset], the offset floor(u m_i) of the school's first uniform and the
-    relabeling a stable argsort of its next m_i.  Each half is a
-    permutation of the max m slots (a padded slot keeps its own index)."""
+    """Every school's (R, a, max m) teacher of each balanced slot, its relabeling:
+    a stable argsort of its first m_i uniforms of ``u`` (R, K), a permutation
+    of the max m slots (a padded slot keeps its own index)."""
     ms, ns = np.asarray(m), np.asarray(n)
-    starts = np.cumsum(1 + ms + ns) - (1 + ms + ns)
-    offset = (u[:, starts, None] * ms[:, None]).astype(np.intp)
-    relabel = np.argsort(_school_keys(u, starts + 1, ms, ms.max()), axis=-1, kind="stable")
-    slot = np.arange(ms.max())
-    shift = np.where(slot < ms[:, None], (slot + offset) % ms[:, None], slot)
-    return np.concatenate([relabel, np.take_along_axis(relabel, shift, -1)], -1)
+    keys = _school_keys(u, np.cumsum(ms + ns) - (ms + ns), ms, ms.max())
+    return np.argsort(keys, axis=-1, kind="stable")
 
 
 @functools.lru_cache(maxsize=1)
 def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
     """Every school's (max n, c) balanced rows as slots of _slot_table: full
-    passes over the c-subsets, then the remainder's (c*j + k) mod m_i in
-    the shifted half.  Fixed per layout, so _slot_gram counts them once."""
+    passes over the c-subsets, then the remainder's (c*j + k) mod m_i.
+    Fixed per layout, so _slot_gram counts them once."""
     slots = np.zeros((len(m), max(n), c), dtype=np.intp)
     for i, (m_i, n_i) in enumerate(zip(m, n)):
         full, rest = divmod(n_i, math.comb(m_i, c))
         if full:
             subsets = np.array(list(itertools.combinations(range(m_i), c)))
             slots[i, : n_i - rest] = np.tile(subsets, (full, 1))
-        slots[i, n_i - rest : n_i] = max(m) + (c * np.arange(rest)[:, None] + np.arange(c)) % m_i
+        slots[i, n_i - rest : n_i] = (c * np.arange(rest)[:, None] + np.arange(c)) % m_i
     slots.setflags(write=False)  # cached: every caller shares it
     return slots
 
 
 def _slot_gram(m: tuple, n: tuple, c: int) -> np.ndarray:
     """Every school's Gram [1 S]'[1 S], (a, max m + 1, max m + 1), of its
-    balanced rows S over the slots of either half of _slot_table: the full
-    passes deal every c-subset equally often, so no relabeling changes them."""
+    balanced rows S over the slots of _slot_table: the full passes deal
+    every c-subset equally often, so no relabeling changes their part."""
     real = np.arange(max(n)) < np.array(n)[:, None]
-    return _pick_gram(_balanced_slots(m, n, c)[real][None] % max(m), n, max(m))[0]
+    return _pick_gram(_balanced_slots(m, n, c)[real][None], n, max(m))[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -266,9 +259,9 @@ def _tiled(layout: StudyLayout, c: int) -> np.ndarray:
 def _relabeled(config: SimulationConfig, u: np.ndarray) -> np.ndarray:
     """Balanced or single_course G, (R, a, max m, max m), from assignment uniforms
     ``u`` (R, K): _slot_precision, on a school with remainder rows gathered at
-    each teacher's slot in the shifted half of the replicate's slot table."""
+    each teacher's slot in the replicate's slot table."""
     layout, c, m = config.layout, config.policy.c, max(config.layout.m)
-    rows = np.argsort(_slot_table(layout.m, layout.n, u)[..., m:], axis=-1)
+    rows = np.argsort(_slot_table(layout.m, layout.n, u), axis=-1)
     rows[:, _tiled(layout, c)] = np.arange(m)
     g = _slot_precision(layout.m, layout.n, c, config.student_vc)
     return g[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]

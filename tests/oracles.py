@@ -135,13 +135,39 @@ def contaminated_treatment_entry_numeric(g, q):
     return float(np.linalg.inv(e)[1, 1])
 
 
+def exact_teacher_distribution(a, m, vc):
+    """The exact distribution of crd's teacher-level anticipated variance at
+    q = 0 for a schools of m teachers, as (support, probabilities), the
+    support ascending.  The precision is compound-symmetric, so with
+    T_i = sum_j r_ij and sum T_i = 0 the information's treatment entry is
+    a m / sigma_eps2 - S (1/(m sigma_eps2) - t_J/m^2), S = sum T_i^2,
+    t_J = m / (sigma_eps2 + m sigma_v2), and its other off-diagonal is 0.  A
+    dynamic program over schools counts the treated sets of each
+    (treated so far, S so far), a school with k treated in C(m, k) ways;
+    the a m / 2 treated of crd pick one of C(a m, a m / 2) sets uniformly."""
+    half = a * m // 2
+    counts = {(0, 0): 1}
+    for _ in range(a):
+        grown = {}
+        for (treated, s), ways in counts.items():
+            for k in range(min(m, half - treated) + 1):
+                key = (treated + k, s + (2 * k - m) ** 2)
+                grown[key] = grown.get(key, 0) + ways * math.comb(m, k)
+        counts = grown
+    ways = {s: w for (treated, s), w in counts.items() if treated == half}
+    total = sum(ways.values())  # C(a m, a m / 2)
+    s = np.array(sorted(ways), dtype=float)
+    t_j = m / (vc.sigma_eps2 + m * vc.sigma_v2)
+    info = a * m / vc.sigma_eps2 - s * (1.0 / (m * vc.sigma_eps2) - t_j / m**2)
+    return 1.0 / info, np.array([ways[k] / total for k in sorted(ways)])
+
+
 def balanced_assignment_loop(m, n, c, rng):
     """Balanced n x m assignment dealt one student at a time: full passes
-    over the c-subsets, a cyclic remainder shifted by floor(u m) of one
-    uniform u, then teacher relabeling and student order sorted by one
-    uniform key each (Python's stable sort).  Takes its 1 + m + n uniforms
-    from ``rng`` in the library's order."""
-    u = rng.random(1 + m + n)
+    over the c-subsets, a cyclic remainder, then teacher relabeling and
+    student order sorted by one uniform key each (Python's stable sort).
+    Takes its m + n uniforms from ``rng`` in the library's order."""
+    u = rng.random(m + n)
     n_subsets = math.comb(m, c)
     full, rest = divmod(n, n_subsets)
     rows = []
@@ -149,11 +175,10 @@ def balanced_assignment_loop(m, n, c, rng):
         subsets = list(itertools.combinations(range(m), c))
         for _ in range(full):
             rows.extend(subsets)
-    offset = int(u[0] * m)
     for i in range(rest):
-        rows.append(tuple((offset + i * c + j) % m for j in range(c)))
-    relabel = sorted(range(m), key=lambda t: u[1 + t])
-    order = sorted(range(n), key=lambda s: u[1 + m + s])
+        rows.append(tuple((i * c + j) % m for j in range(c)))
+    relabel = sorted(range(m), key=lambda t: u[t])
+    order = sorted(range(n), key=lambda s: u[m + s])
     out = np.zeros((n, m))
     for pos, row_idx in enumerate(order):
         out[pos, [relabel[t] for t in rows[row_idx]]] = 1.0

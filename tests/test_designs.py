@@ -15,6 +15,7 @@ from multilevel_design import (
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    balanced_traces,
     contaminated_expected_moment_matrix,
     design_matrices,
     draw_assignment,
@@ -250,6 +251,43 @@ class TestExpectedStudentInformationGivenD:
         assert np.mean(values) == pytest.approx(
             expected_student_information_given_D(kind, ds, vc), rel=1e-9
         )
+
+
+class TestClosedFormRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: expected_student_information_given_D(D2, [], PILOT_STUDENT),
+                ValueError,
+                "at least one school block",
+                id="student_information_given_no_school",
+            ),
+            pytest.param(
+                lambda: teacher_inflation_design2(0.5, 1, PILOT_TEACHER),
+                ParityError,
+                "at least 2 teachers",
+                id="teacher_inflation_one_teacher",
+            ),
+            pytest.param(
+                lambda: contaminated_expected_moment_matrix(np.ones((2, 3)), 0.5),
+                ValueError,
+                "G must be square",
+                id="moment_matrix_not_square",
+            ),
+            pytest.param(
+                lambda: balanced_traces(
+                    BalancedSpec(m=4, n=6, c=2, a=2), StudentVarianceComponents(0.0, 0.0, 0.0)
+                ),
+                ValueError,
+                "at least one variance component must be positive",
+                id="balanced_traces_all_zero",
+            ),
+        ],
+    )
+    def test_refused_inputs(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestContaminationRule:

@@ -13,7 +13,7 @@ ALLOWED = {
     "designs": {"model_core"},
     "simulator": {"model_core", "designs"},
 }
-#: the decoders of stream layout v2, each defined in simulator alone
+#: the decoders of stream layout v3, each defined in simulator alone
 DECODERS = {
     "draw_assignment",
     "draw_randomization",

@@ -135,6 +135,20 @@ class TestDomainTypes:
         assert len(ok.r) == len(ok.c) == 1
 
     @pytest.mark.parametrize(
+        "r, c, message",
+        [
+            ((np.ones((2, 2)),), None, "1-D treatment sequence"),
+            ((np.array([1.0, -1.0]),), (), "one sequence per school"),
+            ((np.array([1.0, -1.0]),), (np.zeros(3),), "shape must match"),
+            ((np.array([1.0, -1.0]),), (np.array([0.0, 0.5]),), "must be 0 or 1"),
+        ],
+        ids=["2d_r", "contamination_count", "contamination_shape", "contamination_flags"],
+    )
+    def test_treatment_assignment_refusals(self, r, c, message):
+        with pytest.raises(ValueError, match=message):
+            TreatmentAssignment(r=r, c=c)
+
+    @pytest.mark.parametrize(
         "call, error, message",
         [
             pytest.param(
@@ -173,11 +187,42 @@ class TestDomainTypes:
                 r"must be \(\.\.\., n, m\)",
                 id="student_precision_1d",
             ),
+            pytest.param(
+                lambda xs, ds: teacher_precision(0, PILOT_TEACHER),
+                ValueError,
+                "m must be >= 1",
+                id="teacher_precision_no_teacher",
+            ),
+            pytest.param(
+                lambda xs, ds: teacher_information([], PILOT_TEACHER),
+                ValueError,
+                "at least one school",
+                id="teacher_information_no_school",
+            ),
+            pytest.param(
+                lambda xs, ds: teacher_information([np.ones((4, 4))], PILOT_TEACHER),
+                ValueError,
+                "2 or 3 columns",
+                id="teacher_information_4_columns",
+            ),
+            pytest.param(
+                lambda xs, ds: student_information(xs, ds[:1], PILOT_STUDENT),
+                ValueError,
+                "2 design matrices but 1 count matrices",
+                id="student_information_missing_counts",
+            ),
+            pytest.param(
+                lambda xs, ds: gls_estimate([np.zeros(3)] * 2, xs, PILOT_TEACHER),
+                ValueError,
+                "one response per teacher",
+                id="gls_estimate_response_lengths",
+            ),
         ],
     )
     def test_one_school_inputs_of_the_wrong_kind(self, call, error, message):
-        # components of the other level, or a count matrix without two axes,
-        # are refused with an error that names what was expected
+        # components of the other level, a count matrix without two axes, or
+        # inputs of the wrong count or shape are refused with an error that
+        # names what was expected
         xs = design_matrices(design2_realization(2, 4))
         ds = [single_course_assignment(4, 8)] * 2
         with pytest.raises(error, match=message):

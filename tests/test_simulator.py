@@ -46,6 +46,7 @@ from oracles import (
     balanced_assignment_loop,
     dense_info,
     dense_student_info,
+    exact_teacher_distribution,
     generate_student_responses,
     generate_teacher_responses,
     student_cov,
@@ -191,6 +192,24 @@ class TestDrawAssignment:
             got = draw_assignment(AssignmentPolicy.balanced(c), m, n, np.random.default_rng(seed))
             expected = balanced_assignment_loop(m, n, c, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, expected)
+
+    def test_balanced_remainder_pairs_are_exchangeable(self):
+        # a distribution check, not a replay: any layout of the uniforms must
+        # keep every load exact and deal each teacher pair its share of the
+        # full passes plus an equal share of the remainder rows' pairs
+        m, n, c, reps = (4, 6), (8, 21), 2, 20_000
+        policy = AssignmentPolicy.balanced(c)
+        u = np.random.default_rng(29).random((reps, simulator._assignment_uniforms(policy, m, n)))
+        gram = simulator._pick_gram(simulator._picks(policy, m, n, u), n, max(m))
+        for i, (m_i, n_i) in enumerate(zip(m, n)):
+            np.testing.assert_array_equal(gram[:, i, 0, 1 : m_i + 1], n_i * c // m_i)
+            full, rest = divmod(n_i, math.comb(m_i, c))
+            want = full * math.comb(m_i - 2, c - 2) + rest * math.comb(c, 2) / math.comb(m_i, 2)
+            j, k = np.triu_indices(m_i, 1)
+            pairs = gram[:, i, 1 + j, 1 + k]
+            se = pairs.std(axis=0, ddof=1) / math.sqrt(reps)
+            assert np.all(se > 0.0)
+            assert np.abs((pairs.mean(axis=0) - want) / se).max() < 4.0
 
     def test_with_replacement_matches_per_pick_loop(self):
         for seed in range(20):
@@ -412,6 +431,9 @@ class TestSimulate:
             make_config(design=D3, q=0.9)
         with pytest.raises(ValueError, match="even teacher count"):
             make_config(layout=StudyLayout(a=4, m=3, n=6))
+        with pytest.raises(FieldError) as err:
+            make_config(effect_size_diff=math.inf)
+        assert err.value.field == "effect_size_diff"
 
 
     def test_non_integer_replicates_rejected(self):
@@ -456,6 +478,37 @@ class TestSimulate:
         with pytest.raises(ValueError, match="not PSD") as err:
             treatment_variance(np.diag([1.0, -1.0]))
         assert not isinstance(err.value, FieldError)
+
+
+class TestExactTeacherLevel:
+    def test_oracle_on_the_paper_layout(self):
+        support, prob = exact_teacher_distribution(16, 8, PILOT_TEACHER)
+        mean = float(prob @ support)
+        assert support.size == 119
+        assert prob.sum() == pytest.approx(1.0, rel=1e-15)
+        assert mean == pytest.approx(0.11917006391608287, rel=1e-12)
+        assert math.sqrt(float(prob @ (support - mean) ** 2)) == pytest.approx(
+            0.0024374647416275097, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("a, m", [(16, 8), (4, 4), (6, 2)])
+    def test_crd_teacher_draws_follow_the_exact_distribution(self, a, m):
+        # a distribution check on the sign draws that no replay can make: every
+        # sample is a support point and the mean is the exact mean
+        support, prob = exact_teacher_distribution(a, m, PILOT_TEACHER)
+        config = make_config(
+            layout=StudyLayout(a=a, m=m, n=m),
+            design=D3,
+            policy=AssignmentPolicy.single_course(),
+            replicates=2_000,
+        )
+        level = simulate_anticipated_variance([config])[0].teacher
+        assert level.non_estimable == 0
+        gap = np.abs(level.samples[:, None] - support).min(axis=1)
+        assert np.all(gap <= 1e-12 * level.samples)
+        mean = float(prob @ support)
+        se = math.sqrt(float(prob @ (support - mean) ** 2) / config.replicates)
+        assert abs(level.mean - mean) < 4.0 * se
 
 
 class TestChunkedEngine:
@@ -681,14 +734,14 @@ class TestHeterogeneousLayouts:
     )
     def test_slot_gram_equals_pick_gram(self, m, n, policy):
         # the cached slot Gram, gathered at the intercept and each teacher's
-        # slot in the shifted half of the slot table, counts exactly what the
-        # ordered picks count, padded teachers included: the full passes'
-        # part is the same under every relabeling
+        # slot in the slot table, counts exactly what the ordered picks
+        # count, padded teachers included: the full passes' part is the same
+        # under every relabeling
         top = max(m)
         u = np.random.default_rng(sum(n)).random((5, simulator._assignment_uniforms(policy, m, n)))
         want = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top)
         rows = np.zeros((5, len(m), top + 1), dtype=np.intp)
-        rows[..., 1:] = 1 + np.argsort(simulator._slot_table(m, n, u)[..., top:], axis=-1)
+        rows[..., 1:] = 1 + np.argsort(simulator._slot_table(m, n, u), axis=-1)
         slot = simulator._slot_gram(m, n, policy.c)
         got = slot[np.arange(len(m))[:, None, None], rows[..., :, None], rows[..., None, :]]
         assert np.array_equal(got, want)
@@ -1052,6 +1105,11 @@ class TestPublicSurface:
     def test_engine_rejects_no_configs(self, engine):
         with pytest.raises(ValueError, match="at least one config"):
             engine([])
+
+    def test_level_rejects_an_unknown_name(self):
+        result = simulate_anticipated_variance([make_config(replicates=2)])[0]
+        with pytest.raises(KeyError):
+            result.level("school")
 
 
 class TestResponseGenerators:

@@ -335,20 +335,15 @@ def _balanced_school_traces(
     """(t_J, w) = (tr(G J), tr(G (m I - J))) of a balanced G = D' Sigma^-1 D:
 
     t_J = m n c^2 / (m n sigma_s2 + n c^2 sigma_t2 + m sigma_eta2)
-    w   = m(m-1)nc(m-c) / (m(m-1) sigma_eta2 + nc(m-c) sigma_t2), exactly 0 at c = m
+    w   = u v / (u sigma_eta2 + v sigma_t2), u = m(m-1), v = nc(m-c); exactly 0 at c = m
     """
     m, n, c = spec.m, spec.n, spec.c
-    denom = m * n * vc.sigma_s2 + n * c**2 * vc.sigma_t2 + m * vc.sigma_eta2
-    if denom <= 0.0:
-        raise ValueError("at least one variance component must be positive")
-    trace_j = m * n * c**2 / denom
+    StudentVarianceComponents.check(vc)
+    trace_j = m * n * c**2 / (m * n * vc.sigma_s2 + n * c**2 * vc.sigma_t2 + m * vc.sigma_eta2)
     if c == m:
         return trace_j, 0.0
-    w = (
-        m * (m - 1) * n * c * (m - c)
-        / (m * (m - 1) * vc.sigma_eta2 + n * c * (m - c) * vc.sigma_t2)
-    )
-    return trace_j, w
+    u, v = m * (m - 1), n * c * (m - c)
+    return trace_j, u * v / (u * vc.sigma_eta2 + v * vc.sigma_t2)
 
 
 def balanced_traces(
@@ -379,10 +374,9 @@ def efficiency_condition(spec: BalancedSpec, vc: StudentVarianceComponents) -> b
 
     Ties count as true.
     """
-    return (
-        spec.n * (spec.m - spec.c) * vc.sigma_s2
-        >= spec.m * (spec.c - 1) * vc.sigma_eta2
-    )
+    StudentVarianceComponents.check(vc)
+    m, n, c = spec.m, spec.n, spec.c
+    return n * (m - c) * vc.sigma_s2 >= m * (c - 1) * vc.sigma_eta2
 
 
 def teacher_inflation_design2(
@@ -407,11 +401,7 @@ def student_inflation_design2(
                   / ((m-1) n sigma_s2 + n c^2 sigma_t2
                      + m (m-1)/(m-c) sigma_eta2).
 
-    Rejected for c = m, where the uncontaminated information is already 0.
+    At c = m the uncontaminated information is already 0, so w = 0 raises
+    NonEstimableError, as it does at the teacher level.
     """
-    if spec.c == spec.m:
-        raise ValueError(
-            "c = m gives zero within-school information, so an inflation factor "
-            "is meaningless"
-        )
     return _within_school_inflation(q, spec.m, *_balanced_school_traces(spec, vc))

@@ -94,25 +94,33 @@ class TreatmentVariance(NamedTuple):
 class _LevelComponents:
     """A level's variance components, each >= 0, whose FieldErrors name
     ``BLOCK``, its run-config key.  Every covariance inversion divides by
-    ``RESIDUAL``: 0 is representable, and check_invertible refuses it."""
+    ``RESIDUAL``: 0 is representable, and the level's one guard, check, refuses it."""
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if not value >= 0.0:
-                raise FieldError(f"{self.BLOCK}.{name}", f"{name} must be >= 0, got {value}")
+                raise FieldError(self.field(name), f"{name} must be >= 0, got {value}")
 
-    def check_invertible(self, kernel: float = 0.0) -> None:
-        """The level's one guard: SingularCovarianceError unless the residual
-        is > 0 with a finite reciprocal, then a FieldError naming the largest
-        component when ``kernel`` (see check_levels) overflows."""
-        name = self.RESIDUAL
-        value = float(getattr(self, name))
+    @classmethod
+    def field(cls, name: str | None = None) -> str:
+        """The run-config key of component ``name``, by default the residual's."""
+        return f"{cls.BLOCK}.{name or cls.RESIDUAL}"
+
+    @classmethod
+    def check(cls, vc, m: int = 0, n: int = 0, c: int = 0) -> None:
+        """The level's one guard: a TypeError unless ``vc`` holds this level's
+        components, a SingularCovarianceError unless the residual is > 0 with
+        a finite reciprocal, then a FieldError naming the largest component
+        when the level's kernel (see check_levels) overflows at (m, n, c)."""
+        if not isinstance(vc, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(vc).__name__}")
+        value = float(getattr(vc, cls.RESIDUAL))
         if not value > 0.0 or 1.0 / value == math.inf:
-            message = f"{name} must be > 0 with a finite reciprocal, got {value:g}"
-            raise SingularCovarianceError(f"{self.BLOCK}.{name}", message)
-        if kernel == math.inf:
-            name, value = max(vars(self).items(), key=lambda item: item[1])
-            raise FieldError(f"{self.BLOCK}.{name}", f"{name} = {value:g} overflows the covariance")
+            message = f"{cls.RESIDUAL} must be > 0 with a finite reciprocal, got {value:g}"
+            raise SingularCovarianceError(cls.field(), message)
+        if vc._kernel(m, n, c) == math.inf:
+            name, value = max(vars(vc).items(), key=lambda item: item[1])
+            raise FieldError(cls.field(name), f"{name} = {value:g} overflows the covariance")
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,10 @@ class TeacherVarianceComponents(_LevelComponents):
         total = self.sigma_v2 + self.sigma_eps2
         return self.sigma_v2 / total if total > 0.0 else 0.0
 
+    def _kernel(self, m: int, n: int, c: int) -> float:
+        """sigma_eps2 + m sigma_v2, the largest eigenvalue of the covariance."""
+        return self.sigma_eps2 + m * self.sigma_v2
+
 
 @dataclass(frozen=True)
 class StudentVarianceComponents(_LevelComponents):
@@ -140,6 +152,10 @@ class StudentVarianceComponents(_LevelComponents):
     sigma_s2: float
     sigma_t2: float
     sigma_eta2: float
+
+    def _kernel(self, m: int, n: int, c: int) -> float:
+        """sigma_eta2 + n (sigma_s2 + c^2 sigma_t2), a bound on _gram_precision's K."""
+        return self.sigma_eta2 + n * (self.sigma_s2 + c * c * self.sigma_t2)
 
 
 def per_school(value, a: int, field: str) -> tuple[int, ...]:
@@ -179,13 +195,11 @@ class StudyLayout:
 
 
 def check_levels(layout: StudyLayout, c: int, t, s) -> None:
-    """check_invertible of the teacher components ``t`` and the student's ``s``
-    with their kernels at the layout's largest m and n: the teacher's
-    sigma_eps2 + m sigma_v2 is its covariance's largest eigenvalue, and the
-    student's sigma_eta2 + n (sigma_s2 + c^2 sigma_t2) bounds _gram_precision's K."""
+    """The guard of the teacher components ``t`` and of the student's ``s``,
+    each with its kernel at the layout's largest m and n."""
     m, n = max(layout.m), max(layout.n)
-    t.check_invertible(t.sigma_eps2 + m * t.sigma_v2)
-    s.check_invertible(s.sigma_eta2 + n * (s.sigma_s2 + c * c * s.sigma_t2))
+    TeacherVarianceComponents.check(t, m)
+    StudentVarianceComponents.check(s, m, n, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +262,6 @@ def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_level(vc, TeacherVarianceComponents)
     t_j, _ = _teacher_traces(m, vc)
     return (np.eye(m) - 1.0 / m) / vc.sigma_eps2 + t_j / m**2
 
@@ -256,7 +269,7 @@ def teacher_precision(m: int, vc: TeacherVarianceComponents) -> np.ndarray:
 def _teacher_traces(m: int, vc: TeacherVarianceComponents) -> tuple[float, float]:
     """(t_J, w) of the teacher precision (sigma_v2 J + sigma_eps2 I)^-1 of m teachers:
     m/(sigma_eps2 + m sigma_v2) and m(m-1)/sigma_eps2."""
-    vc.check_invertible()
+    TeacherVarianceComponents.check(vc)
     return m / (vc.sigma_eps2 + m * vc.sigma_v2), m * (m - 1) / vc.sigma_eps2
 
 
@@ -270,7 +283,7 @@ def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarr
     leaves K positive definite; an idle teacher gets an exactly zero row.
     The first m columns, G, are symmetrized for every caller.
     """
-    vc.check_invertible()
+    StudentVarianceComponents.check(vc)
     m = gram.shape[-2] - 1
     scale = np.sqrt([vc.sigma_s2] + [vc.sigma_t2] * m)
     w_t = scale[:, None] * gram
@@ -280,7 +293,7 @@ def _gram_precision(gram: np.ndarray, vc: StudentVarianceComponents) -> np.ndarr
         g_z = (gram[..., 1:, 1:] - w_d @ np.linalg.solve(k, w_t[..., 1:])) / vc.sigma_eta2
     except np.linalg.LinAlgError as err:  # K singular in floating point
         raise SingularCovarianceError(
-            "student_vc.sigma_eta2",
+            StudentVarianceComponents.field(),
             f"sigma_eta2 = {vc.sigma_eta2} is too small next to sigma_s2 and sigma_t2: "
             "the student covariance is numerically singular",
         ) from err
@@ -305,7 +318,6 @@ def student_precision(d: np.ndarray, vc: StudentVarianceComponents) -> np.ndarra
     d = np.asarray(d, dtype=float)
     if d.ndim < 2:
         raise ValueError(f"count matrices must be (..., n, m), got shape {d.shape}")
-    _check_level(vc, StudentVarianceComponents)
     return _gram_precision(_gram(d), vc)
 
 
@@ -343,18 +355,11 @@ def _information(x: np.ndarray, g: np.ndarray, z: np.ndarray | None = None):
     return info if z is None else (info, terms[..., p])
 
 
-def _check_level(vc, expected: type) -> None:
-    """TypeError unless ``vc`` holds the components of the expected level."""
-    if not isinstance(vc, expected):
-        raise TypeError(f"expected {expected.__name__}, got {type(vc).__name__}")
-
-
 def _school_stack(xs, vc, ds=None, ys=None) -> tuple[np.ndarray, ...]:
     """Every school's X_i, precision G_i and, given responses, z_i (G_i T_i
     or D_i' Sigma_i^-1 Y_i), validated and padded to the largest school:
     (x, g, z).  Without ``ds`` the level is the teacher's, with them the
     student's, whose terms come from the Gram of [1 D y]."""
-    _check_level(vc, TeacherVarianceComponents if ds is None else StudentVarianceComponents)
     xs = [np.asarray(x, dtype=float) for x in xs]
     ds = None if ds is None else [np.asarray(d, dtype=float) for d in ds]
     if not xs:

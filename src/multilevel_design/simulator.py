@@ -62,7 +62,6 @@ from .model_core import (
     StudyLayout,
     TeacherVarianceComponents,
     TreatmentAssignment,
-    _check_level,
     _gram_precision,
     _information,
     _padded,
@@ -76,8 +75,7 @@ from .model_core import (
 TEACHER = "teacher"
 STUDENT = "student"
 LEVELS = (TEACHER, STUDENT)
-#: the residual component that a level's indefinite information names
-_RESIDUAL = {TEACHER: "teacher_vc.sigma_eps2", STUDENT: "student_vc.sigma_eta2"}
+_LEVEL_COMPONENTS = (TeacherVarianceComponents, StudentVarianceComponents)
 
 
 def draw_assignment(
@@ -288,12 +286,12 @@ class SimulationConfig:
 
     Construction rejects, with a FieldError naming the config field, any
     config whose replicates would all fail, in this order: a singular
-    covariance or an overflowing kernel at either level (check_levels), a
-    design parity violation, q outside the design's range, q = 1 under
-    within-school randomization, a policy that cannot fill the layout,
-    balanced c = m under within-school randomization, or a replicate over
-    _REPLICATE_BYTES_LIMIT.  Components of the wrong level raise TypeError
-    first, as the one-school functions do.
+    covariance or an overflowing kernel at either level (check_levels, the
+    teacher's guard first; components of the wrong level raise TypeError
+    there), a design parity violation, q outside the design's range, q = 1
+    under within-school randomization, a policy that cannot fill the
+    layout, balanced c = m under within-school randomization, or a
+    replicate over _REPLICATE_BYTES_LIMIT.
     """
 
     layout: StudyLayout
@@ -313,8 +311,6 @@ class SimulationConfig:
         check_alpha(self.alpha)
         if self.effect_size_diff is not None and not np.isfinite(self.effect_size_diff):
             raise FieldError("effect_size_diff", "effect_size_diff must be finite")
-        _check_level(self.teacher_vc, TeacherVarianceComponents)
-        _check_level(self.student_vc, StudentVarianceComponents)
         check_levels(self.layout, self.policy.c, self.teacher_vc, self.student_vc)
         self.design.check(self.layout.a, self.layout.m, self.q)
         for m_i, n_i in zip(self.layout.m, self.layout.n):
@@ -473,15 +469,22 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LevelResult:
-    """Per-level anticipated-variance samples and their summaries."""
+    """Per-level anticipated variances, one per replicate and NaN where it is
+    non-estimable, and the summaries of the finite ones, its ``samples``."""
 
     variances: np.ndarray
-    samples: np.ndarray
-    non_estimable: int
     mean: float
     sd: float
     density: DensityEstimate | None
     power: float | None
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.variances[np.isfinite(self.variances)]
+
+    @property
+    def non_estimable(self) -> int:
+        return self.variances.size - int(np.isfinite(self.variances).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +515,7 @@ def _summarize_level(
         density = kde_density(samples)
         if effect_size_diff is not None:
             power = empirical_power(2.0 * np.sqrt(samples), effect_size_diff, alpha)
-    return LevelResult(variances, samples, variances.size - samples.size, mean, sd, density, power)
+    return LevelResult(variances, mean, sd, density, power)
 
 
 #: cap on the bytes of a chunk of replicates' largest arrays (see _replicate_bytes)
@@ -716,13 +719,14 @@ def _solve_block(held: Sequence[list]) -> np.ndarray:
     have right sides, the noise fits' treatment coefficients, (D, 2, k, R),
     of the held chunks' _information terms in run order: one
     _treatment_pivot call per design and level over all their replicates,
-    whose elimination gives the coefficient too."""
+    whose elimination gives the coefficient too (and names the level's
+    residual component for an indefinite information)."""
     out = []
     for design_terms in zip(*held):
         out.append([])
-        for level, terms in zip(LEVELS, zip(*design_terms)):
+        for level, terms in zip(_LEVEL_COMPONENTS, zip(*design_terms)):
             info, *b = (np.concatenate(parts) for parts in zip(*terms))
-            solved = _treatment_pivot(info, _RESIDUAL[level], *b)
+            solved = _treatment_pivot(info, level.field(), *b)
             pivot, *coef = solved if b else (solved,)
             out[-1].append((1.0 / pivot, *coef))
     return np.array(out)

@@ -7,6 +7,7 @@ from multilevel_design import (
     BalancedSpec,
     DegenerateContaminationError,
     DesignKind,
+    NonEstimableError,
     ParityError,
     StudentVarianceComponents,
     TeacherVarianceComponents,
@@ -285,7 +286,8 @@ class TestStudentInflation:
             ) == pytest.approx(entry / baseline, rel=1e-8)
 
     def test_c_equals_m_rejected(self):
-        with pytest.raises(ValueError, match="c = m"):
+        # w is exactly 0 at c = m, which the shared inflation rule refuses
+        with pytest.raises(NonEstimableError, match="carries no information"):
             student_inflation_design2(0.5, BalancedSpec(4, 12, 4, 2), PILOT_STUDENT)
 
     def test_q_one_pole(self):

@@ -15,12 +15,14 @@ from multilevel_design import (
     StudentVarianceComponents,
     StudyLayout,
     TeacherVarianceComponents,
+    balanced_student_information,
     balanced_traces,
     contaminated_expected_moment_matrix,
     design_matrices,
     draw_assignment,
     draw_contamination,
     draw_randomization,
+    efficiency_condition,
     expected_contamination,
     expected_student_information_given_D,
     expected_teacher_information,
@@ -32,6 +34,7 @@ from multilevel_design import (
     teacher_precision,
 )
 from multilevel_design.designs import validate_contamination
+from multilevel_design.model_core import SingularCovarianceError
 from multilevel_design.simulator import (
     _contamination_flags,
     _randomization_signs,
@@ -253,6 +256,23 @@ class TestExpectedStudentInformationGivenD:
         )
 
 
+SPEC = BalancedSpec(m=4, n=6, c=2, a=2)
+#: the closed forms over the balanced student traces, as functions of the components
+BALANCED_FORMS = {
+    "balanced_traces": lambda vc: balanced_traces(SPEC, vc),
+    "balanced_student_information": lambda vc: balanced_student_information(D1, SPEC, vc),
+    "student_inflation_design2": lambda vc: student_inflation_design2(0.5, SPEC, vc),
+    "efficiency_condition": lambda vc: efficiency_condition(SPEC, vc),
+}
+#: the closed forms over the teacher traces
+TEACHER_FORMS = {
+    "expected_teacher_information": lambda vc: expected_teacher_information(
+        D2, StudyLayout(a=2, m=4, n=6), vc
+    ),
+    "teacher_inflation_design2": lambda vc: teacher_inflation_design2(0.5, 4, vc),
+}
+
+
 class TestClosedFormRefusals:
     @pytest.mark.parametrize(
         "call, error, message",
@@ -279,8 +299,8 @@ class TestClosedFormRefusals:
                 lambda: balanced_traces(
                     BalancedSpec(m=4, n=6, c=2, a=2), StudentVarianceComponents(0.0, 0.0, 0.0)
                 ),
-                ValueError,
-                "at least one variance component must be positive",
+                SingularCovarianceError,
+                "sigma_eta2 must be > 0",
                 id="balanced_traces_all_zero",
             ),
         ],
@@ -288,6 +308,32 @@ class TestClosedFormRefusals:
     def test_refused_inputs(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "name, vc, expected",
+        [
+            pytest.param(name, PILOT_TEACHER, "StudentVarianceComponents", id=name)
+            for name in BALANCED_FORMS
+        ]
+        + [
+            pytest.param(name, PILOT_STUDENT, "TeacherVarianceComponents", id=name)
+            for name in TEACHER_FORMS
+        ],
+    )
+    def test_components_of_the_other_level_rejected(self, name, vc, expected):
+        with pytest.raises(TypeError, match=f"expected {expected}"):
+            {**BALANCED_FORMS, **TEACHER_FORMS}[name](vc)
+
+    @pytest.mark.parametrize("name", list(BALANCED_FORMS))
+    @pytest.mark.parametrize(
+        "components", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], ids=["school_only", "teacher_only"]
+    )
+    def test_zero_student_residual_rejected(self, name, components):
+        # a singular student covariance, where the forms divided by zero or
+        # returned a number
+        with pytest.raises(SingularCovarianceError) as err:
+            BALANCED_FORMS[name](StudentVarianceComponents(*components))
+        assert err.value.field == "student_vc.sigma_eta2"
 
 
 class TestContaminationRule:

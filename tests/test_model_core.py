@@ -77,7 +77,7 @@ class TestDomainTypes:
             student_precision(np.ones((3, 2)), degenerate)
 
     def test_numerically_singular_kernel_names_sigma_eta2(self):
-        # sigma_eta2 > 0 passes check_invertible, but K = sigma_eta2 I + W'W
+        # sigma_eta2 > 0 passes the level's guard, but K = sigma_eta2 I + W'W
         # is rank one plus 1e-10 here, singular in floating point
         tiny = StudentVarianceComponents(1e8, 1e8, 1e-10)
         with pytest.raises(np.linalg.LinAlgError) as err:
@@ -120,7 +120,7 @@ class TestDomainTypes:
         assert err.value.field == "student_vc.sigma_t2"
         # the singular-covariance error is also a LinAlgError
         with pytest.raises(np.linalg.LinAlgError) as err:
-            StudentVarianceComponents(1.0, 1.0, 0.0).check_invertible()
+            StudentVarianceComponents.check(StudentVarianceComponents(1.0, 1.0, 0.0))
         assert isinstance(err.value, FieldError)
         assert err.value.field == "student_vc.sigma_eta2"
 

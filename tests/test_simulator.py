@@ -643,9 +643,31 @@ class TestChunkedEngine:
         finally:
             tracemalloc.stop()
         levels = [result.level(level) for result in results for level in ("teacher", "student")]
-        arrays = [(lv.variances, lv.samples, lv.density.grid, lv.density.density) for lv in levels]
+        arrays = [(lv.variances, lv.density.grid, lv.density.density) for lv in levels]
         returned = sum(array.nbytes for level_arrays in arrays for array in level_arrays)
         assert peak - returned < 4 * simulator._CHUNK_BYTES
+
+    def test_results_hold_one_array_per_level(self):
+        # a level keeps its variances; its finite samples and non-estimable
+        # count are read off them, where a stored copy of the samples about
+        # doubled what the results hold (2.05 times the variances here)
+        layout, policy = StudyLayout(a=4, m=2, n=4), AssignmentPolicy.with_replacement(1)
+        configs = [
+            make_config(layout=layout, design=design, policy=policy, q=0.3, replicates=reps, seed=1)
+            for reps in (2, 20_000)
+            for design in (D2, D3)
+        ]
+        simulate_anticipated_variance(configs[:2])  # what a first run loads stays allocated
+        tracemalloc.start()
+        try:
+            results = simulate_anticipated_variance(configs[2:])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        levels = [result.level(level) for result in results for level in ("teacher", "student")]
+        assert held <= 1.1 * sum(level.variances.nbytes for level in levels)
+        for level in levels:
+            assert level.samples.size + level.non_estimable == level.variances.size
 
 
 class TestHeterogeneousLayouts:

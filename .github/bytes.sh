@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Run one compare and one validate of each of five configs with the package
+# Run one compare and one validate of each of six configs with the package
 # at $BASE/src and at ./src, writing under $WORK/base and $WORK/head: a
 # heterogeneous with_replacement one, a balanced c = 2 one with remainder
 # rows (n_i not a multiple of C(m_i, 2)) in every school, a balanced c = 2
 # one that mixes tiled schools (n_i a multiple of C(m_i, 2)) with schools
-# that have remainder rows, a single_course one, and a run of 20,000 small
+# that have remainder rows, a balanced c = 2 one whose every school is
+# tiled (compare broadcasts the run's one slot precision and draws no
+# assignment), a single_course one, and a run of 20,000 small
 # replicates that the engine pivots in several blocks of chunks (about 3
 # in compare and 4 in validate at the 2 MiB cap), so the check crosses a
 # block boundary in each mode.
@@ -44,6 +46,14 @@ cat > "$WORK/balanced_mixed.json" <<'JSON'
  "assignment": {"policy": "balanced", "c": 2},
  "q": 0.5, "replicates": 300, "seed": 5, "effect_size_diff": 1.0}
 JSON
+cat > "$WORK/balanced_tiled.json" <<'JSON'
+{"schools": 4, "teachers_per_school": [4, 4, 6, 6], "students_per_school": [12, 6, 30, 15],
+ "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
+ "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
+ "designs": ["randomize_schools", "within_schools", "crd"],
+ "assignment": {"policy": "balanced", "c": 2},
+ "q": 0.5, "replicates": 300, "seed": 5, "effect_size_diff": 1.0}
+JSON
 cat > "$WORK/single_course.json" <<'JSON'
 {"schools": 4, "teachers_per_school": [2, 4, 6, 8], "students_per_school": [4, 16, 30, 16],
  "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
@@ -61,7 +71,7 @@ cat > "$WORK/blocks.json" <<'JSON'
 JSON
 for side in base head; do
   src=$([ "$side" = base ] && echo "$BASE/src" || echo "$PWD/src")
-  for config in with_replacement balanced_remainder balanced_mixed single_course blocks; do
+  for config in with_replacement balanced_remainder balanced_mixed balanced_tiled single_course blocks; do
     for mode in compare validate; do
       # exit code 2 (a failed validation row) still writes every artifact
       PYTHONPATH="$src" python -m multilevel_design.cli "$mode" \

@@ -23,13 +23,13 @@ contamination, schools padded to the largest.  With replacement, each
 school's Gram [1 D]'[1 D] comes without an n x m D, from one bincount of the
 codes of each student's teacher-pick pairs, and one kernel call a chunk
 gives its student precisions.  Balanced and single_course solve the kernel
-once per layout, on the slot Gram of its fixed balanced rows, and carry G
-onto each replicate's teachers through its slot table in O(m^2).  Every
-design of a chunk shares its G; one matmul over the schools' rows per level
-gives the information.  The chunks' informations wait in a buffer of up to
-_CHUNK_BYTES, pivoted a block at a time per design and level: a run holds
-one block, and the small-matrix routines run once per few thousand
-replicates, not once per chunk of a few.
+once per run, as the teacher's, on the slot Gram of the fixed balanced
+rows, and carry G onto each replicate's teachers through its slot table in
+O(m^2).  Every design of a chunk shares its G; one matmul over the
+schools' rows per level gives the information.  The chunks' informations
+wait in a buffer of up to _CHUNK_BYTES, pivoted a block at a time per
+design and level: a run holds one block, and the small-matrix routines run
+once per few thousand replicates, not once per chunk of a few.
 
 The study's chunks (_study_chunk) GLS-fit Box-Muller noise of the
 responses stream on the same draws, which validates the anticipated
@@ -220,7 +220,7 @@ def _slot_table(m: tuple, n: tuple, u: np.ndarray) -> np.ndarray:
 def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
     """Every school's (max n, c) balanced rows as slots of _slot_table: full
     passes over the c-subsets, then the remainder's (c*j + k) mod m_i.
-    Fixed per layout, so _slot_gram counts them once."""
+    Fixed per layout, so _slot_precision counts them once."""
     slots = np.zeros((len(m), max(n), c), dtype=np.intp)
     for i, (m_i, n_i) in enumerate(zip(m, n)):
         full, rest = divmod(n_i, math.comb(m_i, c))
@@ -232,21 +232,17 @@ def _balanced_slots(m: tuple, n: tuple, c: int) -> np.ndarray:
     return slots
 
 
-def _slot_gram(m: tuple, n: tuple, c: int) -> np.ndarray:
-    """Every school's Gram [1 S]'[1 S], (a, max m + 1, max m + 1), of its
-    balanced rows S over the slots of _slot_table: the full passes deal
-    every c-subset equally often, so no relabeling changes their part."""
-    real = np.arange(max(n)) < np.array(n)[:, None]
-    return _pick_gram(_balanced_slots(m, n, c)[real][None], n, max(m))[0]
-
-
-@functools.lru_cache(maxsize=1)
-def _slot_precision(m: tuple, n: tuple, c: int, vc: StudentVarianceComponents) -> np.ndarray:
-    """The student precision (a, max m, max m) of _slot_gram, cached for the last
-    (layout, c, vc): relabeling teachers leaves sigma_s2 J + sigma_t2 D D' + sigma_eta2 I."""
-    g = _gram_precision(_slot_gram(m, n, c), vc)
-    g.setflags(write=False)  # cached: every caller shares it
-    return g
+def _slot_precision(config: SimulationConfig) -> np.ndarray | None:
+    """A run's balanced or single_course student precision (a, max m, max m),
+    None with replacement: the kernel on each school's Gram [1 S]'[1 S] of
+    its balanced rows S over the slots of _slot_table, whose full passes no
+    relabeling changes; nor does it change sigma_s2 J + sigma_t2 D D' + sigma_eta2 I."""
+    layout, policy = config.layout, config.policy
+    if policy.kind is PolicyKind.WITH_REPLACEMENT:
+        return None
+    real = np.arange(max(layout.n)) < np.array(layout.n)[:, None]
+    slots = _balanced_slots(layout.m, layout.n, policy.c)[real][None]
+    return _gram_precision(_pick_gram(slots, layout.n, max(layout.m))[0], config.student_vc)
 
 
 def _tiled(layout: StudyLayout, c: int) -> np.ndarray:
@@ -254,30 +250,28 @@ def _tiled(layout: StudyLayout, c: int) -> np.ndarray:
     return np.array([n_i % math.comb(m_i, c) == 0 for m_i, n_i in zip(layout.m, layout.n)])
 
 
-def _relabeled(config: SimulationConfig, u: np.ndarray) -> np.ndarray:
+def _relabeled(config: SimulationConfig, u: np.ndarray, g_slot: np.ndarray) -> np.ndarray:
     """Balanced or single_course G, (R, a, max m, max m), from assignment uniforms
-    ``u`` (R, K): _slot_precision, on a school with remainder rows gathered at
-    each teacher's slot in the replicate's slot table."""
-    layout, c, m = config.layout, config.policy.c, max(config.layout.m)
+    ``u`` (R, K): the run's _slot_precision ``g_slot``, on a school with
+    remainder rows gathered at each teacher's slot in the replicate's slot table."""
+    layout, m = config.layout, max(config.layout.m)
     rows = np.argsort(_slot_table(layout.m, layout.n, u), axis=-1)
-    rows[:, _tiled(layout, c)] = np.arange(m)
-    g = _slot_precision(layout.m, layout.n, c, config.student_vc)
-    return g[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]
+    rows[:, _tiled(layout, config.policy.c)] = np.arange(m)
+    return g_slot[np.arange(layout.a)[:, None, None], rows[..., :, None], rows[..., None, :]]
 
 
-def _student_precisions(config: SimulationConfig, rng: np.random.Generator, count: int):
+def _student_precisions(config: SimulationConfig, rng: np.random.Generator, count: int, g_slot):
     """Every school's G, (R, a, max m, max m), of the next ``count`` replicates
-    of the assignment stream ``rng``: with replacement the kernel on the picks'
-    Grams, otherwise _relabeled, drawing nothing when every school is _tiled."""
+    of the assignment stream ``rng``: with replacement (``g_slot`` None) the kernel on
+    the picks' Grams, else ``g_slot`` _relabeled, drawing nothing when every school is _tiled."""
     policy, layout = config.policy, config.layout
     shape = (count, _assignment_uniforms(policy, layout.m, layout.n))
-    if policy.kind is PolicyKind.WITH_REPLACEMENT:
+    if g_slot is None:
         picks = _picks(policy, layout.m, layout.n, rng.random(shape))
         return _gram_precision(_pick_gram(picks, layout.n, max(layout.m)), config.student_vc)
     if _tiled(layout, policy.c).all():
-        g = _slot_precision(layout.m, layout.n, policy.c, config.student_vc)
-        return np.broadcast_to(g, (count,) + g.shape)
-    return _relabeled(config, rng.random(shape))
+        return np.broadcast_to(g_slot, (count,) + g_slot.shape)
+    return _relabeled(config, rng.random(shape), g_slot)
 
 
 @dataclass(frozen=True)
@@ -405,7 +399,8 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
     linear rule (Hyndman-Fan type 7) on the sorted samples: virtual index
     v = (n - 1) q, j = floor(v), t = v - j, a = x[j], b = x[j + 1], then
     a + (b - a) t for t < 0.5, else b - (b - a)(1 - t).  Degenerate inputs (all
-    samples identical) return a point-mass marker instead of a grid.
+    samples identical, or so close that 1/(h sqrt(2 pi)) overflows) return a
+    point-mass marker at their mean instead of a grid.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0 or not np.isfinite(samples).all():
@@ -417,6 +412,8 @@ def kde_density(samples: np.ndarray) -> DensityEstimate:
     iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     h = 0.9 * scale * samples.size ** (-0.2)
+    if h * np.sqrt(2.0 * np.pi) < 1.0 / np.finfo(float).max:  # a rounding-noise spread
+        return DensityEstimate(grid=None, density=None, point_mass=_scaled(np.mean, samples))
     grid = np.linspace(samples.min() - 3.0 * h, samples.max() + 3.0 * h, 256)
     dens = np.zeros(grid.size)
     chunk = max(1, _CHUNK_BYTES // (8 * samples.size))  # rows of one block's temporaries
@@ -538,13 +535,13 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     _CHUNK_BYTES of earlier chunks (p^2 numbers a design and level a
     replicate, p^2 + p with validate's right side: 192 and 288 bytes at
     q = 0 and three designs), held beside the chunk until they are pivoted.
-    Balanced and single_course compare reads a cached G (_slot_gram_bytes):
+    Balanced and single_course compare reads the run's G (_slot_gram_bytes):
     no picks, pair counts or solve."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
 
 def _slot_gram_bytes(layout: StudyLayout) -> int:
-    """Bytes of _slot_gram and the cached _slot_precision, a Gram and a G a school,
+    """Bytes of _slot_precision's slot Gram and G, a Gram and a G a school,
     beside a balanced or single_course chunk; the guard counts them as teachers'."""
     return 8 * layout.a * ((max(layout.m) + 1) ** 2 + max(layout.m) ** 2)
 
@@ -673,15 +670,15 @@ def gls_estimate(
     return cov @ b, cov
 
 
-def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int, g_t: np.ndarray):
+def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int, g_t, g_slot):
     """The student precisions G (R, a, max m, max m) and the right sides
     (R, a, max m) of GLS fits to the noise alone, v + eps and Dt + s + eta,
-    on the next ``count`` replicates of ``streams``, with the run's teacher
-    precisions ``g_t``: (G, G_t(v + eps), Gt + D' Sigma^-1 (s + eta)),
-    which serve every design of the chunk.  A replicate's responses
-    uniforms give a teacher block and then a student block of normals.  One
-    pair count and one student solve on s + eta give D' Sigma^-1 (s + eta)
-    and, with replacement, G (else _relabeled)."""
+    on the next ``count`` replicates of ``streams``, with the run's ``g_t``
+    and ``g_slot``: (G, G_t(v + eps), Gt + D' Sigma^-1 (s + eta)), which
+    serve every design of the chunk.  A replicate's responses uniforms give
+    a teacher block and then a student block of normals.  One pair count
+    and one student solve on s + eta give D' Sigma^-1 (s + eta) and, with
+    replacement (``g_slot`` None), G (else ``g_slot`` _relabeled)."""
     tvc, svc, layout = config.teacher_vc, config.student_vc, config.layout
     m = max(layout.m)
     v, eps, t_size = _teacher_slots(layout.m)
@@ -689,7 +686,7 @@ def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int
     sizes = _stream_sizes(config)
     u = streams.assignment.random((count, sizes.assignment))
     picks = _picks(config.policy, layout.m, layout.n, u)
-    g_s = None if config.policy.kind is PolicyKind.WITH_REPLACEMENT else _relabeled(config, u)
+    g_s = None if g_slot is None else _relabeled(config, u, g_slot)
     u = streams.responses.random((count, sizes.responses))
     z_t = _normals(u[:, : _paired(t_size)], t_size)
     z_s = _normals(u[:, _paired(t_size) :], s_size)
@@ -737,13 +734,14 @@ def _run(configs: Sequence[SimulationConfig], fit: bool = False) -> np.ndarray:
     replicate, 1/pivot and, with ``fit``, the noise fit's treatment
     coefficient (k = 2).  The configs differ only in their design, so they
     share the assignment and responses streams, common random numbers, and
-    each design draws its own randomization and contamination.  Per chunk
-    one student precision (_student_precisions, or _study_chunk's with its
-    right sides) serves every design.  The chunks' _information terms wait
-    in a buffer until it holds _CHUNK_BYTES, and at the end; each flush
-    pivots every design and level once (_solve_block), matrix by matrix, so
-    the block changes no bit.  Raises ValueError, before any draw, for no
-    configs or for configs that differ in more."""
+    each design draws its own randomization and contamination.  It makes
+    the teacher precision and _slot_precision once, and per chunk one
+    student precision (_student_precisions, or _study_chunk's with its right
+    sides) serves every design.  The chunks' _information terms wait in a
+    buffer until it holds _CHUNK_BYTES, and at the end; each flush pivots
+    every design and level once (_solve_block), matrix by matrix, so the
+    block changes no bit.  Raises ValueError, before any draw, for no configs
+    or for configs that differ in more."""
     if not configs:
         raise ValueError("a run needs at least one config")
     first = configs[0]
@@ -751,14 +749,15 @@ def _run(configs: Sequence[SimulationConfig], fit: bool = False) -> np.ndarray:
         raise ValueError("the configs of one run may differ only in their design")
     streams = [replicate_streams(config, 0) for config in configs]
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
+    g_slot = _slot_precision(first)
     record = np.empty((len(configs), len(LEVELS), 1 + fit, first.replicates))
     held, size, start, stop = [], 0, 0, 0
     for count in _chunks(first):
         xs = [_design_chunk(c, s, count) for c, s in zip(configs, streams)]
         if fit:
-            g_s, *rhs = _study_chunk(first, streams[0], count, g_t)
+            g_s, *rhs = _study_chunk(first, streams[0], count, g_t, g_slot)
         else:
-            g_s, rhs = _student_precisions(first, streams[0].assignment, count), (None, None)
+            g_s, rhs = _student_precisions(first, streams[0].assignment, count, g_slot), (None, None)
         terms = [[_information(x, g, z) for g, z in zip((g_t, g_s), rhs)] for x in xs]
         held.append(terms if fit else [[(info,) for info in design] for design in terms])
         del g_s, rhs  # not held through the next chunk's draws, where a chunk peaks

@@ -226,18 +226,24 @@ class TestDrawAssignment:
         draw_assignment(AssignmentPolicy.balanced(2), 6, 9, rng)
         assert simulator._balanced_slots.cache_info().currsize == 1
 
-    def test_slot_precision_cache_keeps_the_last_layout(self):
-        # a large layout's slot precision must not outlive the next run, and
-        # every replicate of every caller shares the cached array
-        for layout in (StudyLayout(a=4, m=4, n=12), StudyLayout(a=2, m=(6, 4), n=(15, 6))):
-            config = make_config(layout=layout, policy=AssignmentPolicy.balanced(2))
-            simulate_anticipated_variance([config])
-            assert simulator._slot_precision.cache_info().currsize == 1
-            g = simulator._slot_precision(layout.m, layout.n, 2, PILOT_STUDENT)
-            assert g.shape == (layout.a, max(layout.m), max(layout.m))
-            assert not g.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                g[0, 0, 0] = 0.0
+    def test_every_balanced_run_solves_the_student_kernel_once(self, monkeypatch):
+        # the slot precision is made per run, beside the teacher's, so a
+        # run of a layout solves it whatever ran before; a cache of the last
+        # layout's precision let the second of two runs solve nothing
+        layout = StudyLayout(a=4, m=(4, 4, 6, 6), n=(12, 6, 30, 15))
+        config = make_config(layout=layout, policy=AssignmentPolicy.balanced(2), replicates=20)
+        assert simulator._tiled(layout, 2).all()
+        calls = []
+
+        def counted(*args, _inner=simulator._gram_precision):
+            calls.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(simulator, "_gram_precision", counted)
+        simulate_anticipated_variance([config])
+        assert len(calls) == 1
+        simulate_anticipated_variance([config])
+        assert len(calls) == 2
 
 
 class TestReplicateStreams:
@@ -588,7 +594,7 @@ class TestChunkedEngine:
         assert simulator._stream_sizes(config).responses == 8 + 12
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
-        simulator._study_chunk(config, streams, 1, g_t)
+        simulator._study_chunk(config, streams, 1, g_t, simulator._slot_precision(config))
         assert streams.responses.random() == replicate_streams(config, 0).responses.random(21)[20]
 
     @pytest.mark.parametrize("m", [8, 40, 100])
@@ -612,9 +618,10 @@ class TestChunkedEngine:
         streams = [replicate_streams(config, 0) for config in configs]
         xs = [simulator._design_chunk(c, s, count) for c, s in zip(configs, streams)]
         g_t = _teacher_precisions(configs[0].layout.m, configs[0].teacher_vc)
+        g_slot = simulator._slot_precision(configs[0])
         tracemalloc.start()
         try:
-            g_s, rhs_t, rhs_s = simulator._study_chunk(configs[0], streams[0], count, g_t)
+            g_s, rhs_t, rhs_s = simulator._study_chunk(configs[0], streams[0], count, g_t, g_slot)
             terms = [[_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)] for x in xs]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -679,7 +686,7 @@ class TestHeterogeneousLayouts:
         m, count = config.layout.m, config.replicates
         x = simulator._design_chunk(config, replicate_streams(config, 0), count)
         stream = replicate_streams(config, 0).assignment
-        g = simulator._student_precisions(config, stream, count)
+        g = simulator._student_precisions(config, stream, count, simulator._slot_precision(config))
         g_t = _teacher_precisions(m, config.teacher_vc)
         infos = np.stack([_information(x, g_t), _information(x, _symmetric(g))])
         for rep in range(count):
@@ -755,7 +762,7 @@ class TestHeterogeneousLayouts:
         ],
     )
     def test_slot_gram_equals_pick_gram(self, m, n, policy):
-        # the cached slot Gram, gathered at the intercept and each teacher's
+        # the slot Gram, gathered at the intercept and each teacher's
         # slot in the slot table, counts exactly what the ordered picks
         # count, padded teachers included: the full passes' part is the same
         # under every relabeling
@@ -764,7 +771,9 @@ class TestHeterogeneousLayouts:
         want = simulator._pick_gram(simulator._picks(policy, m, n, u), n, top)
         rows = np.zeros((5, len(m), top + 1), dtype=np.intp)
         rows[..., 1:] = 1 + np.argsort(simulator._slot_table(m, n, u), axis=-1)
-        slot = simulator._slot_gram(m, n, policy.c)
+        real = np.arange(max(n)) < np.array(n)[:, None]
+        slots = simulator._balanced_slots(m, n, policy.c)[real][None]
+        slot = simulator._pick_gram(slots, n, top)[0]
         got = slot[np.arange(len(m))[:, None, None], rows[..., :, None], rows[..., None, :]]
         assert np.array_equal(got, want)
 
@@ -781,7 +790,7 @@ class TestHeterogeneousLayouts:
         ],
     )
     def test_slot_precision_equals_pick_precision(self, m, n, policy):
-        # the cached G of a tiled school is the kernel's G of its picks bit
+        # the run's G of a tiled school is the kernel's G of its picks bit
         # for bit; a school with remainder rows gathers it, which equals the
         # kernel's G but for rounding, relative to G's largest entry where an
         # entry is small
@@ -789,7 +798,8 @@ class TestHeterogeneousLayouts:
         k = simulator._stream_sizes(config).assignment
         picks = simulator._picks(policy, m, n, replicate_streams(config, 0).assignment.random((5, k)))
         want = _gram_precision(simulator._pick_gram(picks, n, max(m)), PILOT_STUDENT)
-        got = simulator._student_precisions(config, replicate_streams(config, 0).assignment, 5)
+        stream, g_slot = replicate_streams(config, 0).assignment, simulator._slot_precision(config)
+        got = simulator._student_precisions(config, stream, 5, g_slot)
         assert got.shape == want.shape
         tiled = simulator._tiled(config.layout, policy.c)
         assert np.array_equal(got[:, tiled], want[:, tiled])
@@ -965,7 +975,7 @@ class TestLockstepEngine:
         ],
     )
     def test_tiled_compare_solves_once_and_draws_no_assignment(self, layout, policy, monkeypatch):
-        # every school tiled: each replicate's G is the cached slot
+        # every school tiled: each replicate's G is the run's slot
         # precision, so the run solves the student kernel once and never
         # reads the assignment stream; a school with remainder rows draws
         configs = self._configs(layout=layout, policy=policy, replicates=23)
@@ -984,7 +994,6 @@ class TestLockstepEngine:
 
         monkeypatch.setattr(simulator, "_gram_precision", counted)
         monkeypatch.setattr(simulator, "replicate_streams", no_assignment)
-        simulator._slot_precision.cache_clear()
         got = simulate_anticipated_variance(configs)
         assert len(calls) == 1
         for result, expected in zip(got, want, strict=True):
@@ -1061,23 +1070,20 @@ class TestScaleEquivariance:
     LAYOUT = StudyLayout(a=4, m=(2, 4, 6, 8), n=(5, 17, 30, 11))
 
     @classmethod
-    def configs(cls, k):
+    def configs(cls, k, **overrides):
         def scaled(vc):
             return type(vc)(*(np.ldexp(v, 2 * k) for v in vars(vc).values()))
 
-        return [
-            make_config(
-                layout=cls.LAYOUT,
-                teacher_vc=scaled(PILOT_TEACHER),
-                student_vc=scaled(PILOT_STUDENT),
-                design=design,
-                policy=AssignmentPolicy.with_replacement(3),
-                q=0.3,
-                replicates=200,
-                seed=3,
-            )
-            for design in DesignKind
-        ]
+        fields = dict(
+            layout=cls.LAYOUT,
+            teacher_vc=scaled(PILOT_TEACHER),
+            student_vc=scaled(PILOT_STUDENT),
+            policy=AssignmentPolicy.with_replacement(3),
+            q=0.3,
+            replicates=200,
+            seed=3,
+        )
+        return [make_config(design=design, **{**fields, **overrides}) for design in DesignKind]
 
     @classmethod
     def variances(cls, k):
@@ -1089,6 +1095,24 @@ class TestScaleEquivariance:
         unit = self.variances(0)
         assert np.isfinite(unit).any(axis=-1).all()
         np.testing.assert_array_equal(self.variances(k), np.ldexp(unit, 2 * k))
+
+    def test_rounding_noise_at_the_smallest_scales_has_a_finite_density(self):
+        # a level that is constant in exact arithmetic spreads by rounding
+        # noise alone; at 4^-500 its bandwidth h is subnormal and
+        # 1/(h sqrt(2 pi)) overflowed to empty density cells
+        configs = self.configs(
+            -500,
+            layout=StudyLayout(a=4, m=4, n=8),
+            policy=AssignmentPolicy.balanced(2),
+            q=0.0,
+            replicates=50,
+            seed=1,
+        )
+        for result in simulate_anticipated_variance(configs):
+            for level in simulator.LEVELS:
+                density = result.level(level).density
+                values = [density.point_mass] if density.is_point_mass else density.density
+                assert np.isfinite(values).all()
 
     @classmethod
     def validation(cls, k):
@@ -1280,6 +1304,13 @@ class TestEstimatorVarianceStudy:
             AssignmentPolicy.balanced(2),
             0.3,
         ),
+        # tiled schools take the slot precision as is, beside schools that
+        # gather it
+        "balanced_mixed": (
+            StudyLayout(a=4, m=(4, 4, 6, 6), n=(12, 8, 30, 21)),
+            AssignmentPolicy.balanced(2),
+            0.5,
+        ),
     }
 
     @pytest.mark.parametrize("name", AGREEMENT)
@@ -1316,7 +1347,8 @@ class TestEstimatorVarianceStudy:
         streams = replicate_streams(config, 0)
         g_t = _teacher_precisions(config.layout.m, config.teacher_vc)
         x = simulator._design_chunk(config, streams, config.replicates)
-        g_s, rhs_t, rhs_s = simulator._study_chunk(config, streams, config.replicates, g_t)
+        g_slot = simulator._slot_precision(config)
+        g_s, rhs_t, rhs_s = simulator._study_chunk(config, streams, config.replicates, g_t, g_slot)
         terms = [_information(x, g_t, rhs_t), _information(x, g_s, rhs_s)]
         solves = [simulator._treatment_pivot(info, None, b) for info, b in terms]
         # the chunk fits the noise alone: GLS adds beta's treatment entry

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Run one compare and one validate of each of six configs with the package
-# at $BASE/src and at ./src, writing under $WORK/base and $WORK/head: a
-# heterogeneous with_replacement one, a balanced c = 2 one with remainder
-# rows (n_i not a multiple of C(m_i, 2)) in every school, a balanced c = 2
-# one that mixes tiled schools (n_i a multiple of C(m_i, 2)) with schools
-# that have remainder rows, a balanced c = 2 one whose every school is
-# tiled (compare broadcasts the run's one slot precision and draws no
-# assignment), a single_course one, and a run of 20,000 small
-# replicates that the engine pivots in several blocks of chunks (about 3
-# in compare and 4 in validate at the 2 MiB cap), so the check crosses a
-# block boundary in each mode.
+# Run one compare and one validate of each of seven configs with the
+# package at $BASE/src and at ./src, writing under $WORK/base and
+# $WORK/head: a heterogeneous with_replacement one, a balanced c = 2 one
+# with remainder rows (n_i not a multiple of C(m_i, 2)) in every school, a
+# balanced c = 2 one that mixes tiled schools (n_i a multiple of C(m_i, 2))
+# with schools that have remainder rows, a balanced c = 2 one whose every
+# school is tiled (compare informs each block from the run's one slot
+# precision and draws no assignment), the same tiled layout at 20,000
+# replicates, which spans blocks (19 in compare and 21 in validate at
+# the 2 MiB cap), a single_course one, and a run of 20,000 small
+# with_replacement replicates that also spans blocks (7 in compare and 9
+# in validate), so the check crosses block boundaries in each mode.
 # When pyproject.toml's version is unchanged the artifacts must match byte
 # for byte.  When it changed, the file sets and every CSV's header row must
 # still match, and each CSV that differs gets its largest relative cell
@@ -54,6 +55,14 @@ cat > "$WORK/balanced_tiled.json" <<'JSON'
  "assignment": {"policy": "balanced", "c": 2},
  "q": 0.5, "replicates": 300, "seed": 5, "effect_size_diff": 1.0}
 JSON
+cat > "$WORK/balanced_tiled_blocks.json" <<'JSON'
+{"schools": 4, "teachers_per_school": [4, 4, 6, 6], "students_per_school": [12, 6, 30, 15],
+ "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
+ "student_vc": {"sigma_s2": 1.6, "sigma_t2": 14.4, "sigma_eta2": 14.4},
+ "designs": ["randomize_schools", "within_schools", "crd"],
+ "assignment": {"policy": "balanced", "c": 2},
+ "q": 0.5, "replicates": 20000, "seed": 5, "effect_size_diff": 1.0}
+JSON
 cat > "$WORK/single_course.json" <<'JSON'
 {"schools": 4, "teachers_per_school": [2, 4, 6, 8], "students_per_school": [4, 16, 30, 16],
  "teacher_vc": {"sigma_v2": 1.6, "sigma_eps2": 14.4},
@@ -71,7 +80,8 @@ cat > "$WORK/blocks.json" <<'JSON'
 JSON
 for side in base head; do
   src=$([ "$side" = base ] && echo "$BASE/src" || echo "$PWD/src")
-  for config in with_replacement balanced_remainder balanced_mixed balanced_tiled single_course blocks; do
+  for config in with_replacement balanced_remainder balanced_mixed balanced_tiled \
+      balanced_tiled_blocks single_course blocks; do
     for mode in compare validate; do
       # exit code 2 (a failed validation row) still writes every artifact
       PYTHONPATH="$src" python -m multilevel_design.cli "$mode" \

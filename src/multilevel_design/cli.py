@@ -282,9 +282,18 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _floats(values: np.ndarray) -> list[str]:
+    """``_fmt`` of each float of ``values``, as a column: one ``tolist``,
+    ``repr`` of every value, empty cells where it is not finite."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
 def _csv(header: Sequence[str], rows) -> str:
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text of ``header`` and ``rows``, each an iterable of its cells' text."""
+    return "\n".join(map(",".join, [header, *rows])) + "\n"
 
 
 _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#7c4fb0", "#c2851a", "#3aa6a6")
@@ -360,7 +369,8 @@ def _density_svg(series: Mapping[str, DensityEstimate]) -> str:
             px = f"{sx(float(dens.point_mass)):.3f}"
             parts.append(_line(px, top, px, base, color, 1.5, dash))
         else:
-            points = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(dens.grid, dens.density))
+            xy = sx(dens.grid).tolist(), sy(dens.density).tolist()
+            points = " ".join(map("{:.3f},{:.3f}".format, *xy))
             parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                          f'points="{points}"/>')
         ly = top + 12 + 18 * i
@@ -398,7 +408,7 @@ def _run_closed_form(config: RunConfig, spec: BalancedSpec) -> tuple[int, dict[s
             se_diff = None if variance is None else 2.0 * float(np.sqrt(variance))
             rows.append((design.value, level, info, variance, se_diff, inflation))
     header = ("design", "level", "expected_info", "anticipated_var", "se_diff", "inflation")
-    return 0, {"closed_forms.csv": _csv(header, rows)}
+    return 0, {"closed_forms.csv": _csv(header, [map(_fmt, row) for row in rows])}
 
 
 def _run_simulate(sim_configs: Sequence[SimulationConfig]) -> tuple[int, dict[str, str]]:
@@ -413,27 +423,30 @@ def _run_simulate(sim_configs: Sequence[SimulationConfig]) -> tuple[int, dict[st
         design = result.config.design.value
         for level in LEVELS:
             res, dens = result.level(level), result.level(level).density
+            count = res.variances.size
+            estimable = np.isfinite(res.variances).tolist()
             artifacts[f"samples_{design}_{level}.csv"] = _csv(
                 ("replicate", "level", "design", "variance", "estimable"),
-                [(r, level, design, v, int(math.isfinite(v)))
-                 for r, v in enumerate(res.variances.tolist())],
+                zip(map(str, range(count)), [level] * count, [design] * count,
+                    _floats(res.variances), map("{:d}".format, estimable)),
             )
-            density_rows = []
+            columns = []
             if dens is not None:
                 series[f"{design} {level}"] = dens
-                curve = [] if dens.is_point_mass else zip(dens.grid.tolist(), dens.density.tolist())
-                density_rows = [(level, design, x, y) for x, y in curve] or [
-                    (level, design, dens.point_mass, None)
-                ]
+                if dens.is_point_mass:
+                    cells = [_fmt(dens.point_mass)], [""]
+                else:
+                    cells = _floats(dens.grid), _floats(dens.density)
+                columns = [[level] * len(cells[0]), [design] * len(cells[0]), *cells]
             artifacts[f"density_{design}_{level}.csv"] = _csv(
-                ("level", "design", "variance", "density"), density_rows
+                ("level", "design", "variance", "density"), zip(*columns)
             )
             se_diff = 2.0 * float(np.sqrt(res.mean))
             frac = res.non_estimable / res.variances.size
             summary_rows.append((design, level, res.mean, res.sd, se_diff, res.power, frac))
     artifacts["summary.csv"] = _csv(
         ("design", "level", "mean_var", "sd_var", "se_diff", "power", "non_estimable_frac"),
-        summary_rows,
+        [map(_fmt, row) for row in summary_rows],
     )
     if series:
         artifacts["density.svg"] = _density_svg(series)
@@ -455,7 +468,8 @@ def _run_validate(sim_configs: Sequence[SimulationConfig]) -> tuple[int, dict[st
             cells = (res.anticipated_mean, res.coef_variance, res.variance_ratio, int(ok))
             rows.append((sim.design.value, level) + cells)
     header = ("design", "level", "analytic_var", "empirical_var", "ratio", "pass")
-    return 2 if any(row[-1] == 0 for row in rows) else 0, {"validate.csv": _csv(header, rows)}
+    text = _csv(header, [map(_fmt, row) for row in rows])
+    return 2 if any(row[-1] == 0 for row in rows) else 0, {"validate.csv": text}
 
 
 def run(config: RunConfig) -> int:

@@ -342,11 +342,12 @@ def _information(x: np.ndarray, g: np.ndarray, z: np.ndarray | None = None):
 
     ``x`` is (..., k, m, p), k schools' fixed-effect matrices (intercept,
     treatment, optional contamination) with zero rows for idle padded
-    teachers, ``g`` their (..., k, m, m) precisions and ``z`` (..., k, m).
-    Returns the symmetric (..., p, p) information, or it and the (..., p)
-    right side, a column of [G X | z]: alone, it would take BLAS's
-    matrix-vector path, which sums in another order.
+    teachers, read as floats, ``g`` their (..., k, m, m) precisions and
+    ``z`` (..., k, m).  Returns the symmetric (..., p, p) information, or
+    it and the (..., p) right side, a column of [G X | z]: alone, it would
+    take BLAS's matrix-vector path, which sums in another order.
     """
+    x = np.asarray(x, dtype=float)
     p = x.shape[-1]
     y = g @ x if z is None else np.concatenate([g @ x, z[..., None]], axis=-1)
     rows_x = x.reshape(x.shape[:-3] + (-1, p))

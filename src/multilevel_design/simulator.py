@@ -13,23 +13,28 @@ one stream keyed by (seed, purpose), not by design, of which a replicate
 takes K uniforms from offset r*K, school by school; _school_keys reads each
 school's run, and the one-school draws (draw_assignment,
 draw_randomization, draw_contamination) decode the same uniforms from any
-Generator.  A run makes each stream once and draws its chunks in order, so
-chunking changes no result, and its designs share their assignment draws,
-common random numbers.
+Generator.  A run makes each stream once and draws its blocks and chunks
+in order, so neither changes a result, and its designs share their
+assignment draws, common random numbers.
 
-Replicates run in chunks under a memory cap.  A replicate only draws, into
-arrays: its assignment uniforms and each teacher's +-1 randomization and
-contamination, schools padded to the largest.  With replacement, each
-school's Gram [1 D]'[1 D] comes without an n x m D, from one bincount of the
-codes of each student's teacher-pick pairs, and one kernel call a chunk
-gives its student precisions.  Balanced and single_course solve the kernel
-once per run, as the teacher's, on the slot Gram of the fixed balanced
-rows, and carry G onto each replicate's teachers through its slot table in
-O(m^2).  Every design of a chunk shares its G; one matmul over the
-schools' rows per level gives the information.  The chunks' informations
-wait in a buffer of up to _CHUNK_BYTES, pivoted a block at a time per
-design and level: a run holds one block, and the small-matrix routines run
-once per few thousand replicates, not once per chunk of a few.
+Replicates run at two granularities under one memory cap, _CHUNK_BYTES.
+A chunk is the replicates whose student-sized arrays fit it: assignment
+uniforms, picks, pair counts, Grams and their solve.  A block is the whole
+chunks whose design rows fit it: each design's +-1 randomization and
+contamination of every teacher, schools padded to the largest, as
+_information reads them in floats, and its information terms.  A block draws each design's rows once, and each design
+and level is pivoted once per block, so the small-matrix routines run once
+per few hundred replicates, not once per chunk of a few.  With replacement,
+each school's Gram [1 D]'[1 D] comes without an n x m D, from one bincount
+of the codes of each student's teacher-pick pairs, and one kernel call a
+chunk gives its student precisions.  Balanced and single_course solve the
+kernel once per run, as the teacher's, on the slot Gram of the fixed
+balanced rows, and carry G onto each replicate's teachers through its slot
+table in O(m^2).  Every design of a chunk shares its G; one matmul over the
+schools' rows per level gives the information.  A precision that is the
+same for every replicate, the teacher's and, when every school is tiled,
+the student's, informs a whole block at once in compare: such a block has
+no chunks.
 
 The study's chunks (_study_chunk) GLS-fit Box-Muller noise of the
 responses stream on the same draws, which validates the anticipated
@@ -37,10 +42,11 @@ variances against the Monte Carlo variance of an actual estimator: GLS is
 linear and returns X beta's beta exactly, so the noise fit's treatment
 coefficient is the estimate's error.  Its designs share each chunk's
 picks, normals, pair count, student solve and both right sides, and read
-compare's G, _information and 1/pivot; the buffer holds the right sides
-too, and _treatment_pivot's elimination gives each coefficient with its
-pivot.  It pairs each student's noise with its row of D, so it keeps the
-ordered picks, as does draw_assignment.
+compare's G, _information and 1/pivot; its right sides vary per
+replicate, so both its levels are informed chunk by chunk, and
+_treatment_pivot's elimination gives each coefficient with its pivot.  It
+pairs each student's noise with its row of D, so it keeps the ordered
+picks, as does draw_assignment.
 """
 
 from __future__ import annotations
@@ -262,16 +268,16 @@ def _relabeled(config: SimulationConfig, u: np.ndarray, g_slot: np.ndarray) -> n
 
 def _student_precisions(config: SimulationConfig, rng: np.random.Generator, count: int, g_slot):
     """Every school's G, (R, a, max m, max m), of the next ``count`` replicates
-    of the assignment stream ``rng``: with replacement (``g_slot`` None) the kernel on
-    the picks' Grams, else ``g_slot`` _relabeled, drawing nothing when every school is _tiled."""
+    of the assignment stream ``rng``: with replacement (``g_slot`` None) the
+    kernel on the picks' Grams, else ``g_slot`` _relabeled.  A compare chunk
+    calls it; when every school is _tiled, the run loop reads ``g_slot``
+    itself, once per block, and draws no chunk."""
     policy, layout = config.policy, config.layout
-    shape = (count, _assignment_uniforms(policy, layout.m, layout.n))
+    u = rng.random((count, _assignment_uniforms(policy, layout.m, layout.n)))
     if g_slot is None:
-        picks = _picks(policy, layout.m, layout.n, rng.random(shape))
+        picks = _picks(policy, layout.m, layout.n, u)
         return _gram_precision(_pick_gram(picks, layout.n, max(layout.m)), config.student_vc)
-    if _tiled(layout, policy.c).all():
-        return np.broadcast_to(g_slot, (count,) + g_slot.shape)
-    return _relabeled(config, rng.random(shape), g_slot)
+    return _relabeled(config, u, g_slot)
 
 
 @dataclass(frozen=True)
@@ -527,16 +533,13 @@ def _footprint(layout: StudyLayout, c: int) -> tuple[int, int]:
     pick-pair codes (2c + c(c-1)/2 numbers a student) and about eight arrays
     the size of every school's Gram (pair counts, Gram, its scaled copies,
     the solve and G, each at most (max m + 2)^2 per school).  A chunk holds
-    one Gram and one G for all of a run's designs; each design adds only
-    its (max m, p) design rows a school.  A validate chunk shares its picks,
-    normals, pair count, student solve and two right sides among its
-    designs; its responses uniforms and normals go uncounted.  So does the
-    run loop's buffer in either mode, the _information terms of up to
-    _CHUNK_BYTES of earlier chunks (p^2 numbers a design and level a
-    replicate, p^2 + p with validate's right side: 192 and 288 bytes at
-    q = 0 and three designs), held beside the chunk until they are pivoted.
-    Balanced and single_course compare reads the run's G (_slot_gram_bytes):
-    no picks, pair counts or solve."""
+    one Gram and one G for all of a run's designs.  A validate chunk shares
+    its picks, normals, pair count, student solve and two right sides among
+    its designs; its responses uniforms and normals go uncounted.  So do
+    its block's design rows (_design_bytes), held beside the chunk until
+    the block is pivoted: each design's (max m, p) rows a school, in int8,
+    and its _information terms.  Balanced and single_course compare reads
+    the run's G (_slot_gram_bytes): no picks, pair counts or solve."""
     return 8 * sum(layout.n) * (2 * c + math.comb(c, 2)), 64 * layout.a * (max(layout.m) + 2) ** 2
 
 
@@ -560,9 +563,11 @@ def _chunks(config: SimulationConfig) -> list[int]:
 def _design_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int) -> np.ndarray:
     """The next ``count`` replicates' design matrices (R, a, max m, p), zero
     rows for padded teachers: one uniform draw per purpose from ``streams``,
-    none per replicate."""
+    none per replicate.  The run loop calls it once per block and holds
+    the rows through the block's chunks, so they are int8, exact for their
+    0 and +-1 entries; _information reads them as floats."""
     layout, q, sizes = config.layout, config.effective_q, _stream_sizes(config)
-    x = np.zeros((count, layout.a, max(layout.m), 3 if q > 0.0 else 2))
+    x = np.zeros((count, layout.a, max(layout.m), 3 if q > 0.0 else 2), dtype=np.int8)
     x[..., 0] = np.arange(max(layout.m)) < np.array(layout.m)[:, None]
     u = streams.randomization.random((count, sizes.randomization))
     x[..., 1] = _randomization_signs(config.design, layout.m, u)
@@ -711,22 +716,53 @@ def _study_chunk(config: SimulationConfig, streams: ReplicateStreams, count: int
     return g_s, rhs_t, rhs_s
 
 
-def _solve_block(held: Sequence[list]) -> np.ndarray:
-    """The anticipated variances 1/pivot and, where the held chunks' terms
-    have right sides, the noise fits' treatment coefficients, (D, 2, k, R),
-    of the held chunks' _information terms in run order: one
-    _treatment_pivot call per design and level over all their replicates,
-    whose elimination gives the coefficient too (and names the level's
-    residual component for an indefinite information)."""
+def _solve_block(terms: Sequence[Sequence[tuple]]) -> np.ndarray:
+    """The anticipated variances 1/pivot and, where a block's terms have right
+    sides, the noise fits' treatment coefficients, (D, 2, k, R), of its
+    _information terms ``terms[design][level]``, (info,) or (info, b) over
+    its replicates: one _treatment_pivot call per design and level, whose
+    elimination gives the coefficient too (and names the level's residual
+    component for an indefinite information)."""
     out = []
-    for design_terms in zip(*held):
+    for design in terms:
         out.append([])
-        for level, terms in zip(_LEVEL_COMPONENTS, zip(*design_terms)):
-            info, *b = (np.concatenate(parts) for parts in zip(*terms))
+        for level, (info, *b) in zip(_LEVEL_COMPONENTS, design):
             solved = _treatment_pivot(info, level.field(), *b)
             pivot, *coef = solved if b else (solved,)
             out[-1].append((1.0 / pivot, *coef))
     return np.array(out)
+
+
+def _design_bytes(configs: Sequence[SimulationConfig], fit: bool) -> int:
+    """Bytes of one replicate's design rows in a block: every design's
+    (a, max m, p) x as _information reads it, in floats, and the p^2 terms
+    of its information a level (p^2 + p with ``fit``'s right sides)."""
+    layout = configs[0].layout
+    ps = [3 if config.effective_q > 0.0 else 2 for config in configs]
+    return 8 * sum(p * layout.a * max(layout.m) + len(LEVELS) * p * (p + fit) for p in ps)
+
+
+def _chunk_terms(first: SimulationConfig, streams: ReplicateStreams, xs, counts, g_t, g_slot, fit):
+    """Every design's (teacher, student) _information terms, in run order,
+    of a block's design rows ``xs`` whose chunks take ``counts`` replicates:
+    per chunk one student precision (_student_precisions, or _study_chunk's
+    with its right sides) serves every design's rows of that chunk.  Without
+    right sides the teacher's, the run's one ``g_t``, informs the whole
+    block at once."""
+    parts = [([] if fit else [(_information(x, g_t),)], []) for x in xs]
+    for lo, count in zip(itertools.accumulate(counts, initial=0), counts):
+        rows = slice(lo, lo + count)
+        if fit:
+            g_s, *rhs = _study_chunk(first, streams, count, g_t, g_slot)
+            for x, (teacher, student) in zip(xs, parts):
+                teacher.append(_information(x[rows], g_t, rhs[0]))
+                student.append(_information(x[rows], g_s, rhs[1]))
+        else:
+            g_s, rhs = _student_precisions(first, streams.assignment, count, g_slot), ()
+            for x, (_, student) in zip(xs, parts):
+                student.append((_information(x[rows], g_s),))
+        del g_s, rhs  # not held through the next chunk's draws, where a chunk peaks
+    return [[tuple(map(np.concatenate, zip(*level))) for level in design] for design in parts]
 
 
 def _run(configs: Sequence[SimulationConfig], fit: bool = False) -> np.ndarray:
@@ -735,13 +771,16 @@ def _run(configs: Sequence[SimulationConfig], fit: bool = False) -> np.ndarray:
     coefficient (k = 2).  The configs differ only in their design, so they
     share the assignment and responses streams, common random numbers, and
     each design draws its own randomization and contamination.  It makes
-    the teacher precision and _slot_precision once, and per chunk one
-    student precision (_student_precisions, or _study_chunk's with its right
-    sides) serves every design.  The chunks' _information terms wait in a
-    buffer until it holds _CHUNK_BYTES, and at the end; each flush pivots
-    every design and level once (_solve_block), matrix by matrix, so the
-    block changes no bit.  Raises ValueError, before any draw, for no configs
-    or for configs that differ in more."""
+    the teacher precision and _slot_precision once, and runs blocks: the
+    whole chunks (_chunks) whose design rows (_design_bytes) fit in
+    _CHUNK_BYTES, one at least.  Per block each design draws its rows once
+    (_design_chunk), and every design and level is pivoted once
+    (_solve_block), matrix by matrix, so the block changes no bit.  In
+    compare a precision that no replicate changes informs the whole block
+    at once: the teacher's, and the student's when every school is
+    _tiled; otherwise the block's chunks give its student precisions
+    (_chunk_terms).  Raises ValueError, before any draw, for no configs or
+    for configs that differ in more."""
     if not configs:
         raise ValueError("a run needs at least one config")
     first = configs[0]
@@ -750,22 +789,19 @@ def _run(configs: Sequence[SimulationConfig], fit: bool = False) -> np.ndarray:
     streams = [replicate_streams(config, 0) for config in configs]
     g_t = _teacher_precisions(first.layout.m, first.teacher_vc)
     g_slot = _slot_precision(first)
+    tiled = not fit and g_slot is not None and _tiled(first.layout, first.policy.c).all()
     record = np.empty((len(configs), len(LEVELS), 1 + fit, first.replicates))
-    held, size, start, stop = [], 0, 0, 0
-    for count in _chunks(first):
-        xs = [_design_chunk(c, s, count) for c, s in zip(configs, streams)]
-        if fit:
-            g_s, *rhs = _study_chunk(first, streams[0], count, g_t, g_slot)
+    chunks, start = _chunks(first), 0
+    per_block = max(1, _CHUNK_BYTES // (chunks[0] * _design_bytes(configs, fit)))
+    for counts in (chunks[i : i + per_block] for i in range(0, len(chunks), per_block)):
+        stop = start + sum(counts)
+        xs = [_design_chunk(c, s, stop - start) for c, s in zip(configs, streams)]
+        if tiled:
+            terms = [[(_information(x, g_t),), (_information(x, g_slot),)] for x in xs]
         else:
-            g_s, rhs = _student_precisions(first, streams[0].assignment, count, g_slot), (None, None)
-        terms = [[_information(x, g, z) for g, z in zip((g_t, g_s), rhs)] for x in xs]
-        held.append(terms if fit else [[(info,) for info in design] for design in terms])
-        del g_s, rhs  # not held through the next chunk's draws, where a chunk peaks
-        size += sum(a.nbytes for design in held[-1] for level in design for a in level)
-        stop += count
-        if size >= _CHUNK_BYTES or stop == first.replicates:
-            record[..., start:stop] = _solve_block(held)
-            held, size, start = [], 0, stop
+            terms = _chunk_terms(first, streams[0], xs, counts, g_t, g_slot, fit)
+        record[..., start:stop] = _solve_block(terms)
+        start = stop
     return record
 
 
@@ -774,9 +810,10 @@ def simulate_anticipated_variance(configs: Sequence[SimulationConfig]) -> list[S
     result per config, in order.
 
     The configs differ only in their design and run in lockstep through
-    the run loop (_run): per chunk one student precision
-    (_student_precisions) serves every design, and each design gets its own
-    pivot and summaries, equal bit for bit to a run of that design alone.
+    the run loop (_run): one student precision, the run's or a chunk's
+    (_student_precisions), serves every design, and each design gets its
+    own pivot and summaries, equal bit for bit to a run of that design
+    alone.
     Deterministic given (seed, config): replicate r always consumes the same
     uniforms of each purpose's stream.  A replicate whose treatment
     direction is singular at a level is NaN there and counts as

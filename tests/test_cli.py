@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -16,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multilevel_design
-from multilevel_design import DensityEstimate, FieldError, PolicyKind
+from multilevel_design import (
+    DensityEstimate,
+    FieldError,
+    LevelResult,
+    PolicyKind,
+    SimulationResult,
+    kde_density,
+)
 from multilevel_design.cli import (
     emit_density_svg,
     main,
@@ -991,7 +999,63 @@ class TestCsvCells:
     def test_rows(self):
         assert cli._csv(["a", "b"], []) == "a,b\n"
         rows = [[1, 0.1, None], ["x", float("nan"), True]]
-        assert cli._csv(["a", "b", "c"], rows) == "a,b,c\n1,0.1,\nx,,True\n"
+        text = cli._csv(["a", "b", "c"], [map(cli._fmt, row) for row in rows])
+        assert text == "a,b,c\n1,0.1,\nx,,True\n"
+
+    @staticmethod
+    def _row_wise(results) -> dict[str, str]:
+        """The samples and density CSVs written row by row, each cell by
+        _fmt: the reference for the column-by-column writer."""
+
+        def csv(header, rows):
+            lines = [",".join(header)] + [",".join(map(cli._fmt, row)) for row in rows]
+            return "\n".join(lines) + "\n"
+
+        out = {}
+        for result in results:
+            design = result.config.design.value
+            for level in ("teacher", "student"):
+                res, dens = result.level(level), result.level(level).density
+                out[f"samples_{design}_{level}.csv"] = csv(
+                    ("replicate", "level", "design", "variance", "estimable"),
+                    [(r, level, design, v, int(math.isfinite(v)))
+                     for r, v in enumerate(res.variances.tolist())],
+                )
+                rows = []
+                if dens is not None:
+                    curve = [] if dens.is_point_mass else zip(dens.grid.tolist(), dens.density.tolist())
+                    rows = [(level, design, x, y) for x, y in curve] or [
+                        (level, design, dens.point_mass, None)
+                    ]
+                out[f"density_{design}_{level}.csv"] = csv(
+                    ("level", "design", "variance", "density"), rows
+                )
+        return out
+
+    def test_columns_equal_the_row_wise_cells(self, monkeypatch):
+        # NaN and +-inf write empty cells, every finite float its repr (-0.0,
+        # the smallest subnormal and the largest float among them), ints
+        # their str and None an empty cell, as _fmt writes them one by one
+        odd = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308]
+        values = np.array(odd + [0.1, 1.0 / 3.0, -2.5, 1e-300])
+        curve = DensityEstimate(grid=values[::-1].copy(), density=values.copy(), point_mass=None)
+        config = parse_config_data(base_config())
+        levels = [
+            LevelResult(values, 1.0, 0.5, curve, None),
+            LevelResult(values[3:], 1.0, 0.0, DensityEstimate(None, None, -0.0), None),
+            LevelResult(np.full(4, np.nan), float("nan"), float("nan"), None, None),
+            LevelResult(values[5:6], 1.0, 0.0, DensityEstimate(None, None, 5e-324), None),
+        ]
+        results = [
+            SimulationResult(config.simulation_config(design), *pair)
+            for design, pair in zip(config.designs[:2], (levels[:2], levels[2:]))
+        ]
+        monkeypatch.setattr(cli, "simulate_anticipated_variance", lambda configs: results)
+        monkeypatch.setattr(cli, "_density_svg", lambda series: "")
+        artifacts = cli._run_simulate([])[1]
+        want = self._row_wise(results)
+        assert len(want) == 8
+        assert {name: artifacts[name] for name in want} == want
 
 
 class TestDensitySvg:
@@ -1025,6 +1089,45 @@ class TestDensitySvg:
         path = tmp_path / "d.svg"
         emit_density_svg({"a&b <c>": self._grid(0.0)}, path)
         assert ">a&amp;b &lt;c&gt;</text>" in path.read_text()
+
+    @staticmethod
+    def _per_point(series) -> list[str]:
+        """Every curve's polyline points, point by point: the reference for
+        the vectorized ones."""
+        items = sorted(series.items(), key=lambda item: item[1].is_point_mass)
+        x_points = np.concatenate([d.grid if d.grid is not None else [d.point_mass] for _, d in items])
+        x_lo, x_hi = float(np.min(x_points)), float(np.max(x_points))
+        y_hi = max(float(d.density.max()) for _, d in items if d.grid is not None)
+        left, top, plot_w, plot_h = 70, 24, 530, 416
+
+        def sx(x):
+            return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+        def sy(y):
+            return top + plot_h - y / y_hi * plot_h
+
+        return [
+            " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(d.grid, d.density))
+            for _, d in items
+            if d.grid is not None
+        ]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_points_equal_the_per_point_expressions(self, scale):
+        # curves and a point mass, at the smallest and largest scales a
+        # density reaches: the array expressions round like the scalar ones
+        rng = np.random.default_rng(21)
+        grid = np.linspace(1.0, 3.0, 256) * scale
+        series = {
+            "sampled": kde_density((2.0 + rng.standard_normal(300)) * scale),
+            "skewed": kde_density(rng.exponential(1.0, 500) * scale),
+            "spiky": DensityEstimate(grid, rng.random(256) / scale, None),
+            "mass": DensityEstimate(None, None, 2.5 * scale),
+        }
+        got = re.findall(r'points="([^"]*)"', cli._density_svg(series))
+        want = self._per_point(series)
+        assert len(want) == 3
+        assert got == want
 
     def test_empty_series_rejected(self, tmp_path):
         path = tmp_path / "d.svg"

@@ -654,6 +654,32 @@ class TestChunkedEngine:
         returned = sum(array.nbytes for level_arrays in arrays for array in level_arrays)
         assert peak - returned < 4 * simulator._CHUNK_BYTES
 
+    def test_tiled_compare_memory_is_bounded_by_the_block(self, monkeypatch):
+        # every school tiled: compare informs each block at once from the
+        # run's slot precision, and its peak beyond the arrays it returns
+        # is a few caps at any replicate count, as with replacement
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2**16)
+        layout = StudyLayout(a=4, m=(4, 4, 6, 6), n=(12, 6, 30, 15))
+        policy = AssignmentPolicy.balanced(2)
+        configs = [
+            make_config(layout=layout, design=design, policy=policy, q=0.5, replicates=reps, seed=1)
+            for reps in (2, 5_000)
+            for design in (D2, D3)
+        ]
+        simulate_anticipated_variance(configs[:2])  # what a first run loads stays allocated
+        configs = configs[2:]
+        assert 5_000 * simulator._design_bytes(configs, False) > 100 * simulator._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            results = simulate_anticipated_variance(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        levels = [result.level(level) for result in results for level in ("teacher", "student")]
+        arrays = [(lv.variances, lv.density.grid, lv.density.density) for lv in levels]
+        returned = sum(array.nbytes for level_arrays in arrays for array in level_arrays)
+        assert peak - returned < 4 * simulator._CHUNK_BYTES
+
     def test_results_hold_one_array_per_level(self):
         # a level keeps its variances; its finite samples and non-estimable
         # count are read off them, where a stored copy of the samples about
@@ -1008,11 +1034,11 @@ class TestLockstepEngine:
             )
 
     def test_one_gls_solve_per_block_of_chunks(self, monkeypatch):
-        # the chunks' information terms wait in a buffer of up to
-        # _CHUNK_BYTES, so a run that fits in it pivots once per design and
-        # level, and validate's coefficients come from the same pivot call;
-        # neither mode inverts; a cap that makes either flush more often
-        # changes no bit
+        # a block is the whole chunks whose design rows fit _CHUNK_BYTES, so
+        # a run that fits in one pivots once per design and level, and
+        # validate's coefficients come from the same pivot call; neither
+        # mode inverts; a cap that makes either pivot more often changes no
+        # bit
         configs = self._lockstep_configs("heterogeneous", "with_replacement_2", 0.3)
         assert len(configs) == 3
         calls = {"_treatment_pivot": 0, "pinv": 0}
@@ -1025,10 +1051,11 @@ class TestLockstepEngine:
             monkeypatch.setattr(owner, name, counted)
         studies, runs = [], []
         per_solve = 2 * len(configs)
-        # validate's terms take 480 bytes a replicate and compare's 352, so
-        # a 2,000-byte cap (one replicate a chunk) flushes validate after
-        # every fifth chunk and compare after every sixth, and both at the end
-        for cap, solves, pivots in ((7 * simulator._replicate_bytes(configs[0]), 1, 1), (2_000, 5, 4)):
+        # compare's design rows take 2,400 bytes a replicate (each design's
+        # 4 x 8 x p x and p^2 terms a level) and validate's 2,528 (p^2 + p),
+        # so a 10,000-byte cap (one replicate a chunk) makes blocks of four
+        # replicates in compare and three in validate: 6 and 8 of the 23
+        for cap, solves, pivots in ((7 * simulator._replicate_bytes(configs[0]), 1, 1), (10_000, 8, 6)):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", cap)
             assert len(simulator._chunks(configs[0])) > solves
             calls.update(_treatment_pivot=0, pinv=0)
@@ -1041,6 +1068,55 @@ class TestLockstepEngine:
         for got, want in zip(runs[1], runs[0], strict=True):
             for level in ("teacher", "student"):
                 np.testing.assert_array_equal(got.level(level).variances, want.level(level).variances)
+
+    def test_one_design_draw_per_design_a_block(self, monkeypatch):
+        # the paper's layout at the 2 MiB cap: chunks of 9 replicates, and
+        # blocks of 36 chunks (324 replicates) in either mode, so 700
+        # replicates draw each design's rows 3 times, not once per chunk;
+        # with replacement, compare's student precision stays per chunk
+        layout = StudyLayout(a=16, m=8, n=200)
+        configs = self._configs(layout=layout, replicates=700)
+        assert len(configs) == 3 and len(simulator._chunks(configs[0])) == 78
+        calls = {"_design_chunk": 0, "_student_precisions": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _inner=getattr(simulator, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(simulator, name, counted)
+        simulate_anticipated_variance(configs)
+        assert calls == {"_design_chunk": 3 * 3, "_student_precisions": 78}
+        calls.update(_design_chunk=0, _student_precisions=0)
+        estimator_variance_study(configs)
+        assert calls == {"_design_chunk": 3 * 3, "_student_precisions": 0}
+
+    @pytest.mark.parametrize(
+        "layout, policy",
+        [
+            (StudyLayout(a=4, m=(4, 4, 6, 6), n=(12, 6, 30, 15)), AssignmentPolicy.balanced(2)),
+            (StudyLayout(a=4, m=(2, 4, 6, 8), n=(4, 16, 30, 16)), AssignmentPolicy.single_course()),
+        ],
+    )
+    def test_tiled_compare_reads_the_slot_precision_per_block(self, layout, policy, monkeypatch):
+        # every school tiled: compare informs each block from the run's slot
+        # precision and computes no per-chunk student precision; one school
+        # with remainder rows takes one a chunk
+        configs = self._configs(layout=layout, policy=policy, q=0.5, replicates=500)
+        assert len(simulator._chunks(configs[0])) > 1
+        calls = []
+
+        def counted(*args, _inner=simulator._student_precisions):
+            calls.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(simulator, "_student_precisions", counted)
+        simulate_anticipated_variance(configs)
+        assert calls == []
+        remainder = StudyLayout(a=4, m=(4, 4, 6, 6), n=(12, 8, 30, 15))
+        config = make_config(layout=remainder, policy=AssignmentPolicy.balanced(2), replicates=500)
+        simulate_anticipated_variance([config])
+        assert len(calls) == len(simulator._chunks(config))
 
     @pytest.mark.parametrize(
         "change",
